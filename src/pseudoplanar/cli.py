@@ -14,7 +14,6 @@ import sys
 
 from . import scheme as sch
 from . import search as srch
-from .exact import GaussInt
 from .field import GF2n, default_modulus
 from .functions import (
     MONOMIAL_FAMILIES,
@@ -26,8 +25,7 @@ from .functions import (
 )
 from .galois_ring import GR4
 from .groupring import build_df, verify_rds
-
-SCHEMA_VERSION = 1
+from .scheme import SCHEMA_VERSION
 
 
 def _field_from_args(args) -> GF2n:
@@ -58,10 +56,6 @@ def _emit(args, command: str, inputs: dict, result: dict, text_lines: list[str])
             print(line)
     else:
         raise ValueError(f"--out {args.out} is not supported for {command}")
-
-
-def _gi_str(v: GaussInt) -> str:
-    return str(v)
 
 
 # -- commands -----------------------------------------------------------------
@@ -160,7 +154,7 @@ def cmd_scheme_build(args):
             "schema_version": SCHEMA_VERSION,
             "command": "scheme-build",
             "inputs": {"field": fld.spec_string, "f": f.literal},
-            "result": json.loads(rep.to_json()),
+            "result": rep.to_dict(),
         }, indent=2))
     else:
         print(f"classes: {rep.class_count + 1} (incl. identity)")
@@ -175,14 +169,14 @@ def cmd_eigen(args):
     ok = rep.matches_closed_forms() and sch._check_pq(rep.P, rep.Q, fld.order ** 2)
     inputs = {"field": fld.spec_string, "f": f.literal}
     result = {
-        "P": [[_gi_str(v) for v in row] for row in rep.P],
+        "P": [[str(v) for v in row] for row in rep.P],
         "Q": [[str(v) for v in row] for row in rep.Q],
         "row_slots": rep.row_slots,
         "col_slots": rep.col_slots,
         "verified": ok,
     }
     lines = ["P:"]
-    lines += ["  " + "  ".join(f"{_gi_str(v):>12s}" for v in row) for row in rep.P]
+    lines += ["  " + "  ".join(f"{str(v):>12s}" for v in row) for row in rep.P]
     lines.append("Q:")
     lines += ["  " + "  ".join(f"{str(v):>12s}" for v in row) for row in rep.Q]
     lines.append(f"verified: {ok}")
@@ -204,7 +198,7 @@ def cmd_spectrum(args):
             "spectrum": [[v.re, v.im, c] for v, c in rows],
             "matches_closed_form": ok,
         }
-        lines = [f"{_gi_str(v):>8s}: {c}" for v, c in rows]
+        lines = [f"{str(v):>8s}: {c}" for v, c in rows]
         lines.append(f"matches closed form: {ok}")
         _emit(args, "spectrum", inputs, result, lines)
     return 0 if ok else 1
@@ -250,8 +244,6 @@ def cmd_search_binomials(args):
 def cmd_bm_fuse(args):
     fld = _field_from_args(args)
     f = SparsePoly.parse(fld, args.f)
-    ring = GR4(fld)
-    rep = sch.build_report(build_df(ring, f))
     try:
         cells = [
             sorted(int(c) for c in cell.split(","))
@@ -259,6 +251,7 @@ def cmd_bm_fuse(args):
         ]
     except ValueError as exc:
         raise ValueError(f"bad --cols {args.cols!r}; expected e.g. 0;1,2;3;4,5") from exc
+    rep = sch.build_report(build_df(GR4(fld), f))
     try:
         fused, row_partition = sch.bm_fuse(rep.P, cells)
     except sch.FusionError as exc:
@@ -266,11 +259,11 @@ def cmd_bm_fuse(args):
         return 1
     inputs = {"field": fld.spec_string, "f": f.literal, "cols": args.cols}
     result = {
-        "fused_P": [[_gi_str(v) for v in row] for row in fused],
+        "fused_P": [[str(v) for v in row] for row in fused],
         "row_partition": row_partition,
     }
     lines = ["fused P:"]
-    lines += ["  " + "  ".join(f"{_gi_str(v):>10s}" for v in row) for row in fused]
+    lines += ["  " + "  ".join(f"{str(v):>10s}" for v in row) for row in fused]
     lines.append(f"row partition: {row_partition}")
     _emit(args, "bm-fuse", inputs, result, lines)
     return 0
@@ -293,9 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--modulus-override", metavar="POLYHEX",
                         help="replace the modulus from --field")
         sp.add_argument("--out", choices=("json", "csv", "text"), default="text")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; "
-                        "execution is sequential (shard instead)")
         if needs_f:
             sp.add_argument("--f", required=True, metavar="POLY",
                             help='function literal "e1:cHEX,e2:cHEX" (0:0 for f=0)')

@@ -13,7 +13,6 @@ checked at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -75,25 +74,6 @@ def default_modulus(n: int) -> int:
         if reducible_factor_degree(cand) is None:
             return cand
     raise AssertionError(f"no irreducible polynomial of degree {n}")
-
-
-@dataclass(frozen=True)
-class CubicData:
-    """Invariants of the minimal cubic of an element of F_{2^{3m}} over F_{2^m}.
-
-    For e outside F_{2^m} the minimal polynomial is
-    x^3 + B1 x^2 + B2 x + B3, and u1, u2 are the two twisted-trace values
-    Tr3(e^(1+2^(2m+1))) and Tr3(e^(1+2^(m+1))).  They satisfy
-    u1 + u2 = B3 + B1*B2 and u1*u2 = B1^3*B3 + B2^3 + B3^2.
-    """
-
-    m: int
-    epsilon: int
-    B1: int
-    B2: int
-    B3: int
-    u1: int
-    u2: int
 
 
 class GF2n:
@@ -305,22 +285,6 @@ class GF2n:
             if self.mult_order(g) == self.order - 1:
                 return g
         return 1
-
-    def cubic_invariants(self, e: int, m: int) -> CubicData:
-        """Minimal-cubic coefficients and twisted traces of e over F_{2^m}."""
-        self._require_cubic_tower(m)
-        if self.in_subfield(e, m):
-            raise ValueError(
-                f"element {e:#x} lies in F_2^{m}; its minimal polynomial is not cubic"
-            )
-        t = 1 << m
-        x1, x2, x3 = e, self.pow(e, t), self.pow(e, t * t)
-        B1 = x1 ^ x2 ^ x3
-        B2 = self.mul(x1, x2) ^ self.mul(x1, x3) ^ self.mul(x2, x3)
-        B3 = self.mul(self.mul(x1, x2), x3)
-        u1 = self.rel_trace(self.pow(e, 1 + (t * t << 1)), m)
-        u2 = self.rel_trace(self.pow(e, 1 + (t << 1)), m)
-        return CubicData(m=m, epsilon=e, B1=B1, B2=B2, B3=B3, u1=u1, u2=u2)
 
     # -- bulk (numpy) operations --------------------------------------------
 

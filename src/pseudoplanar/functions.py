@@ -82,19 +82,6 @@ class SparsePoly:
             out ^= f.mul_vec(coeff, f.power_table(exp))
         return out
 
-    def is_quadratic_type(self) -> bool:
-        """True when every exponent has the form 2^i + 2^j with i != j."""
-        return all(bin(e).count("1") == 2 for e, _ in self.terms)
-
-
-def difference_map_table(f: SparsePoly, eps: int, ftab: np.ndarray | None = None) -> np.ndarray:
-    """Value table of x -> f(x+eps) + f(x) + eps*x."""
-    fld = f.field
-    if ftab is None:
-        ftab = f.value_table()
-    xs = fld.elements()
-    return ftab[xs ^ eps] ^ ftab ^ fld.mul_vec(eps, xs)
-
 
 def pseudoplanar_witness(f: SparsePoly) -> int | None:
     """Smallest eps whose difference map is not a permutation, else None."""
@@ -156,7 +143,7 @@ def moore_det(field: GF2n, coeffs, d: int) -> int:
 
 
 def linearized_is_bijection(field: GF2n, coeffs, d: int) -> bool:
-    """Brute-force bijectivity check; the independent side of moore_det."""
+    """Brute-force bijectivity check; the test oracle for moore_det."""
     seen = set()
     for x in range(field.order):
         seen.add(linearized_eval(field, coeffs, d, x))
@@ -302,7 +289,8 @@ def binomial1_criterion(field: GF2n, m: int, a: int) -> bool:
 
 def binomial1_criterion_det(field: GF2n, m: int, a: int) -> bool:
     """Same criterion via the Moore determinant of the per-eps linearized
-    difference map; must agree with binomial1_criterion everywhere."""
+    difference map; the test oracle for binomial1_criterion, which must
+    agree with it everywhere."""
     _cubic_field(field, m)
     t = 1 << m
     ca = field.pow(a, t * t + 1)
@@ -350,7 +338,7 @@ def shifted_binomial_obstruction(field: GF2n, m: int, variant: int, e: int) -> i
     """The per-eps obstruction value for the shifted binomials:
     N3(e) + Tr3(e^3 + e^(1+2t)) for variant 2, N3(e) + Tr3(e^3 + e^(2+t))
     for variant 3.  The binomial is pseudo-planar iff this is nonzero for
-    every nonzero e."""
+    every nonzero e.  Scalar test oracle for shifted_binomial_criterion."""
     _cubic_field(field, m)
     t = 1 << m
     if variant == 2:

@@ -33,7 +33,10 @@ _Z4_OF_PAIR = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
 
 
 class Z4Model:
-    """Brute-force oracle for GR(4, n): Z4-coefficient vectors modulo h(y).
+    """Brute-force model of GR(4, n): Z4-coefficient vectors modulo h(y).
+
+    Test oracle for the Teichmuller-pair formulas of GR4; GR4 itself uses
+    it only to build the additive coordinate tables.
 
     h is the unique monic lift of the field modulus to Z4 that divides
     y^(2^n - 1) - 1, found by scanning all 2^n coefficient lifts.  When the
@@ -100,20 +103,6 @@ class Z4Model:
             u = self.mul(u, u, h)
             k >>= 1
         return r
-
-    def mult_order_of_y(self) -> int:
-        y = tuple(1 if j == 1 else 0 for j in range(self.n)) if self.n > 1 else (
-            ((4 - self.h[0]) % 4,)
-        )
-        group = (1 << self.n) - 1
-        t = group
-        v = y
-        k = 1
-        while self.pow(y, k) != self.one():
-            k += 1
-            if k > 2 * group:
-                raise AssertionError("y is not of odd finite order")
-        return k
 
     def teich(self, a: int) -> tuple[int, ...]:
         """Teichmuller lift of field element a: (any lift)^(2^n)."""
@@ -218,14 +207,12 @@ class GR4:
         return _Z4_OF_PAIR[t]
 
     def character(self, a: Pair, x: Pair) -> GaussInt:
-        """Additive character value chi_a(x) = i^Tr(ax)."""
+        """Additive character value chi_a(x) = i^Tr(ax).
+
+        Test oracle: the naive character sum that the radix-4 transform in
+        groupring is checked against.
+        """
         return I_POWERS[self.trace(self.mul(a, x))]
-
-    def teich(self, t: int) -> Pair:
-        return (t, 0)
-
-    def two_times(self, t: int) -> Pair:
-        return (0, t)
 
     def in_two_torsion(self, x: Pair) -> bool:
         """Membership in Z = 2R, the ideal of zero divisors plus 0."""
@@ -268,10 +255,6 @@ class GR4:
     def coord_of(self) -> np.ndarray:
         return self._coord_data[0]
 
-    @property
-    def pair_of_coord(self) -> np.ndarray:
-        return self._coord_data[1]
-
     @cached_property
     def dual_perm(self) -> np.ndarray:
         """u(a) as a coordinate index, per element index a.
@@ -291,14 +274,6 @@ class GR4:
         u_digits = (digits @ gram) % 4
         pow4 = np.array([1 << (2 * j) for j in range(n)], dtype=np.int64)
         return u_digits @ pow4
-
-    @cached_property
-    def trace_table(self) -> np.ndarray:
-        """Tr(x) in Z4 for every element index."""
-        out = np.empty(self.size, dtype=np.int64)
-        for i in range(self.size):
-            out[i] = self.trace(self.pair(i))
-        return out
 
     @cached_property
     def two_torsion_mask(self) -> np.ndarray:

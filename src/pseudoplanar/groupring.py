@@ -110,7 +110,7 @@ class GroupVec:
         return _convolve_fast(self, other)
 
     def convolve_naive(self, other: "GroupVec") -> "GroupVec":
-        """O(16^n) reference convolution; anchors the transform path."""
+        """O(16^n) reference convolution; the test oracle for convolve."""
         self._check_ctx(other)
         ring = self.ring
         if ring.n > NAIVE_MAX_DEGREE:
@@ -204,10 +204,6 @@ class SpectrumVec:
             )
         return GroupVec(ring, re // ring.size)
 
-    def to_sparse(self) -> list[list[int]]:
-        nz = np.flatnonzero((self.re != 0) | (self.im != 0))
-        return [[int(i), int(self.re[i]), int(self.im[i])] for i in nz]
-
 
 # -- fast transform plumbing --------------------------------------------------
 #
@@ -261,11 +257,7 @@ def _convolve_fast(A: GroupVec, B: GroupVec) -> GroupVec:
     br, bi = _coord_dft(ring, B.counts, sign=+1)
     pr = ar * br - ai * bi
     pi = ar * bi + ai * br
-    re = pr.reshape((4,) * ring.n)
-    im = pi.reshape((4,) * ring.n)
-    re, im = _radix4(re, im, sign=-1)
-    re = re.reshape(ring.size)[ring.coord_of]
-    im = im.reshape(ring.size)[ring.coord_of]
+    re, im = _label_idft(ring, pr, pi)
     if (im != 0).any() or (re % ring.size != 0).any():
         raise AssertionError("transform convolution produced non-integer output")
     return GroupVec(ring, re // ring.size)

@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import GaussInt, GaussRat, mat_inverse
+from .exact import GaussInt, GaussRat, mat_inverse, mat_mul
 from .functions import SparsePoly, pseudoplanar_witness
 from .galois_ring import GR4
 from .groupring import GroupVec, build_df, verify_rds
@@ -51,13 +52,6 @@ class Partition6:
     @property
     def class_sizes(self) -> list[int]:
         return [S.total() for S in self.classes]
-
-    @property
-    def labels(self) -> np.ndarray:
-        labels = np.empty(self.ring.size, dtype=np.int64)
-        for k, S in enumerate(self.classes):
-            labels[S.support()] = k
-        return labels
 
     def nonempty_slots(self) -> list[int]:
         return [k for k, S in enumerate(self.classes) if S.total() > 0]
@@ -120,8 +114,6 @@ def verify_schur(part: Partition6):
     (None, (i, j, k, g, g_prime)) naming two elements of the same class
     with different multiplicities.
     """
-    ring = part.ring
-    labels = part.labels
     p = np.zeros((6, 6, 6), dtype=np.int64)
     for i in range(6):
         for j in range(i, 6):
@@ -465,10 +457,13 @@ class SchemeReport:
             for j, rj in enumerate(self.row_slots)
         )
 
-    def to_json(self) -> str:
-        size = self.partition.ring.size
-        pq_ok = _check_pq(self.P, self.Q, size)
-        data = {
+    def to_dict(self) -> dict:
+        """The report as plain JSON values.
+
+        A Q entry re + im*i is written as [re*L, im*L, L], L the least common
+        denominator of re and im.
+        """
+        return {
             "schema_version": SCHEMA_VERSION,
             "n": self.partition.ring.n,
             "class_sizes": self.partition.class_sizes,
@@ -482,33 +477,26 @@ class SchemeReport:
                 if v
             ],
             "P": [[[e.re, e.im] for e in row] for row in self.P],
-            "Q": [
-                [
-                    [
-                        e.re.numerator, e.im.numerator,
-                        int(np.lcm(e.re.denominator, e.im.denominator)),
-                    ]
-                    for e in row
-                ]
-                for row in self.Q
-            ],
-            "pq_identity": pq_ok,
+            "Q": [[_encode_rat(e) for e in row] for row in self.Q],
+            "pq_identity": _check_pq(self.P, self.Q, self.partition.ring.size),
             "matches_closed_forms": self.matches_closed_forms(),
         }
-        return json.dumps(data, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+
+def _encode_rat(e: GaussRat) -> list[int]:
+    L = math.lcm(e.re.denominator, e.im.denominator)
+    return [int(e.re * L), int(e.im * L), L]
 
 
 def _check_pq(P, Q, size: int) -> bool:
+    """P Q == |R| I, exactly."""
     m = len(P)
-    for j in range(m):
-        for k in range(m):
-            acc = GaussRat()
-            for i in range(m):
-                acc = acc + GaussRat.of(P[j][i]) * Q[i][k]
-            want = GaussRat.of(size if j == k else 0)
-            if acc != want:
-                return False
-    return True
+    return mat_mul(P, Q) == [
+        [GaussRat.of(size if j == k else 0) for k in range(m)] for j in range(m)
+    ]
 
 
 def build_report(D: GroupVec) -> SchemeReport:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import combinations
 
 from .field import GF2n
@@ -52,10 +54,9 @@ class SearchSpace:
     def coeff_count(self) -> int:
         return self.field.order - 1
 
-    @property
+    @cached_property
     def exponent_pairs(self) -> list[tuple[int, int]]:
-        exps = quad_exponents(self.field.n)
-        return [(e1, e2) for e1, e2 in combinations(exps, 2)]
+        return list(combinations(quad_exponents(self.field.n), 2))
 
     @property
     def total(self) -> int:
@@ -119,6 +120,8 @@ def _digest(payload: dict) -> str:
 
 
 def checkpoint_save(path, space: SearchSpace, next_index: int, hit_indices: list[int]):
+    """Write the checkpoint atomically: a crash mid-write leaves the previous
+    file in place (and at worst a stale PATH.tmp beside it)."""
     payload = {
         "version": CHECKPOINT_VERSION,
         **space.spec_dict(),
@@ -126,8 +129,12 @@ def checkpoint_save(path, space: SearchSpace, next_index: int, hit_indices: list
         "hits": sorted(hit_indices),
     }
     payload["digest"] = _digest({k: v for k, v in payload.items()})
-    with open(path, "w") as fh:
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w") as fh:
         json.dump(payload, fh)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def checkpoint_resume(path, space: SearchSpace) -> tuple[int, list[int]]:
@@ -182,10 +189,11 @@ def run_search(
         if checkpoint_path is not None and since_save >= checkpoint_every:
             checkpoint_save(checkpoint_path, space, i + 1, hit_indices)
             since_save = 0
-    if checkpoint_path is not None:
-        checkpoint_save(checkpoint_path, space, space.total, hit_indices)
     result = SearchResult(space, sorted(hit_indices))
     _reverify(result)
+    # only a re-verified result may mark the shard as exhausted
+    if checkpoint_path is not None:
+        checkpoint_save(checkpoint_path, space, space.total, hit_indices)
     return result
 
 

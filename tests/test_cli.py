@@ -165,3 +165,24 @@ def test_bm_fuse_cli(capsys):
     )
     assert code == 1
     assert "fusion refused" in err
+
+
+def test_threads_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pp-test", "--field", "4:13", "--f", "5:1", "--threads", "4"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_bm_fuse_rejects_bad_cols_before_building(capsys, monkeypatch):
+    from pseudoplanar import scheme
+
+    def no_build(D):
+        raise AssertionError("the scheme was built before --cols was parsed")
+
+    monkeypatch.setattr(scheme, "build_report", no_build)
+    code, _, err = run(
+        capsys, "bm-fuse", "--field", "3:b", "--f", "0:0", "--cols", "0;1,x"
+    )
+    assert code == 2
+    assert "bad --cols" in err

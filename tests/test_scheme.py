@@ -1,5 +1,6 @@
 """Scheme construction, eigenmatrices, spectra, duals, and fusion."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -256,3 +257,32 @@ def test_eigen_pipeline_pieces_agree_with_report():
     # P row 0 is the valencies, column 0 all ones
     assert P[0] == [GaussInt(s) for s in part.class_sizes]
     assert all(row[0] == GaussInt(1) for row in P)
+
+
+def test_report_json_q_decodes_exactly_with_mixed_denominators():
+    from fractions import Fraction
+
+    rep = _report(3)
+    Q = [list(row) for row in rep.Q]
+    Q[2][3] = GaussRat(Fraction(-1, 2), Fraction(1))
+    Q[4][5] = GaussRat(Fraction(2, 3), Fraction(-5, 4))
+    data = json.loads(dataclasses.replace(rep, Q=Q).to_json())
+    decoded = [
+        [GaussRat(Fraction(re, den), Fraction(im, den)) for re, im, den in row]
+        for row in data["Q"]
+    ]
+    assert decoded == Q
+    assert data["Q"][2][3] == [-1, 2, 2]
+    assert data["pq_identity"] is False
+
+
+def test_check_pq_rejects_a_perturbed_q():
+    from fractions import Fraction
+
+    from pseudoplanar.scheme import _check_pq
+
+    rep = _report(4)
+    assert _check_pq(rep.P, rep.Q, rep.partition.ring.size)
+    Q = [list(row) for row in rep.Q]
+    Q[3][2] = Q[3][2] + GaussRat(Fraction(0), Fraction(1, 7))
+    assert not _check_pq(rep.P, Q, rep.partition.ring.size)

@@ -147,3 +147,43 @@ def test_reverification_catches_bad_hits():
     bad = SearchResult(space, [(3 - 1) * space.coeff_count])  # x^3, not pp
     with pytest.raises(AssertionError, match="re-verification"):
         _reverify(bad)
+
+
+def test_checkpoint_write_failure_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    import pseudoplanar.search as search
+
+    space = SearchSpace(GF2n(4), "monomial")
+    path = tmp_path / "ck.json"
+    checkpoint_save(path, space, 7, [3])
+
+    def torn_dump(payload, fh):
+        fh.write(json.dumps(payload)[:20])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(search.json, "dump", torn_dump)
+    with pytest.raises(OSError, match="disk full"):
+        checkpoint_save(path, space, 9, [3, 8])
+    monkeypatch.undo()
+    assert checkpoint_resume(path, space) == (7, [3])
+
+
+def test_failed_reverification_never_marks_the_space_exhausted(tmp_path, monkeypatch):
+    import pseudoplanar.search as search
+
+    def refuse(result):
+        raise AssertionError("re-verification failed")
+
+    space = SearchSpace(GF2n(3), "monomial")
+    path = tmp_path / "ck.json"
+    monkeypatch.setattr(search, "_reverify", refuse)
+    with pytest.raises(AssertionError, match="re-verification"):
+        run_search(space, checkpoint_path=path, checkpoint_every=10)
+    nxt, _ = checkpoint_resume(path, space)  # the last interval checkpoint
+    assert nxt < space.total
+
+
+def test_exponent_pairs_computed_once_per_space():
+    space = SearchSpace(GF2n(4), "quad_binomial")
+    assert space.exponent_pairs is space.exponent_pairs
+    assert space.exponent_pairs[:2] == [(3, 5), (3, 6)]
+    assert len(space.exponent_pairs) == 15
