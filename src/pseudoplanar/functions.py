@@ -9,6 +9,7 @@ their exact trace criteria.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -217,7 +218,8 @@ def scaling_orbit(field: GF2n, c: int, t: int) -> set[tuple[int, int]]:
 
     That substitution preserves pseudo-planarity (the difference map of the
     image is the original difference map composed with x -> u x and scaled
-    by u^(-2)) and sends c*x^t to (c*u^(t-2))*x^t.
+    by u^(-2)) and sends c*x^t to (c*u^(t-2))*x^t.  Test oracle for
+    known_hits_closure.
     """
     return {(field.mul(c, field.pow(u, t - 2)), t) for u in range(1, field.order)}
 
@@ -228,10 +230,22 @@ def known_hits_closure(field: GF2n) -> set[tuple[int, int]]:
     On some fields the known-family coefficient conditions single out one
     orbit representative per exponent rather than the full coefficient set;
     the closure is the complete prediction for an exhaustive search.
+
+    The scaling orbit of (c, t) is the coset c*H, H the group of d-th powers
+    with d = gcd(t - 2, 2^n - 1), so the closure for exponent t is every
+    nonzero c whose log is congruent mod d to the log of a known c.
     """
-    out: set[tuple[int, int]] = set()
+    group = field.order - 1
+    by_exp: dict[int, list[int]] = {}
     for c, t in known_family_hits(field):
-        out |= scaling_orbit(field, c, t)
+        by_exp.setdefault(t, []).append(c)
+    nonzero = field.elements()[1:]
+    logs = field.log_vec(nonzero)
+    out: set[tuple[int, int]] = set()
+    for t, coeffs in by_exp.items():
+        d = math.gcd(t - 2, group)
+        known = np.unique(field.log_vec(np.array(coeffs, dtype=np.int64)) % d)
+        out.update((int(c), t) for c in nonzero[np.isin(logs % d, known)])
     return out
 
 

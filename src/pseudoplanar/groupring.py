@@ -6,6 +6,8 @@ by element idx.  Signed vectors are allowed so identities like
 additive character transform and its inverse are all exact (int64 end to
 end); the fast transform is an n-dimensional radix-4 butterfly over the
 additive Z4^n coordinates, anchored against a naive double loop for small n.
+The relative-difference-set identity is tested on one transform of D; only
+when it fails is |chi(D)|^2 inverted to name the elements where it fails.
 """
 
 from __future__ import annotations
@@ -215,40 +217,58 @@ class SpectrumVec:
 # i * (r, s) = (-s, r).
 
 
-def _radix4(re: np.ndarray, im: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the kernel i^{sign * u v} along every axis of (4,)*n tensors."""
-    for ax in range(re.ndim):
-        r0, r1, r2, r3 = (np.take(re, v, axis=ax) for v in range(4))
-        m0, m1, m2, m3 = (np.take(im, v, axis=ax) for v in range(4))
-        s02r, d02r = r0 + r2, r0 - r2
-        s13r, d13r = r1 + r3, r1 - r3
-        s02m, d02m = m0 + m2, m0 - m2
-        s13m, d13m = m1 + m3, m1 - m3
-        # rows of the kernel: u=0 -> sum; u=2 -> alternating sum;
-        # u=1,3 -> d02 +- sign*i*d13
-        out_r = [s02r + s13r, d02r - sign * d13m, s02r - s13r, d02r + sign * d13m]
-        out_m = [s02m + s13m, d02m + sign * d13r, s02m - s13m, d02m - sign * d13r]
-        re = np.stack(out_r, axis=ax)
-        im = np.stack(out_m, axis=ax)
-    return re, im
+def _radix4(re: np.ndarray, im: np.ndarray, sign: int) -> None:
+    """Apply the kernel i^{sign * u v} along every Z4 digit of flat (re, im).
+
+    Works in place on two owned, contiguous 4^n vectors.  Each stage copies
+    the four sums and differences of one digit into scratch and writes the
+    four outputs back through strided views, so a transform allocates two
+    scratch vectors in all.
+    """
+    size = re.size
+    sre = np.empty(size, dtype=np.int64)
+    sim = np.empty(size, dtype=np.int64)
+    # d02 - sign*i*d13 and d02 + sign*i*d13, as ufuncs on the (re, im) parts
+    minus, plus = (np.subtract, np.add) if sign > 0 else (np.add, np.subtract)
+    outer = 1
+    while outer < size:
+        inner = size // (4 * outer)
+        vr = re.reshape(outer, 4, inner)
+        vm = im.reshape(outer, 4, inner)
+        tr = sre.reshape(4, outer, inner)
+        tm = sim.reshape(4, outer, inner)
+        for v, t in ((vr, tr), (vm, tm)):
+            np.add(v[:, 0], v[:, 2], out=t[0])
+            np.subtract(v[:, 0], v[:, 2], out=t[1])
+            np.add(v[:, 1], v[:, 3], out=t[2])
+            np.subtract(v[:, 1], v[:, 3], out=t[3])
+            # rows of the kernel: u=0 -> sum; u=2 -> alternating sum
+            np.add(t[0], t[2], out=v[:, 0])
+            np.subtract(t[0], t[2], out=v[:, 2])
+        # u=1,3 -> d02 -+ sign*i*d13, with i * (r, s) = (-s, r)
+        minus(tr[1], tm[3], out=vr[:, 1])
+        plus(tr[1], tm[3], out=vr[:, 3])
+        plus(tm[1], tr[3], out=vm[:, 1])
+        minus(tm[1], tr[3], out=vm[:, 3])
+        outer *= 4
 
 
 def _coord_dft(ring: GR4, counts: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
     """DFT of an element-indexed int vector; returns label-indexed (re, im)."""
-    g = np.zeros(ring.size, dtype=np.int64)
-    g[ring.coord_of] = counts
-    re = g.reshape((4,) * ring.n)
+    re = np.zeros(ring.size, dtype=np.int64)
+    re[ring.coord_of] = counts
     im = np.zeros_like(re)
-    re, im = _radix4(re, im, sign)
-    return re.reshape(ring.size), im.reshape(ring.size)
+    _radix4(re, im, sign)
+    return re, im
 
 
 def _label_idft(ring: GR4, fre: np.ndarray, fim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Un-normalized inverse DFT of a label-indexed spectrum; element-indexed."""
-    re = fre.reshape((4,) * ring.n)
-    im = fim.reshape((4,) * ring.n)
-    re, im = _radix4(re, im, sign=-1)
-    return re.reshape(ring.size)[ring.coord_of], im.reshape(ring.size)[ring.coord_of]
+    """Un-normalized inverse DFT of a label-indexed spectrum; element-indexed.
+
+    Overwrites fre and fim.
+    """
+    _radix4(fre, fim, sign=-1)
+    return fre[ring.coord_of], fim[ring.coord_of]
 
 
 def _convolve_fast(A: GroupVec, B: GroupVec) -> GroupVec:
@@ -286,17 +306,35 @@ def rds_expected(ring: GR4) -> GroupVec:
     return GroupVec(ring, counts)
 
 
-def verify_rds(D: GroupVec) -> tuple[bool, list[tuple[int, int, int]]]:
-    """Check D * involute(D) == 2^n*delta_0 + (R - Z).
+def _rds_check(X: SpectrumVec) -> tuple[bool, list[tuple[int, int, int]]]:
+    """verify_rds on X = chi(D).
 
-    Returns (ok, violations) with at most 10 violations, each a triple
-    (element idx, actual multiplicity, expected multiplicity).
+    chi(involute(D)) = conj chi(D), chi_a(R) = 4^n [a = 0] and
+    chi_a(Z) = 2^n [a in Z], so the identity reads
+    |chi_a(D)|^2 == 2^n + 4^n [a = 0] - 2^n [a in Z] for every a; the
+    transform is injective, so this is exact.  Only on failure is |X|^2
+    inverted back to D * involute(D), to name the violations.
     """
-    ring = D.ring
-    diff = D.convolve(D.involute())
+    ring = X.ring
+    norm = X.re * X.re + X.im * X.im
+    want = (1 << ring.n) * (~ring.two_torsion_mask).astype(np.int64)
+    want[0] = ring.size
+    if np.array_equal(norm, want):
+        return True, []
+    diff = SpectrumVec(ring, norm, np.zeros_like(norm)).inverse_transform()
     expected = rds_expected(ring)
     bad = np.flatnonzero(diff.counts != expected.counts)
     violations = [
         (int(g), int(diff.counts[g]), int(expected.counts[g])) for g in bad[:10]
     ]
-    return len(bad) == 0, violations
+    return False, violations
+
+
+def verify_rds(D: GroupVec) -> tuple[bool, list[tuple[int, int, int]]]:
+    """Check D * involute(D) == 2^n*delta_0 + (R - Z).
+
+    Returns (ok, violations) with at most 10 violations, each a triple
+    (element idx, actual multiplicity, expected multiplicity).  The identity
+    is tested on one transform of D.
+    """
+    return _rds_check(D.char_transform())

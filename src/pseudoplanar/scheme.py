@@ -2,11 +2,17 @@
 
 The difference set D_f of a pseudo-planar f induces a 6-part partition of
 the ring (identity, D_f minus 0, its negative, the nonzero 2-torsion, the
-support of D_f^2 outside those, and the rest).  This module verifies the
-Schur-ring axioms exactly, computes the first and second eigenmatrices over
-exact Gaussian integers/rationals, builds the dual partition of the
-character group, evaluates the Fourier spectrum, and fuses classes via the
-constant-block-row-sum criterion.
+support of D_f^2 outside those, and the rest).  This module checks the
+scheme exactly in the character domain: one transform X = chi(D) gives the
+relative-difference-set identity, D^2 and every class spectrum but that of
+S_4.  The spectra give the dual partition of the character group and the
+first eigenmatrix P; when they are constant on as many dual classes as there
+are classes, the classes span a Schur ring (Bridges-Mena) and the
+intersection numbers follow from P exactly.  verify_schur, which convolves
+every pair of classes, names a witness when that fails and is the test
+oracle for the intersection numbers.  The module also computes the second
+eigenmatrix over exact Gaussian rationals, evaluates the Fourier spectrum,
+and fuses classes via the constant-block-row-sum criterion.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +29,7 @@ import numpy as np
 from .exact import GaussInt, GaussRat, mat_inverse, mat_mul
 from .functions import SparsePoly, pseudoplanar_witness
 from .galois_ring import GR4
-from .groupring import GroupVec, build_df, verify_rds
+from .groupring import GroupVec, _rds_check, build_df
 
 SCHEMA_VERSION = 1
 
@@ -34,19 +40,25 @@ class SchemeError(ValueError):
 
 @dataclass(frozen=True)
 class Partition6:
-    """Six disjoint 0/1 vectors covering the ring; slots may be empty."""
+    """Six disjoint 0/1 vectors covering the ring; slots may be empty.
+
+    _spectra caches the class spectra as class_spectra returns them; only
+    build_partition sets it, from the same transforms that built the classes.
+    """
 
     ring: GR4
     classes: tuple[GroupVec, ...]
+    _spectra: tuple[np.ndarray, np.ndarray] | None = field(
+        init=False, default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
-        labels = np.full(self.ring.size, -1, dtype=np.int64)
-        for k, S in enumerate(self.classes):
-            sup = S.support()
-            if (labels[sup] != -1).any():
-                raise SchemeError("partition classes are not disjoint")
-            labels[sup] = k
-        if (labels == -1).any():
+        hits = np.zeros(self.ring.size, dtype=np.int8)
+        for S in self.classes:
+            hits += S.counts != 0
+        if (hits > 1).any():
+            raise SchemeError("partition classes are not disjoint")
+        if (hits == 0).any():
             raise SchemeError("partition classes do not cover the ring")
 
     @property
@@ -77,7 +89,8 @@ def build_partition(D: GroupVec) -> Partition6:
     sizes would not be well defined and a SchemeError is raised.
     """
     ring = D.ring
-    ok, violations = verify_rds(D)
+    X = D.char_transform()
+    ok, violations = _rds_check(X)
     if not ok:
         raise SchemeError(
             f"input is not a relative difference set; first violations "
@@ -88,16 +101,42 @@ def build_partition(D: GroupVec) -> Partition6:
     s2 = s1.involute()
     s3 = GroupVec.two_torsion(ring) - s0
     used = s0.counts + s1.counts + s2.counts + s3.counts
-    dsq = D.convolve(D)
+    dsq = X.pointwise_mul(X).inverse_transform()
     s4_mask = (dsq.counts > 0) & (used == 0)
     s5_mask = (dsq.counts == 0) & (used == 0)
     s4 = GroupVec(ring, s4_mask.astype(np.int64))
     s5 = GroupVec(ring, s5_mask.astype(np.int64))
-    return Partition6(ring, (s0, s1, s2, s3, s4, s5))
+    # chi(S_0) = 1, chi(S_1) = X - 1, chi(S_2) = conj chi(S_1),
+    # chi(S_3) = chi(Z) - 1 = 2^n [a in Z] - 1; the classes sum to the
+    # whole ring, whose spectrum is 4^n delta_0, which gives chi(S_5).
+    re = np.zeros((6, ring.size), dtype=np.int64)
+    im = np.zeros((6, ring.size), dtype=np.int64)
+    re[0] = 1
+    re[1] = X.re - 1
+    im[1] = X.im
+    re[2] = re[1]
+    im[2] = -X.im
+    re[3] = (1 << ring.n) * ring.two_torsion_mask - 1
+    sp4 = s4.char_transform()
+    re[4], im[4] = sp4.re, sp4.im
+    re[5] = -re[:5].sum(axis=0)
+    re[5, 0] += ring.size
+    im[5] = -im[:5].sum(axis=0)
+    re.setflags(write=False)
+    im.setflags(write=False)
+    part = Partition6(ring, (s0, s1, s2, s3, s4, s5))
+    object.__setattr__(part, "_spectra", (re, im))
+    return part
 
 
 def class_spectra(part: Partition6) -> tuple[np.ndarray, np.ndarray]:
-    """Character sums chi_a(S_k): two (6, 4^n) int arrays (re, im)."""
+    """Character sums chi_a(S_k): two (6, 4^n) int arrays (re, im).
+
+    Taken from the cache build_partition fills; otherwise one transform per
+    class.
+    """
+    if part._spectra is not None:
+        return part._spectra
     re = np.empty((6, part.ring.size), dtype=np.int64)
     im = np.empty((6, part.ring.size), dtype=np.int64)
     for k, S in enumerate(part.classes):
@@ -109,6 +148,8 @@ def class_spectra(part: Partition6) -> tuple[np.ndarray, np.ndarray]:
 def verify_schur(part: Partition6):
     """Intersection numbers p_{ij}^k, or a witness that they don't exist.
 
+    Convolves every pair of classes: build_report's witness producer when
+    the spectral check fails, and the test oracle for _intersection_numbers.
     Returns (p_tensor, None) on success — a (6,6,6) array with
     p_tensor[i][j][k] = multiplicity of any S_k element in S_i * S_j — or
     (None, (i, j, k, g, g_prime)) naming two elements of the same class
@@ -179,19 +220,20 @@ def dual_partition(part: Partition6) -> DualPartition:
     """
     ring = part.ring
     n = ring.n
-    sp = part.classes[1].char_transform()
+    re, im = class_spectra(part)
+    s1_re, s1_im = re[1], im[1]
     labels = np.full(ring.size, -1, dtype=np.int64)
     labels[0] = 0
     want = [GaussInt(-1, 0)] + _dual_signatures(n)
     for slot, v in enumerate(want, start=1):
-        mask = (sp.re == v.re) & (sp.im == v.im)
+        mask = (s1_re == v.re) & (s1_im == v.im)
         mask[0] = False
         labels[mask] = slot
     if (labels == -1).any():
         a = int(np.flatnonzero(labels == -1)[0])
         raise SchemeError(
             f"character {a} has unexpected class sum "
-            f"chi(S1) = {GaussInt(int(sp.re[a]), int(sp.im[a]))}"
+            f"chi(S1) = {GaussInt(int(s1_re[a]), int(s1_im[a]))}"
         )
     sizes = tuple(int((labels == k).sum()) for k in range(6))
     if n >= 3 and min(sizes) == 0:
@@ -365,11 +407,16 @@ def fourier_spectrum(ring: GR4, f: SparsePoly) -> list[tuple[GaussInt, int]]:
 
 def raw_spectrum(ring: GR4, f: SparsePoly) -> list[tuple[GaussInt, int]]:
     sp = build_df(ring, f).char_transform()
-    pairs, freq = np.unique(
-        np.stack([sp.re, sp.im], axis=1), axis=0, return_counts=True
-    )
-    rows = [(GaussInt(int(r), int(m)), int(c)) for (r, m), c in zip(pairs, freq)]
-    return sorted(rows, key=lambda vf: vf[0].sort_key())
+    # |chi_a(D_f)| <= |D_f| = 2^n, so one int key per value orders the
+    # values by (re, im)
+    off = 1 << ring.n
+    width = 2 * off + 1
+    keys, freq = np.unique((sp.re + off) * width + (sp.im + off), return_counts=True)
+    re, im = np.divmod(keys, width)
+    return [
+        (GaussInt(int(r) - off, int(m) - off), int(c))
+        for r, m, c in zip(re, im, freq)
+    ]
 
 
 # -- fusion -------------------------------------------------------------------
@@ -499,8 +546,40 @@ def _check_pq(P, Q, size: int) -> bool:
     ]
 
 
-def build_report(D: GroupVec) -> SchemeReport:
-    part = build_partition(D)
+def _intersection_numbers(
+    part: Partition6, dual: DualPartition, P, row_slots, col_slots
+) -> np.ndarray:
+    """p_{ij}^k = sum_l m_l P_li P_lj conj(P_lk) / (|R| k_k), exactly.
+
+    The (6,6,6) tensor of verify_schur, from the first eigenmatrix.  Valid
+    when P is square: the class spectra are then constant on as many dual
+    classes as there are classes, so the classes span every function
+    constant on the dual classes, and that span is closed under convolution
+    (Bridges-Mena).  Raises SchemeError unless every value is a
+    non-negative integer.
+    """
+    size = part.ring.size
+    sizes = part.class_sizes
+    m = [dual.sizes[r] for r in row_slots]
+    rows = range(len(row_slots))
+    p = np.zeros((6, 6, 6), dtype=np.int64)
+    for a, i in enumerate(col_slots):
+        for b in range(a, len(col_slots)):
+            j = col_slots[b]
+            w = [m[l] * P[l][a] * P[l][b] for l in rows]
+            for c, k in enumerate(col_slots):
+                v = sum((w[l] * P[l][c].conj() for l in rows), GaussInt())
+                den = size * sizes[k]
+                if v.im != 0 or v.re < 0 or v.re % den != 0:
+                    raise SchemeError(
+                        f"p_{i}{j}^{k} = ({v})/{den} is not a non-negative integer"
+                    )
+                p[i, j, k] = p[j, i, k] = v.re // den
+    return p
+
+
+def _schur_p_tensor(part: Partition6) -> np.ndarray:
+    """verify_schur's p-tensor, or the SchemeError naming its witness."""
     p_tensor, witness = verify_schur(part)
     if witness is not None:
         i, j, k, g, g2 = witness
@@ -508,9 +587,31 @@ def build_report(D: GroupVec) -> SchemeReport:
             f"intersection numbers not constant: S_{i}*S_{j} differs on "
             f"elements {g} and {g2} of S_{k}"
         )
-    dual = dual_partition(part)
-    P, row_slots, col_slots = eigen_P(part, dual)
+    return p_tensor
+
+
+def build_report(D: GroupVec) -> SchemeReport:
+    """The scheme of D, checked in the character domain.
+
+    Whenever the spectra cannot certify the Schur property, verify_schur
+    decides: a partition that is not a scheme raises with its witness, and
+    a scheme that the spectra cannot describe raises the error of
+    dual_partition or eigen_P.
+    """
+    part = build_partition(D)
+    try:
+        dual = dual_partition(part)
+        P, row_slots, col_slots = eigen_P(part, dual)
+    except SchemeError:
+        _schur_p_tensor(part)
+        raise
+    if len(row_slots) == len(col_slots):
+        p_tensor = _intersection_numbers(part, dual, P, row_slots, col_slots)
+    else:
+        p_tensor = _schur_p_tensor(part)
     Q = eigen_Q(P, part.ring.size)
+    # callers hold reports; keep the classes, not their (6, 4^n) spectra
+    object.__setattr__(part, "_spectra", None)
     return SchemeReport(part, dual, p_tensor, P, Q, row_slots, col_slots)
 
 

@@ -90,6 +90,15 @@ def test_known_families_are_pseudoplanar():
             assert is_pseudoplanar(SparsePoly.monomial(fld, c, t))
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_known_hits_closure_is_the_union_of_scaling_orbits(n):
+    fld = GF2n(n)
+    want = set()
+    for c, t in known_family_hits(fld):
+        want |= scaling_orbit(fld, c, t)
+    assert known_hits_closure(fld) == want
+
+
 def test_scaling_orbit_preserves_pseudoplanarity():
     fld = GF2n(4)
     orbit = scaling_orbit(fld, 1, 5)

@@ -1,9 +1,11 @@
 """Group-ring vectors over GR(4,n): exact transform, convolution, RDS."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n
@@ -11,10 +13,20 @@ from pseudoplanar.functions import SparsePoly
 from pseudoplanar.galois_ring import GR4
 from pseudoplanar.groupring import (
     GroupVec,
+    SpectrumVec,
     build_df,
     rds_expected,
     verify_rds,
 )
+
+@functools.lru_cache(maxsize=None)
+def _ring(n):
+    return GR4(GF2n(n))
+
+
+def _signed_vec(ring, seed, bound):
+    rng = np.random.default_rng(seed)
+    return GroupVec(ring, rng.integers(-bound, bound + 1, ring.size))
 
 
 def _random_vec(ring, rng, bound=3):
@@ -144,3 +156,52 @@ def test_rds_expected_structure():
     tt = GroupVec.two_torsion(ring).counts.astype(bool)
     assert np.all(E.counts[tt & (np.arange(ring.size) != 0)] == 0)
     assert np.all(E.counts[~tt] == 1)
+
+
+@given(st.integers(5, 7), st.integers(0, 2**32 - 1), st.integers(1, 9))
+@settings(max_examples=15, deadline=None)
+def test_inverse_transform_inverts_char_transform(n, seed, bound):
+    A = _signed_vec(_ring(n), seed, bound)
+    assert A.char_transform().inverse_transform() == A
+
+
+@given(st.integers(5, 7), st.integers(0, 2**32 - 1), st.integers(1, 9))
+@settings(max_examples=15, deadline=None)
+def test_pointwise_product_of_transforms_is_convolution(n, seed, bound):
+    ring = _ring(n)
+    A = _signed_vec(ring, seed, bound)
+    B = _signed_vec(ring, seed + 1, bound)
+    spectrum = A.char_transform().pointwise_mul(B.char_transform())
+    assert spectrum.inverse_transform() == A.convolve(B)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_two_torsion_spectrum(n):
+    # chi_a(Z) = 2^n when a is in Z = 2R and 0 otherwise
+    ring = _ring(n)
+    sp = GroupVec.two_torsion(ring).char_transform()
+    want = SpectrumVec(
+        ring, (1 << n) * ring.two_torsion_mask, np.zeros(ring.size, dtype=np.int64)
+    )
+    assert sp == want
+
+
+@pytest.mark.parametrize(
+    "n, literal",
+    [
+        (2, "0:0"), (2, "3:1"), (3, "3:1,6:1"), (3, "3:1"), (4, "5:1"),
+        (4, "3:1"), (4, "0:1"), (5, "2:1"), (5, "7:1"), (6, "0:0"),
+        (6, "5:1,20:1"),
+    ],
+)
+def test_spectral_verify_rds_matches_convolution(n, literal):
+    ring = _ring(n)
+    D = build_df(ring, SparsePoly.parse(ring.field, literal))
+    diff = D.convolve(D.involute()).counts
+    want = rds_expected(ring).counts
+    bad = np.flatnonzero(diff != want)
+    expected = (
+        len(bad) == 0,
+        [(int(g), int(diff[g]), int(want[g])) for g in bad[:10]],
+    )
+    assert verify_rds(D) == expected

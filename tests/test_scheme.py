@@ -10,9 +10,11 @@ from pseudoplanar.exact import GaussInt, GaussRat
 from pseudoplanar.field import GF2n
 from pseudoplanar.functions import SparsePoly, construct_binomial1
 from pseudoplanar.galois_ring import GR4
-from pseudoplanar.groupring import GroupVec, build_df
+from pseudoplanar.groupring import GroupVec, SpectrumVec, build_df
+from pseudoplanar import scheme
 from pseudoplanar.scheme import (
     FusionError,
+    Partition6,
     SchemeError,
     bm_fuse,
     build_partition,
@@ -23,6 +25,7 @@ from pseudoplanar.scheme import (
     eigen_P,
     eigen_Q,
     fourier_spectrum,
+    _intersection_numbers,
     raw_spectrum,
     s1_identities_hold,
     spectrum_closed_form,
@@ -115,15 +118,15 @@ def test_non_rds_input_rejected():
         build_partition(D)
 
 
-def test_verify_schur_witness_on_broken_partition():
-    # a partition that covers the ring but is not a scheme: split S_4
+def _split_s4_partition():
+    """A partition that covers the ring but is not a scheme: S_4 split in two."""
     ring = GR4(GF2n(3))
     part = build_partition(build_df(ring, SparsePoly.parse(ring.field, "0:0")))
     s4 = part.classes[4]
     sup = s4.support()
     half = GroupVec.indicator(ring, sup[: len(sup) // 2])
     rest = s4 - half
-    broken = type(part)(
+    return type(part)(
         ring,
         (
             part.classes[0],
@@ -134,6 +137,28 @@ def test_verify_schur_witness_on_broken_partition():
             part.classes[5] + rest,
         ),
     )
+
+
+def test_partition_classes_must_be_disjoint_and_cover_the_ring():
+    ring = GR4(GF2n(3))
+    s0, s1, s2, s3, s4, s5 = build_partition(
+        build_df(ring, SparsePoly.zero(ring.field))
+    ).classes
+    empty = GroupVec.zero(ring)
+    with pytest.raises(SchemeError, match="classes are not disjoint"):
+        Partition6(ring, (s0, s1 + s0, s2, s3, s4, s5))
+    # overlap is reported before a gap
+    with pytest.raises(SchemeError, match="classes are not disjoint"):
+        Partition6(ring, (s0, s1, s2, s3 + s2, empty, s5))
+    with pytest.raises(SchemeError, match="do not cover the ring"):
+        Partition6(ring, (s0, s1, s2, s3, empty, s5))
+    # a class with a negative count still occupies its elements
+    with pytest.raises(SchemeError, match="classes are not disjoint"):
+        Partition6(ring, (s0, s1 - s0, s2, s3, s4, s5))
+
+
+def test_verify_schur_witness_on_broken_partition():
+    broken = _split_s4_partition()
     p, witness = verify_schur(broken)
     assert p is None
     i, j, k, g, g2 = witness
@@ -141,6 +166,75 @@ def test_verify_schur_witness_on_broken_partition():
     # the witness really exhibits unequal multiplicities
     conv = broken.classes[i].convolve(broken.classes[j])
     assert int(conv.counts[g]) != int(conv.counts[g2])
+
+
+def test_build_report_names_the_schur_witness_of_a_broken_partition(monkeypatch):
+    broken = _split_s4_partition()
+    _, (i, j, k, g, g2) = verify_schur(broken)
+    monkeypatch.setattr(scheme, "build_partition", lambda D: broken)
+    D = build_df(broken.ring, SparsePoly.zero(broken.ring.field))
+    want = (
+        f"intersection numbers not constant: S_{i}*S_{j} differs on "
+        f"elements {g} and {g2} of S_{k}"
+    )
+    with pytest.raises(SchemeError) as exc:
+        build_report(D)
+    assert str(exc.value) == want
+
+
+def test_build_report_keeps_the_dual_error_of_a_fused_scheme(monkeypatch):
+    # the symmetric fusion {S_1 + S_2, S_4 + S_5} is still a scheme, but its
+    # class sums do not single out the dual classes: the convolution check
+    # passes, and the dual-partition error stands
+    ring = GR4(GF2n(3))
+    part = build_partition(build_df(ring, SparsePoly.zero(ring.field)))
+    s0, s1, s2, s3, s4, s5 = part.classes
+    empty = GroupVec.zero(ring)
+    fused = type(part)(ring, (s0, s1 + s2, empty, s3, s4 + s5, empty))
+    _, witness = verify_schur(fused)
+    assert witness is None
+    with pytest.raises(SchemeError) as dual_error:
+        dual_partition(fused)
+    monkeypatch.setattr(scheme, "build_partition", lambda D: fused)
+    with pytest.raises(SchemeError) as exc:
+        build_report(build_df(ring, SparsePoly.zero(ring.field)))
+    assert str(exc.value) == str(dual_error.value)
+
+
+def test_build_report_transforms_a_few_times_and_never_convolves(monkeypatch):
+    calls = {"convolve": 0, "transform": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(GroupVec, "convolve", counted(GroupVec.convolve, "convolve"))
+    monkeypatch.setattr(
+        GroupVec, "char_transform", counted(GroupVec.char_transform, "transform")
+    )
+    monkeypatch.setattr(
+        SpectrumVec,
+        "inverse_transform",
+        counted(SpectrumVec.inverse_transform, "transform"),
+    )
+    rep = _report(5)
+    assert rep.matches_closed_forms()
+    assert calls["convolve"] == 0
+    assert 0 < calls["transform"] <= 3
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_intersection_numbers_refuse_a_non_integer_value(n):
+    rep = _report(n)
+    P = [list(row) for row in rep.P]
+    P[2][1] = P[2][1] + GaussInt(1)
+    with pytest.raises(SchemeError, match="not a non-negative integer"):
+        _intersection_numbers(
+            rep.partition, rep.dual, P, rep.row_slots, rep.col_slots
+        )
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -159,6 +253,22 @@ def test_spectrum_rejects_non_pp_with_witness():
         fourier_spectrum(ring, f)
     rows = raw_spectrum(ring, f)
     assert sum(fr for _, fr in rows) == ring.size
+
+
+@pytest.mark.parametrize(
+    "n, literal", [(3, "3:1"), (4, "3:1"), (4, "7:1,9:3"), (5, "3:1,5:1"), (6, "5:1,20:1")]
+)
+def test_raw_spectrum_counts_match_stacked_unique(n, literal):
+    ring = GR4(GF2n(n))
+    f = SparsePoly.parse(ring.field, literal)
+    sp = build_df(ring, f).char_transform()
+    pairs, freq = np.unique(
+        np.stack([sp.re, sp.im], axis=1), axis=0, return_counts=True
+    )
+    want = [(GaussInt(int(r), int(m)), int(c)) for (r, m), c in zip(pairs, freq)]
+    rows = raw_spectrum(ring, f)
+    assert rows == sorted(want, key=lambda vf: vf[0].sort_key())
+    assert len(rows) > 6
 
 
 def test_spectrum_csv_format():
