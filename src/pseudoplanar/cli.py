@@ -51,11 +51,9 @@ def _emit(args, command: str, inputs: dict, result: dict, text_lines: list[str])
             "inputs": inputs,
             "result": result,
         }, indent=2))
-    elif args.out == "text":
+    else:
         for line in text_lines:
             print(line)
-    else:
-        raise ValueError(f"--out {args.out} is not supported for {command}")
 
 
 # -- commands -----------------------------------------------------------------
@@ -149,18 +147,13 @@ def _report_for(args):
 
 def cmd_scheme_build(args):
     fld, f, rep = _report_for(args)
-    if args.out == "json":
-        print(json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "command": "scheme-build",
-            "inputs": {"field": fld.spec_string, "f": f.literal},
-            "result": rep.to_dict(),
-        }, indent=2))
-    else:
-        print(f"classes: {rep.class_count + 1} (incl. identity)")
-        print(f"class sizes: {rep.partition.class_sizes}")
-        print(f"dual sizes: {list(rep.dual.sizes)}")
-        print(f"matches closed forms: {rep.matches_closed_forms()}")
+    inputs = {"field": fld.spec_string, "f": f.literal}
+    _emit(args, "scheme-build", inputs, rep.to_dict(), [
+        f"classes: {rep.class_count + 1} (incl. identity)",
+        f"class sizes: {rep.partition.class_sizes}",
+        f"dual sizes: {list(rep.dual.sizes)}",
+        f"matches closed forms: {rep.matches_closed_forms()}",
+    ])
     return 0 if rep.matches_closed_forms() else 1
 
 
@@ -280,12 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_f=False):
+    def common(sp, needs_f=False, outs=("json", "text")):
         sp.add_argument("--field", required=True, metavar="n:POLYHEX",
                         help="field degree and modulus, e.g. 4:13")
         sp.add_argument("--modulus-override", metavar="POLYHEX",
                         help="replace the modulus from --field")
-        sp.add_argument("--out", choices=("json", "csv", "text"), default="text")
+        sp.add_argument("--out", choices=outs, default="text")
         if needs_f:
             sp.add_argument("--f", required=True, metavar="POLY",
                             help='function literal "e1:cHEX,e2:cHEX" (0:0 for f=0)')
@@ -320,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_eigen)
 
     sp = sub.add_parser("spectrum", help="Fourier spectrum of f")
-    common(sp, needs_f=True)
+    common(sp, needs_f=True, outs=("json", "csv", "text"))
     sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("search-monomials", help="exhaustive monomial search")

@@ -309,7 +309,7 @@ class GF2n:
         self._build_np()
         if k == 0:
             return np.ones_like(np.asarray(a))
-        logs = self._log_np[a] * (k % (self.order - 1) if k >= self.order - 1 else k)
+        logs = self._log_np[a] * (k % (self.order - 1))
         mask = np.asarray(a) == 0
         out = self._exp_ext[logs % (self.order - 1)]
         return np.where(mask, 0, out)
@@ -317,14 +317,6 @@ class GF2n:
     def power_table(self, k: int) -> np.ndarray:
         """x^k for every x, as an array indexed by x."""
         return self.pow_vec(self.elements(), k)
-
-    def mul_table(self) -> np.ndarray:
-        """Full order x order multiplication table (n <= 12)."""
-        if self.n > 12:
-            raise ValueError("full multiplication table capped at n <= 12")
-        self._build_np()
-        logs = self._log_np[:, None] + self._log_np[None, :]
-        return self._exp_ext[logs]
 
 
 @lru_cache(maxsize=None)

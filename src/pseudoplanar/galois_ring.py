@@ -7,11 +7,12 @@ The pair formulas
     (a, b) + (c, d) = (a ^ c, b ^ d ^ sqrt(a*c))
     (a, b) * (c, d) = (a*c, a*d ^ b*c)
 
-are derived from the Teichmuller addition x (+) y = x + y + 2 sqrt(xy); they
-are cross-checked against Z4Model, an independent brute-force model of the
-ring as Z4[y]/(h(y)) with h a coefficient lift of the field modulus.  The
-model also supplies the additive Z4^n coordinates used by the fast character
-transform in groupring.
+are derived from the Teichmuller addition x (+) y = x + y + 2 sqrt(xy).  The
+tests cross-check them against Z4Model, an independent brute-force model of
+the ring as Z4[y]/(h(y)) with h a coefficient lift of the field modulus;
+GR4 itself never uses the model.  GR4 also builds the additive Z4^n
+coordinate and character-label tables used by the fast character transform
+in groupring, as outer XORs of 2^n-entry tables.
 
 Indexing convention for dense vectors: idx = enc(a) * 2^n + enc(b).
 """
@@ -35,8 +36,8 @@ _Z4_OF_PAIR = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
 class Z4Model:
     """Brute-force model of GR(4, n): Z4-coefficient vectors modulo h(y).
 
-    Test oracle for the Teichmuller-pair formulas of GR4; GR4 itself uses
-    it only to build the additive coordinate tables.
+    Test oracle for the Teichmuller-pair formulas of GR4 and for its
+    coordinate tables: y^j is the basis element e_j = T(x^j) of coord_of.
 
     h is the unique monic lift of the field modulus to Z4 that divides
     y^(2^n - 1) - 1, found by scanning all 2^n coefficient lifts.  When the
@@ -224,56 +225,59 @@ class GR4:
     def oracle(self) -> Z4Model:
         return Z4Model(self.field)
 
+    def _outer_xor(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The 4^n vector whose entry at idx(a, b) is rows[a] ^ cols[b]."""
+        return (rows[:, None] ^ cols[None, :]).reshape(self.size)
+
     @cached_property
     def neg_perm(self) -> np.ndarray:
         """Permutation of indices sending idx(x) to idx(-x): -(a,b) = (a, a^b)."""
-        idx = np.arange(self.size, dtype=np.int64)
-        a = idx >> self.n
-        b = idx & (self.field.order - 1)
-        return (a << self.n) | (a ^ b)
+        a = self.field.elements()
+        return self._outer_xor((a << self.n) | a, a)
 
     @cached_property
-    def _coord_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(coord_of, pair_of, digits): additive Z4^n coordinates per element.
-
-        coord_of[idx] is the base-4 integer whose digit j is the coefficient
-        of y^j in the Z4Model representation; pair_of is the inverse
-        permutation; digits is the (size, n) digit table.
-        """
-        n = self.n
-        N = self.field.order
-        T = np.array([self.oracle.teich(a) for a in range(N)], dtype=np.int64)
-        digits = (T[:, None, :] + 2 * T[None, :, :]) % 4
-        digits = digits.reshape(self.size, n)
-        pow4 = np.array([1 << (2 * j) for j in range(n)], dtype=np.int64)
-        coord_of = digits @ pow4
-        pair_of = np.empty(self.size, dtype=np.int64)
-        pair_of[coord_of] = np.arange(self.size, dtype=np.int64)
-        return coord_of, pair_of, digits
-
-    @property
     def coord_of(self) -> np.ndarray:
-        return self._coord_data[0]
+        """Z4^n coordinates per element index, as a base-4 integer.
+
+        The basis is e_j = T(x^j) = (x^j, 0).  The sum of e_j over the bits
+        of a is (a, h(a)), and (a, b) = (a, h(a)) + 2*T(b ^ h(a)), so digit
+        j of (a, b) is a_j + 2*(b ^ h(a))_j.
+        """
+        f = self.field
+        a = f.elements()
+        sqrt = f.pow_vec(a, f.order >> 1)
+        h = np.zeros(1, dtype=np.int64)
+        spread = np.zeros_like(a)  # bit j of a moved to bit 2j
+        for j in range(self.n):
+            # (a', h(a')) + (x^j, 0) = (a' ^ x^j, h(a') ^ sqrt(a' x^j))
+            h = np.concatenate([h, h ^ sqrt[f.mul_vec(a[: 1 << j], 1 << j)]])
+            spread |= ((a >> j) & 1) << (2 * j)
+        return self._outer_xor(spread | (spread[h] << 1), spread << 1)
 
     @cached_property
     def dual_perm(self) -> np.ndarray:
         """u(a) as a coordinate index, per element index a.
 
-        u(a) is the Z4^n label of chi_a with respect to the additive
-        coordinates: Tr(a x) = u(a) . v(x) mod 4 for all x.  Computed from
-        the Gram matrix of traces on the coordinate basis; u is additive in
-        a, so a matrix product covers all elements.
+        u(a) is the Z4^n label of chi_a with respect to coord_of:
+        Tr(a x) = u(a) . v(x) mod 4 for all x.  Digit k of u(y) is
+        Tr(y e_k), and u(a, b) = u(T(a)) + 2 u(T(b)) with
+        Tr(T(a) e_k) = Tr(T(a x^k)).
         """
-        n = self.n
-        _, pair_of, digits = self._coord_data
-        basis = [self.pair(int(pair_of[1 << (2 * j)])) for j in range(n)]
-        gram = np.array(
-            [[self.trace(self.mul(bk, bj)) for bj in basis] for bk in basis],
-            dtype=np.int64,
-        )
-        u_digits = (digits @ gram) % 4
-        pow4 = np.array([1 << (2 * j) for j in range(n)], dtype=np.int64)
-        return u_digits @ pow4
+        f = self.field
+        a = f.elements()
+        sqrt = f.pow_vec(a, f.order >> 1)
+        # Tr(T(c)) for every c: the ring sum of the pairs (c^(2^i), 0)
+        ta, tb, v = np.zeros_like(a), np.zeros_like(a), a
+        for _ in range(self.n):
+            tb ^= sqrt[f.mul_vec(ta, v)]
+            ta ^= v
+            v = f.mul_vec(v, v)
+        trace = ta | (tb << 1)
+        u = np.zeros_like(a)
+        for k in range(self.n):
+            u |= trace[f.mul_vec(a, 1 << k)] << (2 * k)
+        low_bits = (self.size - 1) // 3  # bit 0 of every base-4 digit
+        return self._outer_xor(u, (u & low_bits) << 1)
 
     @cached_property
     def two_torsion_mask(self) -> np.ndarray:

@@ -109,7 +109,8 @@ class GroupVec:
 
     def convolve(self, other: "GroupVec") -> "GroupVec":
         self._check_ctx(other)
-        return _convolve_fast(self, other)
+        spectrum = self.char_transform().pointwise_mul(other.char_transform())
+        return spectrum.inverse_transform()
 
     def convolve_naive(self, other: "GroupVec") -> "GroupVec":
         """O(16^n) reference convolution; the test oracle for convolve."""
@@ -132,7 +133,10 @@ class GroupVec:
     def char_transform(self) -> "SpectrumVec":
         """chi_a(A) = sum_g A_g i^Tr(ag) for every a, as exact Gaussian ints."""
         ring = self.ring
-        re, im = _coord_dft(ring, self.counts, sign=+1)
+        re = np.zeros(ring.size, dtype=np.int64)
+        re[ring.coord_of] = self.counts
+        im = np.zeros_like(re)
+        _radix4(re, im, sign=+1)
         # entry a of the spectrum lives at the Z4^n label of chi_a
         return SpectrumVec(ring, re[ring.dual_perm], im[ring.dual_perm])
 
@@ -197,7 +201,8 @@ class SpectrumVec:
         fim = np.empty(ring.size, dtype=np.int64)
         fre[ring.dual_perm] = self.re
         fim[ring.dual_perm] = self.im
-        re, im = _label_idft(ring, fre, fim)
+        _radix4(fre, fim, sign=-1)
+        re, im = fre[ring.coord_of], fim[ring.coord_of]
         if (im != 0).any() or (re % ring.size != 0).any():
             bad = int(np.flatnonzero((im != 0) | (re % ring.size != 0))[0])
             raise ValueError(
@@ -209,11 +214,12 @@ class SpectrumVec:
 
 # -- fast transform plumbing --------------------------------------------------
 #
-# The additive group of GR(4,n) is Z4^n in the oracle coordinates; for the
-# character chi_a the pairing satisfies Tr(a x) = u(a) . v(x) mod 4 where v
-# maps elements to coordinates and u = ring.dual_perm maps chi-labels to
-# coordinates.  The transform over Z4^n factorizes into n radix-4 stages with
-# kernel i^{u_j v_j}; everything stays in a pair of int64 tensors with
+# The additive group of GR(4,n) is Z4^n in the coordinates with basis
+# e_j = T(x^j); for the character chi_a the pairing satisfies
+# Tr(a x) = u(a) . v(x) mod 4 where v = ring.coord_of maps elements to
+# coordinates and u = ring.dual_perm maps chi-labels to coordinates.  The
+# transform over Z4^n factorizes into n radix-4 stages with kernel
+# i^{u_j v_j}; everything stays in a pair of int64 tensors with
 # i * (r, s) = (-s, r).
 
 
@@ -253,36 +259,6 @@ def _radix4(re: np.ndarray, im: np.ndarray, sign: int) -> None:
         outer *= 4
 
 
-def _coord_dft(ring: GR4, counts: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """DFT of an element-indexed int vector; returns label-indexed (re, im)."""
-    re = np.zeros(ring.size, dtype=np.int64)
-    re[ring.coord_of] = counts
-    im = np.zeros_like(re)
-    _radix4(re, im, sign)
-    return re, im
-
-
-def _label_idft(ring: GR4, fre: np.ndarray, fim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Un-normalized inverse DFT of a label-indexed spectrum; element-indexed.
-
-    Overwrites fre and fim.
-    """
-    _radix4(fre, fim, sign=-1)
-    return fre[ring.coord_of], fim[ring.coord_of]
-
-
-def _convolve_fast(A: GroupVec, B: GroupVec) -> GroupVec:
-    ring = A.ring
-    ar, ai = _coord_dft(ring, A.counts, sign=+1)
-    br, bi = _coord_dft(ring, B.counts, sign=+1)
-    pr = ar * br - ai * bi
-    pi = ar * bi + ai * br
-    re, im = _label_idft(ring, pr, pi)
-    if (im != 0).any() or (re % ring.size != 0).any():
-        raise AssertionError("transform convolution produced non-integer output")
-    return GroupVec(ring, re // ring.size)
-
-
 # -- difference sets ----------------------------------------------------------
 
 
@@ -292,9 +268,8 @@ def build_df(ring: GR4, f: SparsePoly) -> GroupVec:
         raise ValueError("polynomial field does not match the ring")
     field = ring.field
     counts = np.zeros(ring.size, dtype=np.int64)
-    values = f.value_table()
-    for x in range(field.order):
-        counts[ring.idx((x, field.sqrt(int(values[x]))))] = 1
+    roots = field.pow_vec(f.value_table(), field.order >> 1)
+    counts[(field.elements() << ring.n) | roots] = 1
     return GroupVec(ring, counts)
 
 

@@ -186,3 +186,18 @@ def test_bm_fuse_rejects_bad_cols_before_building(capsys, monkeypatch):
     )
     assert code == 2
     assert "bad --cols" in err
+
+
+def test_csv_out_is_a_usage_error_outside_spectrum(capsys, tmp_path):
+    checkpoint = tmp_path / "ck.json"
+    for argv in (
+        ["scheme-build", "--field", "3:b", "--f", "0:0", "--out", "csv"],
+        ["search-binomials", "--field", "3:b", "--out", "csv",
+         "--checkpoint", str(checkpoint)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+    # rejected at parse time, before the search could write a checkpoint
+    assert not checkpoint.exists()

@@ -134,14 +134,6 @@ def test_vectorized_matches_scalar(n, data):
     assert int(fld.pow_vec(np.int64(a), k)) == fld.pow(a, k)
 
 
-def test_mul_table_small():
-    fld = GF2n(3)
-    tab = fld.mul_table()
-    for a in range(8):
-        for b in range(8):
-            assert tab[a, b] == fld.mul(a, b)
-
-
 def test_capacity_guard():
     with pytest.raises(ValueError):
         GF2n(25)

@@ -1,6 +1,7 @@
 """GR(4, n) pair arithmetic against the independent Z4 polynomial model."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n
 from pseudoplanar.galois_ring import GR4, Z4Model
+from pseudoplanar.groupring import GroupVec
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -124,6 +126,60 @@ def test_dual_pairing():
                     ((u >> (2 * j)) & 3) * ((v >> (2 * j)) & 3) for j in range(n)
                 ) % 4
                 assert dot == ring.trace(ring.mul(a, x))
+
+
+def _oracle_tables(ring):
+    """coord_of and dual_perm rebuilt from Z4Model digits and the trace pairing.
+
+    Coordinate digit j of x is the coefficient of y^j in the model; digit k
+    of the label of chi_a is Tr(a e_k), with e_k the element whose model
+    vector is y^k.
+    """
+    model = ring.oracle
+    n = ring.n
+    pow4 = [4**j for j in range(n)]
+    coord = [
+        sum(d * p for d, p in zip(model.from_pair(ring.pair(i)), pow4))
+        for i in range(ring.size)
+    ]
+    basis = [model.to_pair(tuple(int(j == k) for j in range(n))) for k in range(n)]
+    dual = [
+        sum(ring.trace(ring.mul(ring.pair(i), e)) * p for e, p in zip(basis, pow4))
+        for i in range(ring.size)
+    ]
+    return np.array(coord, dtype=np.int64), np.array(dual, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_tables_match_z4model_oracle(n):
+    ring = GR4(GF2n(n))
+    coord, dual = _oracle_tables(ring)
+    assert np.array_equal(ring.coord_of, coord)
+    assert np.array_equal(ring.dual_perm, dual)
+
+
+def test_tables_build_without_z4model(monkeypatch):
+    def refuse(self, field):
+        raise AssertionError("GR4 built its tables through Z4Model")
+
+    monkeypatch.setattr(Z4Model, "__init__", refuse)
+    ring = GR4(GF2n(5))
+    for table in (ring.coord_of, ring.dual_perm, ring.neg_perm):
+        assert sorted(table) == list(range(ring.size))
+    sp = GroupVec.delta(ring, ring.zero).char_transform()
+    assert np.all(sp.re == 1) and np.all(sp.im == 0)
+
+
+def test_table_build_memory_n10():
+    ring = GR4(GF2n(10))
+    tracemalloc.start()
+    try:
+        for table in ("coord_of", "dual_perm", "neg_perm"):
+            getattr(ring, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_elem_literals():

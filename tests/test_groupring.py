@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n
-from pseudoplanar.functions import SparsePoly
+from pseudoplanar.functions import SparsePoly, is_pseudoplanar
 from pseudoplanar.galois_ring import GR4
 from pseudoplanar.groupring import (
     GroupVec,
@@ -119,6 +119,26 @@ def test_build_df_shape():
     # exactly one element of D in each coset of the 2-torsion
     a_parts = {int(idx) >> ring.n for idx in D.support()}
     assert len(a_parts) == 16
+
+
+@pytest.mark.parametrize(
+    "n, literal, pp",
+    [
+        (1, "0:0", True), (1, "1:1", True), (2, "0:0", True), (2, "3:1", False),
+        (3, "3:1,6:1", True), (3, "3:1", False), (4, "5:1", True),
+        (4, "3:1", False), (5, "2:1", True), (5, "7:1", False),
+        (6, "0:0", True), (6, "5:1,20:1", False),
+    ],
+)
+def test_build_df_matches_scalar_loop(n, literal, pp):
+    ring = _ring(n)
+    field = ring.field
+    f = SparsePoly.parse(field, literal)
+    assert is_pseudoplanar(f) == pp
+    want = np.zeros(ring.size, dtype=np.int64)
+    for x in range(field.order):
+        want[ring.idx((x, field.sqrt(f.eval(x))))] = 1
+    assert np.array_equal(build_df(ring, f).counts, want)
 
 
 @pytest.mark.parametrize(
