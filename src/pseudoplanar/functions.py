@@ -1,7 +1,8 @@
 """Pseudo-planar functions over F_{2^n}: tests, criteria, constructions.
 
 A function f is pseudo-planar when x -> f(x+e) + f(x) + e*x is a permutation
-of the field for every nonzero e.  This module carries the direct test, the
+of the field for every nonzero e.  This module carries the direct test (a
+GF(2) rank test for quadratic-type f, an exhaustive eps-loop for the rest), the
 Moore-determinant permutation criterion for linearized polynomials, the known
 monomial families, and the three binomial constructions on F_{2^{3m}} with
 their exact trace criteria.
@@ -60,6 +61,11 @@ class SparsePoly:
                 terms.append((int(e_str), int(c_str, 16)))
             except ValueError as exc:
                 raise ValueError(f"bad polynomial term {part!r}") from exc
+        seen = set()
+        for exp, _ in terms:
+            if exp in seen:
+                raise ValueError(f"exponent {exp} is repeated in {literal!r}")
+            seen.add(exp)
         return cls.make(field, terms)
 
     @property
@@ -83,9 +89,26 @@ class SparsePoly:
             out ^= f.mul_vec(coeff, f.power_table(exp))
         return out
 
+    def is_quadratic_type(self) -> bool:
+        """True when every exponent has binary weight <= 2: Dembowski-Ostrom
+        terms 2^i + 2^j plus any linear (2^i) and constant (x^0) terms."""
+        return all(e.bit_count() <= 2 for e, _ in self.terms)
+
 
 def pseudoplanar_witness(f: SparsePoly) -> int | None:
-    """Smallest eps whose difference map is not a permutation, else None."""
+    """Smallest eps whose difference map is not a permutation, else None.
+
+    Quadratic-type f (see SparsePoly.is_quadratic_type) are decided by an
+    O(2^n n^2) GF(2) rank test per eps; every other f by the O(4^n) eps-loop
+    of exhaustive_witness, which is also the test oracle of the rank test.
+    """
+    if f.is_quadratic_type():
+        return int(_rank_witnesses(f.field, f.value_table()[None])[0]) or None
+    return exhaustive_witness(f)
+
+
+def exhaustive_witness(f: SparsePoly) -> int | None:
+    """pseudoplanar_witness by counting collisions of every difference map."""
     fld = f.field
     N = fld.order
     ftab = f.value_table()
@@ -96,6 +119,55 @@ def pseudoplanar_witness(f: SparsePoly) -> int | None:
         if np.bincount(d, minlength=N).max() > 1:
             return eps
     return None
+
+
+# Elements of one block of the rank test, over all rows still undecided.  It
+# bounds the working set of _rank_witnesses, and search sizes its chunks of
+# value tables by it.
+_RANK_BUDGET = 1 << 14
+
+
+def _rank_witnesses(field: GF2n, tables: np.ndarray) -> np.ndarray:
+    """Smallest failing eps of each row of a (k, 2^n) stack of value tables of
+    quadratic-type functions, or 0 where a row has none.
+
+    For such f, L(x) = f(x+eps) + f(x) + f(eps) + f(0) + eps*x is GF(2)-linear
+    in x, and the difference map at eps is L plus a constant; so it permutes
+    the field exactly when the n images L(2^j) are independent.  They are
+    reduced by lowest-set-bit elimination: a pivot row clears its lowest bit
+    from every later row, so the pivots end with distinct lowest bits, and the
+    images are dependent exactly when some row reduces to 0.
+
+    eps runs in blocks of 64, 256, 1024, ... values, each cut (to one value at
+    least) so that the undecided rows times the block times n stays within
+    _RANK_BUDGET, which callers keep k * n within; a row leaves at the first
+    block holding its witness.
+    """
+    n, N = field.n, field.order
+    T = np.asarray(tables).astype(np.uint16)  # bulk field operations need n <= 16
+    out = np.zeros(len(T), dtype=np.int64)
+    basis = np.int64(1) << np.arange(n, dtype=np.int64)
+    alive = np.arange(len(T))
+    start, size = 1, 64
+    while start < N and alive.size:
+        block = min(size, max(1, _RANK_BUDGET // (alive.size * n)), N - start)
+        eps = np.arange(start, start + block, dtype=np.int64)
+        a = alive[:, None]
+        rows = T[a[:, :, None], eps[:, None] ^ basis]  # f(2^j + eps): (alive, block, n)
+        rows ^= T[a, basis][:, None, :]
+        rows ^= (T[a, eps] ^ T[alive, :1])[:, :, None]
+        rows ^= field.mul_vec(eps[:, None], basis).astype(np.uint16)
+        for j in range(n - 1):
+            piv = rows[..., j, None]
+            rest = rows[..., j + 1:]
+            rest ^= piv * ((rest & (piv & -piv)) != 0)
+        fails = (rows == 0).any(axis=2)
+        hit = fails.any(axis=1)
+        out[alive[hit]] = eps[fails[hit].argmax(axis=1)]
+        alive = alive[~hit]
+        start += block
+        size *= 4
+    return out
 
 
 def is_pseudoplanar(f: SparsePoly) -> bool:

@@ -18,8 +18,16 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import combinations
 
+import numpy as np
+
 from .field import GF2n
-from .functions import SparsePoly, is_pseudoplanar, known_hits_closure
+from .functions import (
+    _RANK_BUDGET,
+    SparsePoly,
+    _rank_witnesses,
+    is_pseudoplanar,
+    known_hits_closure,
+)
 
 CHECKPOINT_VERSION = 1
 MONOMIAL_MAX_DEGREE = 12
@@ -75,6 +83,34 @@ class SearchSpace:
         c1, c2 = divmod(rem, nc)
         e1, e2 = self.exponent_pairs[p]
         return SparsePoly.make(self.field, [(e1, c1 + 1), (e2, c2 + 1)])
+
+    @cached_property
+    def _pair_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log x^e for every quadratic exponent e (one row each), and the rows
+        of the two exponents of each exponent pair."""
+        fld = self.field
+        exps = quad_exponents(fld.n)
+        logs = fld.log_vec(np.stack([fld.power_table(e) for e in exps]))
+        row = {e: r for r, e in enumerate(exps)}
+        first, second = np.array([[row[e1], row[e2]] for e1, e2 in self.exponent_pairs]).T
+        return logs, first, second
+
+    def _value_tables(self, indices) -> np.ndarray:
+        """Value tables of quad_binomial candidates, one row per index: the
+        bulk form of candidate(i).value_table().  Products are taken as sums
+        of logs in place, so a chunk makes few temporaries."""
+        fld = self.field
+        nc = self.coeff_count
+        p, rem = np.divmod(np.asarray(indices, dtype=np.int64), nc * nc)
+        c1, c2 = np.divmod(rem, nc)
+        logs, first, second = self._pair_tables
+        out = logs[first[p]]
+        out += fld.log_vec(c1 + 1)[:, None]
+        out = fld.exp_vec(out)
+        second_logs = logs[second[p]]
+        second_logs += fld.log_vec(c2 + 1)[:, None]
+        out ^= fld.exp_vec(second_logs)
+        return out
 
     def my_indices(self, start: int = 0):
         """Candidate indices owned by this shard, from global index start."""
@@ -164,7 +200,16 @@ def run_search(
     checkpoint_every: int = 50000,
     long_run: bool = False,
 ) -> SearchResult:
-    """Exhaust the shard, re-verify every hit, and return the result."""
+    """Exhaust the shard, re-verify every hit, and return the result.
+
+    Candidates are tested in intervals of checkpoint_every owned indices,
+    with a checkpoint after each interval, so a crash loses at most one.
+    quad_binomial candidates are all of quadratic type: they are decoded in
+    bulk and decided by the O(2^n n^2) rank test, in chunks of value tables
+    inside a fixed memory budget.  Monomials go one by one through
+    is_pseudoplanar (the rank test for quadratic exponents, the eps-loop for
+    all others).  Every hit is re-checked by is_pseudoplanar at the end.
+    """
     n = space.field.n
     if space.kind == "monomial" and n > MONOMIAL_MAX_DEGREE:
         raise ValueError(
@@ -181,20 +226,35 @@ def run_search(
             start, hit_indices = checkpoint_resume(checkpoint_path, space)
         except FileNotFoundError:
             pass
-    since_save = 0
-    for i in space.my_indices(start):
-        if is_pseudoplanar(space.candidate(i)):
-            hit_indices.append(i)
-        since_save += 1
-        if checkpoint_path is not None and since_save >= checkpoint_every:
-            checkpoint_save(checkpoint_path, space, i + 1, hit_indices)
-            since_save = 0
+    test = _quad_hits if space.kind == "quad_binomial" else _monomial_hits
+    owned = space.my_indices()
+    pos = len(owned) - len(space.my_indices(start))
+    while pos < len(owned):
+        end = min((pos // checkpoint_every + 1) * checkpoint_every, len(owned))
+        hit_indices += test(space, owned[pos:end])
+        pos = end
+        if checkpoint_path is not None and pos < len(owned):
+            checkpoint_save(checkpoint_path, space, owned[pos - 1] + 1, hit_indices)
     result = SearchResult(space, sorted(hit_indices))
     _reverify(result)
     # only a re-verified result may mark the shard as exhausted
     if checkpoint_path is not None:
         checkpoint_save(checkpoint_path, space, space.total, hit_indices)
     return result
+
+
+def _monomial_hits(space: SearchSpace, indices: range) -> list[int]:
+    return [i for i in indices if is_pseudoplanar(space.candidate(i))]
+
+
+def _quad_hits(space: SearchSpace, indices: range) -> list[int]:
+    chunk = max(1, _RANK_BUDGET // space.field.order)
+    hits = []
+    for lo in range(0, len(indices), chunk):
+        part = indices[lo:lo + chunk]
+        eps = _rank_witnesses(space.field, space._value_tables(part))
+        hits += [i for i, e in zip(part, eps.tolist()) if e == 0]
+    return hits
 
 
 def _reverify(result: SearchResult) -> None:

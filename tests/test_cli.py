@@ -50,6 +50,15 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+
+def test_repeated_exponent_literal_exits_2(capsys):
+    # 5:1,5:1 would XOR-merge into the zero function, which is pseudo-planar
+    code, out, err = run(capsys, "pp-test", "--field", "4:13", "--f", "5:1,5:1")
+    assert code == 2 and out == ""
+    assert "exponent 5 is repeated" in err
+    code, _, err = run(capsys, "rds-verify", "--field", "3:b", "--f", "3:1,6:1,3:1")
+    assert code == 2 and "exponent 3 is repeated" in err
+
 def test_field_info(capsys):
     code, out, _ = run(capsys, "field-info", "--field", "6:43")
     assert code == 0

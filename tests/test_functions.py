@@ -1,18 +1,24 @@
 """Pseudo-planarity tests, criteria, and the known constructions."""
 
+import itertools
 import random
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudoplanar.field import GF2n
 from pseudoplanar.functions import (
     SparsePoly,
+    _rank_witnesses,
     binomial1_criterion,
     binomial1_criterion_det,
     construct_binomial1,
     construct_known_monomial,
     construct_shifted_binomial,
+    exhaustive_witness,
     is_pseudoplanar,
     known_family_hits,
     known_hits_closure,
@@ -35,6 +41,29 @@ def test_sparse_poly_canonical():
         SparsePoly.parse(fld, "5:")
     with pytest.raises(ValueError):
         SparsePoly.make(fld, [(20, 1)])  # exponent out of range
+
+
+def test_parse_refuses_a_repeated_exponent():
+    fld = GF2n(4)
+    # the library constructor merges repeated exponents by XOR ...
+    assert SparsePoly.make(fld, [(5, 1), (5, 1)]) == SparsePoly.zero(fld)
+    assert SparsePoly.make(fld, [(5, 1), (3, 2), (5, 3)]).literal == "3:2,5:2"
+    # ... but a literal names each exponent once
+    for literal in ("5:1,5:1", "5:1,3:2,5:3", "0:1,0:1"):
+        with pytest.raises(ValueError, match=f"exponent {literal[0]} is repeated"):
+            SparsePoly.parse(fld, literal)
+
+
+def test_is_quadratic_type():
+    fld = GF2n(6)
+    assert SparsePoly.zero(fld).is_quadratic_type()
+    assert SparsePoly.monomial(fld, 3, 0).is_quadratic_type()  # constant
+    for k in range(6):
+        assert SparsePoly.monomial(fld, 1, 1 << k).is_quadratic_type()
+    for i, j in itertools.combinations(range(6), 2):
+        assert SparsePoly.monomial(fld, 1, (1 << i) + (1 << j)).is_quadratic_type()
+    assert not SparsePoly.monomial(fld, 1, 7).is_quadratic_type()
+    assert not SparsePoly.make(fld, [(0, 1), (5, 1), (11, 1)]).is_quadratic_type()
 
 
 def test_direct_test_known_cases():
@@ -176,3 +205,98 @@ def test_obstruction_matches_direct_for_variant3():
         f = construct_shifted_binomial(GF2n(3), 1, 3)
     assert not is_pseudoplanar(f)
     assert not shifted_binomial_criterion(GF2n(3), 1, 3)
+
+
+# -- the rank test against the exhaustive eps-loop ---------------------------
+
+
+def _quadratic_exponents(fld):
+    return [e for e in range(fld.order) if e.bit_count() <= 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_witness_equals_exhaustive_on_every_quadratic_binomial(n):
+    fld = GF2n(n)
+    exps = _quadratic_exponents(fld)
+    coeffs = range(1, fld.order)
+    polys = [SparsePoly.monomial(fld, c, e) for e in exps for c in coeffs]
+    polys += [
+        SparsePoly.make(fld, [(e1, c1), (e2, c2)])
+        for e1, e2 in itertools.combinations(exps, 2)
+        for c1 in coeffs
+        for c2 in coeffs
+    ]
+    want = [exhaustive_witness(f) for f in polys]
+    assert [pseudoplanar_witness(f) for f in polys] == want
+    assert None in want and (any(want) or n == 1)  # on F_2 every f passes
+    # the same witnesses from one stacked call of the kernel
+    stacked = _rank_witnesses(fld, np.stack([f.value_table() for f in polys]))
+    assert [int(e) or None for e in stacked] == want
+
+
+@st.composite
+def _quadratic_polys(draw):
+    """Quadratic-type f on F_2^5 .. F_2^8: an optional known pseudo-planar
+    monomial plus constant, linear and Dembowski-Ostrom terms."""
+    fld = GF2n(draw(st.integers(5, 8)))
+    coeff = st.integers(1, fld.order - 1)
+    terms = []
+    if draw(st.booleans()):
+        known = sorted(h for h in known_family_hits(fld) if h[1].bit_count() <= 2)
+        terms.append(draw(st.sampled_from(known))[::-1])
+    if draw(st.booleans()):
+        terms.append((0, draw(coeff)))
+    for _ in range(draw(st.integers(0, 2))):
+        terms.append((1 << draw(st.integers(0, fld.n - 1)), draw(coeff)))
+    quadratic = [e for e in _quadratic_exponents(fld) if e.bit_count() == 2]
+    for _ in range(draw(st.integers(0, 2))):
+        terms.append((draw(st.sampled_from(quadratic)), draw(coeff)))
+    return SparsePoly.make(fld, terms)
+
+
+@given(_quadratic_polys())
+@settings(max_examples=60, deadline=None)
+def test_rank_witness_equals_exhaustive_on_mixed_terms(f):
+    assert f.is_quadratic_type()
+    assert pseudoplanar_witness(f) == exhaustive_witness(f)
+
+
+def test_rank_witness_equals_exhaustive_on_the_F4096_binomials():
+    # a seeded subsample of the set of acceptance criterion 4
+    fld = GF2n(12)
+    good_orders = {9, 63, 117, 819}
+    rng = random.Random(44)
+    positives, negatives = [], []
+    for a in range(1, fld.order):
+        (positives if fld.mult_order(a) in good_orders else negatives).append(a)
+    for a in rng.sample(positives, 25) + rng.sample(negatives, 200):
+        f = construct_binomial1(fld, 4, a)
+        eps = pseudoplanar_witness(f)
+        assert eps == exhaustive_witness(f)
+        assert (eps is None) == (a in positives)
+
+
+def test_non_quadratic_f_takes_the_exhaustive_loop(monkeypatch):
+    import pseudoplanar.functions as functions
+
+    def refuse(*args):
+        raise AssertionError("the rank test ran on a non-quadratic f")
+
+    monkeypatch.setattr(functions, "_rank_witnesses", refuse)
+    f = SparsePoly.make(GF2n(6), [(7, 1), (20, 1)])
+    assert not f.is_quadratic_type()
+    assert pseudoplanar_witness(f) == exhaustive_witness(f) is not None
+
+
+def test_rank_test_memory_stays_bounded():
+    fld = GF2n(12)
+    fld.power_table(1)  # the field's own tables are not the test's business
+    a = next(a for a in range(1, fld.order) if fld.mult_order(a) == 63)
+    f = construct_binomial1(fld, 4, a)
+    tracemalloc.start()
+    try:
+        assert pseudoplanar_witness(f) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20

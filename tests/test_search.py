@@ -1,12 +1,15 @@
 """Exhaustive searches: enumeration, sharding, checkpoints, conjecture flags."""
 
 import json
+import tracemalloc
 import warnings
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from pseudoplanar.field import GF2n
-from pseudoplanar.functions import known_hits_closure
+from pseudoplanar.functions import exhaustive_witness, known_hits_closure
 from pseudoplanar.search import (
     CheckpointError,
     SearchResult,
@@ -187,3 +190,70 @@ def test_exponent_pairs_computed_once_per_space():
     assert space.exponent_pairs is space.exponent_pairs
     assert space.exponent_pairs[:2] == [(3, 5), (3, 6)]
     assert len(space.exponent_pairs) == 15
+
+
+@lru_cache(maxsize=None)
+def _per_candidate_sweep(n: int) -> list[int]:
+    space = SearchSpace(GF2n(n), "quad_binomial")
+    return [i for i in range(space.total) if exhaustive_witness(space.candidate(i)) is None]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("shard", [(0, 1), (0, 3), (1, 3), (2, 3)], ids="{0[0]}of{0[1]}".format)
+def test_batched_binomial_search_equals_per_candidate_sweep(n, shard):
+    k, K = shard
+    want = [i for i in _per_candidate_sweep(n) if i % K == k]
+    assert search_quad_binomials(GF2n(n), shard=shard).hit_indices == want
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bulk_decoded_value_tables(n):
+    space = SearchSpace(GF2n(n), "quad_binomial")
+    tables = space._value_tables(range(space.total))
+    want = np.stack([space.candidate(i).value_table() for i in range(space.total)])
+    assert np.array_equal(tables, want)
+    some = [5, 0, space.total - 1, 77]
+    assert np.array_equal(space._value_tables(some), want[some])
+
+
+def test_crash_loses_at_most_one_checkpoint_interval(tmp_path, monkeypatch):
+    import pseudoplanar.search as search
+
+    fld = GF2n(4)
+    every = 7
+    path = tmp_path / "ck.json"
+    saved = []
+    save = search.checkpoint_save
+
+    def save_then_crash(p, space, next_index, hits):
+        save(p, space, next_index, hits)
+        saved.append(next_index)
+        if len(saved) == 3:
+            raise KeyboardInterrupt("crash after a checkpoint")
+
+    want = search_quad_binomials(fld, shard=(1, 3)).hit_indices
+    space = SearchSpace(fld, "quad_binomial", 1, 3)
+    owned = space.my_indices()
+    monkeypatch.setattr(search, "checkpoint_save", save_then_crash)
+    with pytest.raises(KeyboardInterrupt):
+        run_search(space, checkpoint_path=path, checkpoint_every=every)
+    assert checkpoint_resume(path, space)[0] == saved[-1]
+    resumed = run_search(space, checkpoint_path=path, checkpoint_every=every)
+    assert resumed.hit_indices == want
+    # one save after every full interval inside the shard, each taken once
+    # across the crash, then the exhausted mark
+    boundaries = range(every, len(owned), every)
+    assert saved == [owned[b - 1] + 1 for b in boundaries] + [space.total]
+
+
+def test_search_shard_memory_stays_bounded():
+    fld = GF2n(6, 0x43)
+    fld.power_table(1)
+    search_quad_binomials(fld, shard=(3, 128))  # warm-up: imports, caches
+    tracemalloc.start()
+    try:
+        search_quad_binomials(fld, shard=(5, 128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
