@@ -3,14 +3,19 @@
 A multiset of ring elements is a dense integer vector of length 4^n indexed
 by element idx.  Signed vectors are allowed so identities like
 2^n*delta_0 + (R - Z) are first-class values.  Convolution, involution, the
-additive character transform and its inverse are all exact (int64 end to
-end); the fast transform is an n-dimensional radix-4 butterfly over the
-additive Z4^n coordinates, anchored against a naive double loop for small n.
+additive character transform and its inverse are all exact, and vectors are
+int64 at the interface.  The fast transform is an n-dimensional radix-4
+butterfly over the additive Z4^n coordinates, anchored against a naive double
+loop for small n.  It runs in the narrowest of int16, int32 and int64 that the
+l1 norm of its input allows, and runs its last digits on a transposed copy so
+that every stage works on long contiguous runs.
 The relative-difference-set identity is tested on one transform of D; only
 when it fails is |chi(D)|^2 inverted to name the elements where it fails.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -132,13 +137,7 @@ class GroupVec:
 
     def char_transform(self) -> "SpectrumVec":
         """chi_a(A) = sum_g A_g i^Tr(ag) for every a, as exact Gaussian ints."""
-        ring = self.ring
-        re = np.zeros(ring.size, dtype=np.int64)
-        re[ring.coord_of] = self.counts
-        im = np.zeros_like(re)
-        _radix4(re, im, sign=+1)
-        # entry a of the spectrum lives at the Z4^n label of chi_a
-        return SpectrumVec(ring, re[ring.dual_perm], im[ring.dual_perm])
+        return SpectrumVec(self.ring, *_transform(self.ring, self.counts, None, +1))
 
     # -- serialization -------------------------------------------------------
 
@@ -196,20 +195,16 @@ class SpectrumVec:
         Raises if the input is not the transform of an integer vector.
         """
         ring = self.ring
-        # scatter back to Z4^n labels, then run the conjugate-kernel butterfly
-        fre = np.empty(ring.size, dtype=np.int64)
-        fim = np.empty(ring.size, dtype=np.int64)
-        fre[ring.dual_perm] = self.re
-        fim[ring.dual_perm] = self.im
-        _radix4(fre, fim, sign=-1)
-        re, im = fre[ring.coord_of], fim[ring.coord_of]
-        if (im != 0).any() or (re % ring.size != 0).any():
-            bad = int(np.flatnonzero((im != 0) | (re % ring.size != 0))[0])
+        re, im = _transform(ring, self.re, self.im, -1)
+        # ring.size is 4^n: re is a multiple of it when its low 2n bits are 0
+        rem = re & (ring.size - 1)
+        if im.any() or rem.any():
+            bad = int(np.flatnonzero((im != 0) | (rem != 0))[0])
             raise ValueError(
                 f"spectrum is not the transform of an integer multiset "
                 f"(first failure at element idx {bad})"
             )
-        return GroupVec(ring, re // ring.size)
+        return GroupVec(ring, re >> (2 * ring.n))
 
 
 # -- fast transform plumbing --------------------------------------------------
@@ -219,25 +214,113 @@ class SpectrumVec:
 # Tr(a x) = u(a) . v(x) mod 4 where v = ring.coord_of maps elements to
 # coordinates and u = ring.dual_perm maps chi-labels to coordinates.  The
 # transform over Z4^n factorizes into n radix-4 stages with kernel
-# i^{u_j v_j}; everything stays in a pair of int64 tensors with
-# i * (r, s) = (-s, r).
+# i^{u_j v_j}, on a pair of integer vectors (re, im) with i * (r, s) = (-s, r).
+#
+# Every value a stage computes, forward or inverse, is a sum of input entries
+# times +-1 or +-i, so its re and im parts never exceed the l1 norm
+# sum(|re| + |im|) of the input.  The pair runs in int16 when that norm is
+# below 2^15, in int32 when it is below 2^31, and in int64 otherwise: chi(D)
+# (norm 2^n) runs in int16, and the inverse of chi(D)^2 (norm at most
+# sqrt(2) 8^n, by Parseval) in int32 for every n <= MAX_RING_DEGREE.
+#
+# Stage j works on digit j of the base-4 coordinate, whose contiguous runs
+# are 4^j long.  The high digits run in place; the last _tail_digits(n) run
+# on a transposed copy, where they are the high digits.  That leaves the
+# result with its base-4 digits rotated, and the gather that reorders the
+# result by element or label reads through the rotated table instead.
 
 
-def _radix4(re: np.ndarray, im: np.ndarray, sign: int) -> None:
+def _transform(ring: GR4, re, im, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_x A_x i^(sign Tr(a x)) for every a, exactly, as int64 (re, im).
+
+    sign = +1 is the character transform of the element-indexed vector A
+    (im None means 0); sign = -1 is the unnormalized inverse of a
+    label-indexed spectrum, which comes back element-indexed.
+    """
+    forward_gather, inverse_gather = _gathers(ring)
+    if sign > 0:
+        scatter, gather = ring.coord_of, forward_gather
+    else:
+        scatter, gather = ring.dual_perm, inverse_gather
+    parts = (re,) if im is None else (re, im)
+    dtype = _work_dtype(parts)
+    fre = np.empty(ring.size, dtype=dtype)
+    fre[scatter] = re
+    if im is None:
+        fim = np.zeros_like(fre)
+    else:
+        fim = np.empty_like(fre)
+        fim[scatter] = im
+    fre, fim = _radix4(fre, fim, sign)
+    return fre[gather].astype(np.int64), fim[gather].astype(np.int64)
+
+
+def _work_dtype(parts) -> type:
+    """The narrowest of int16, int32, int64 above the l1 norm of parts."""
+    # a float64 sum cannot wrap around, and is exact while below 2^53
+    l1 = sum(float(np.abs(p, dtype=np.float64).sum()) for p in parts)
+    for dtype in (np.int16, np.int32):
+        if l1 <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _tail_digits(n: int) -> int:
+    """How many low digits _radix4 runs on a transposed copy (none for n <= 3)."""
+    return max(0, min(3, n - 3))
+
+
+def _rotate(c: np.ndarray, n: int) -> np.ndarray:
+    """Position in _radix4's output of coordinate c: its low _tail_digits(n)
+    base-4 digits moved above the others."""
+    k = _tail_digits(n)
+    return ((c & ((1 << 2 * k) - 1)) << (2 * (n - k))) | (c >> (2 * k))
+
+
+@functools.lru_cache(maxsize=1)
+def _gathers(ring: GR4) -> tuple[np.ndarray, np.ndarray]:
+    """dual_perm and coord_of in _rotate order: the gathers that reorder the
+    output of a forward and of an inverse _radix4.  Kept for the last ring
+    used, as intp, the index type a gather needs without a cast."""
+    return _rotate(ring.dual_perm, ring.n), _rotate(ring.coord_of, ring.n)
+
+
+def _radix4(
+    re: np.ndarray, im: np.ndarray, sign: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply the kernel i^{sign * u v} along every Z4 digit of flat (re, im).
 
-    Works in place on two owned, contiguous 4^n vectors.  Each stage copies
-    the four sums and differences of one digit into scratch and writes the
-    four outputs back through strided views, so a transform allocates two
-    scratch vectors in all.
+    Consumes two owned, contiguous 4^n vectors of one integer dtype and
+    returns the pair that holds the result, in _rotate order.  It allocates
+    one scratch pair: the high digits run in place on (re, im) with it as
+    scratch, the transposed copy goes into it, and the tail digits run there
+    with (re, im) as scratch.
+    """
+    n = re.size.bit_length() // 2
+    k = _tail_digits(n)
+    sre = np.empty_like(re)
+    sim = np.empty_like(im)
+    _stages(re, im, sre, sim, n - k, sign)
+    if not k:
+        return re, im
+    for v, t in ((re, sre), (im, sim)):
+        t.reshape(4**k, 4 ** (n - k))[...] = v.reshape(4 ** (n - k), 4**k).T
+    _stages(sre, sim, re, im, k, sign)
+    return sre, sim
+
+
+def _stages(re, im, sre, sim, count: int, sign: int) -> None:
+    """The first count stages (highest digits first) of the butterfly on
+    (re, im), in place, with (sre, sim) as scratch.
+
+    Each stage copies the four sums and differences of one digit into
+    scratch and writes the four outputs back through strided views.
     """
     size = re.size
-    sre = np.empty(size, dtype=np.int64)
-    sim = np.empty(size, dtype=np.int64)
     # d02 - sign*i*d13 and d02 + sign*i*d13, as ufuncs on the (re, im) parts
     minus, plus = (np.subtract, np.add) if sign > 0 else (np.add, np.subtract)
     outer = 1
-    while outer < size:
+    for _ in range(count):
         inner = size // (4 * outer)
         vr = re.reshape(outer, 4, inner)
         vm = im.reshape(outer, 4, inner)

@@ -33,6 +33,9 @@ from .groupring import GroupVec, _rds_check, build_df
 
 SCHEMA_VERSION = 1
 
+# |chi_a(S_k)| <= |S_k| <= 4^n < 2^31 for every n <= MAX_RING_DEGREE
+_SPECTRUM_DTYPE = np.int32
+
 
 class SchemeError(ValueError):
     """Structural failure: the input does not produce the expected scheme."""
@@ -109,8 +112,8 @@ def build_partition(D: GroupVec) -> Partition6:
     # chi(S_0) = 1, chi(S_1) = X - 1, chi(S_2) = conj chi(S_1),
     # chi(S_3) = chi(Z) - 1 = 2^n [a in Z] - 1; the classes sum to the
     # whole ring, whose spectrum is 4^n delta_0, which gives chi(S_5).
-    re = np.zeros((6, ring.size), dtype=np.int64)
-    im = np.zeros((6, ring.size), dtype=np.int64)
+    re = np.zeros((6, ring.size), dtype=_SPECTRUM_DTYPE)
+    im = np.zeros((6, ring.size), dtype=_SPECTRUM_DTYPE)
     re[0] = 1
     re[1] = X.re - 1
     im[1] = X.im
@@ -130,15 +133,15 @@ def build_partition(D: GroupVec) -> Partition6:
 
 
 def class_spectra(part: Partition6) -> tuple[np.ndarray, np.ndarray]:
-    """Character sums chi_a(S_k): two (6, 4^n) int arrays (re, im).
+    """Character sums chi_a(S_k): two (6, 4^n) int32 arrays (re, im).
 
     Taken from the cache build_partition fills; otherwise one transform per
     class.
     """
     if part._spectra is not None:
         return part._spectra
-    re = np.empty((6, part.ring.size), dtype=np.int64)
-    im = np.empty((6, part.ring.size), dtype=np.int64)
+    re = np.empty((6, part.ring.size), dtype=_SPECTRUM_DTYPE)
+    im = np.empty((6, part.ring.size), dtype=_SPECTRUM_DTYPE)
     for k, S in enumerate(part.classes):
         sp = S.char_transform()
         re[k], im[k] = sp.re, sp.im

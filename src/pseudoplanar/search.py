@@ -96,12 +96,19 @@ class SearchSpace:
         return logs, first, second
 
     def _value_tables(self, indices) -> np.ndarray:
-        """Value tables of quad_binomial candidates, one row per index: the
-        bulk form of candidate(i).value_table().  Products are taken as sums
-        of logs in place, so a chunk makes few temporaries."""
+        """Value tables of candidates, one row per index: the bulk form of
+        candidate(i).value_table().  Products are taken as sums of logs in
+        place, so a chunk makes few temporaries."""
         fld = self.field
         nc = self.coeff_count
-        p, rem = np.divmod(np.asarray(indices, dtype=np.int64), nc * nc)
+        indices = np.asarray(indices, dtype=np.int64)
+        if self.kind == "monomial":
+            t, c = np.divmod(indices, nc)
+            exps, row = np.unique(t + 1, return_inverse=True)
+            out = fld.log_vec(np.stack([fld.power_table(int(e)) for e in exps]))[row]
+            out += fld.log_vec(c + 1)[:, None]
+            return fld.exp_vec(out)
+        p, rem = np.divmod(indices, nc * nc)
         c1, c2 = np.divmod(rem, nc)
         logs, first, second = self._pair_tables
         out = logs[first[p]]
@@ -206,9 +213,10 @@ def run_search(
     with a checkpoint after each interval, so a crash loses at most one.
     quad_binomial candidates are all of quadratic type: they are decoded in
     bulk and decided by the O(2^n n^2) rank test, in chunks of value tables
-    inside a fixed memory budget.  Monomials go one by one through
-    is_pseudoplanar (the rank test for quadratic exponents, the eps-loop for
-    all others).  Every hit is re-checked by is_pseudoplanar at the end.
+    inside a fixed memory budget.  So are the monomials of quadratic-type
+    exponents (binary weight <= 2), a run of coefficients of one exponent at
+    a time; every other monomial goes through the eps-loop of
+    is_pseudoplanar.  Every hit is re-checked by is_pseudoplanar at the end.
     """
     n = space.field.n
     if space.kind == "monomial" and n > MONOMIAL_MAX_DEGREE:
@@ -226,7 +234,7 @@ def run_search(
             start, hit_indices = checkpoint_resume(checkpoint_path, space)
         except FileNotFoundError:
             pass
-    test = _quad_hits if space.kind == "quad_binomial" else _monomial_hits
+    test = _rank_hits if space.kind == "quad_binomial" else _monomial_hits
     owned = space.my_indices()
     pos = len(owned) - len(space.my_indices(start))
     while pos < len(owned):
@@ -244,10 +252,22 @@ def run_search(
 
 
 def _monomial_hits(space: SearchSpace, indices: range) -> list[int]:
-    return [i for i in indices if is_pseudoplanar(space.candidate(i))]
+    """Hits among monomial candidates, split into runs of one exponent each."""
+    nc, K = space.coeff_count, indices.step
+    hits = []
+    for t in range(indices.start // nc, (indices.stop + nc - 1) // nc):
+        # the owned indices in [t * nc, (t + 1) * nc)
+        lo = max(indices.start, t * nc)
+        run = range(lo + (indices.start - lo) % K, min(indices.stop, (t + 1) * nc), K)
+        if (t + 1).bit_count() <= 2:
+            hits += _rank_hits(space, run)
+        else:
+            hits += [i for i in run if is_pseudoplanar(space.candidate(i))]
+    return hits
 
 
-def _quad_hits(space: SearchSpace, indices: range) -> list[int]:
+def _rank_hits(space: SearchSpace, indices: range) -> list[int]:
+    """Hits among candidates of quadratic type, by the rank test in chunks."""
     chunk = max(1, _RANK_BUDGET // space.field.order)
     hits = []
     for lo in range(0, len(indices), chunk):

@@ -14,6 +14,11 @@ from pseudoplanar.galois_ring import GR4
 from pseudoplanar.groupring import (
     GroupVec,
     SpectrumVec,
+    _radix4,
+    _rotate,
+    _stages,
+    _transform,
+    _work_dtype,
     build_df,
     rds_expected,
     verify_rds,
@@ -225,3 +230,100 @@ def test_spectral_verify_rds_matches_convolution(n, literal):
         [(int(g), int(diff[g]), int(want[g])) for g in bad[:10]],
     )
     assert verify_rds(D) == expected
+
+
+# l1 norms at the dtype thresholds of the transform, and the dtype each takes
+L1_DTYPES = [
+    (2**15 - 1, np.int16),
+    (2**15, np.int32),
+    (2**31 - 1, np.int32),
+    (2**31, np.int64),
+    (2**40 + 3, np.int64),
+]
+
+
+def _split_l1(rng, l1, parts):
+    """parts signed integers whose absolute values sum to l1."""
+    cuts = sorted(rng.sample(range(1, l1), parts - 1)) if parts > 1 else []
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [l1])]
+    return [rng.choice((1, -1)) * v for v in sizes]
+
+
+def _sparse(ring, rng, entries):
+    """A 4^n int64 vector with the given entries at distinct random indices."""
+    out = np.zeros(ring.size, dtype=np.int64)
+    out[rng.sample(range(ring.size), len(entries))] = entries
+    return out
+
+
+def _naive_sum(ring, re, im, sign):
+    """sum_x (re + i im)_x i^(sign Tr(a x)) for every a, by GR4.character."""
+    out_re = np.zeros(ring.size, dtype=np.int64)
+    out_im = np.zeros(ring.size, dtype=np.int64)
+    for x in np.flatnonzero((re != 0) | (im != 0)):
+        v = GaussInt(int(re[x]), int(im[x]))
+        xp = ring.pair(int(x))
+        for a in range(ring.size):
+            chi = ring.character(ring.pair(a), xp)
+            w = v * (chi if sign > 0 else chi.conj())
+            out_re[a] += w.re
+            out_im[a] += w.im
+    return out_re, out_im
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "l1, dtype", L1_DTYPES, ids=[f"l1={v}" for v, _ in L1_DTYPES]
+)
+@given(seed=st.integers(0, 2**32 - 1), parts=st.integers(1, 6))
+@settings(max_examples=3, deadline=None)
+def test_transforms_at_dtype_thresholds_match_naive_character_sums(
+    n, l1, dtype, seed, parts
+):
+    ring = _ring(n)
+    rng = random.Random(seed)
+    parts = min(parts, ring.size)
+    # forward: an integer multiset with l1 norm exactly l1
+    counts = _sparse(ring, rng, _split_l1(rng, l1, parts))
+    zero = np.zeros_like(counts)
+    assert _work_dtype((counts,)) == dtype
+    A = GroupVec(ring, counts)
+    sp = A.char_transform()
+    want = _naive_sum(ring, counts, zero, +1)
+    assert np.array_equal(sp.re, want[0]) and np.array_equal(sp.im, want[1])
+    assert sp.inverse_transform() == A
+    # inverse: a Gaussian spectrum with l1 norm exactly l1, over re and im
+    values = _split_l1(rng, l1, 2 * parts)
+    re = _sparse(ring, rng, values[:parts])
+    im = np.zeros_like(re)
+    im[np.flatnonzero(re)] = values[parts:]
+    assert _work_dtype((re, im)) == dtype
+    got = _transform(ring, re, im, -1)
+    want = _naive_sum(ring, re, im, -1)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # inverse_transform divides by 4^n, or names the first element it cannot
+    bad = np.flatnonzero((want[1] != 0) | (want[0] % ring.size != 0))
+    if len(bad):
+        with pytest.raises(ValueError, match=f"element idx {bad[0]}\\)"):
+            SpectrumVec(ring, re, im).inverse_transform()
+    else:
+        want_counts = want[0] // ring.size
+        assert SpectrumVec(ring, re, im).inverse_transform().counts.tolist() == (
+            want_counts.tolist()
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_transposed_tail_order_equals_plain_digit_order(n, sign):
+    size = 1 << (2 * n)
+    rng = np.random.default_rng(n)
+    re = rng.integers(-50, 51, size)
+    im = rng.integers(-50, 51, size)
+    # the oracle: every stage in place, highest digit first, no transpose
+    plain_re, plain_im = re.copy(), im.copy()
+    _stages(plain_re, plain_im, np.empty_like(re), np.empty_like(im), n, sign)
+    out_re, out_im = _radix4(re.copy(), im.copy(), sign)
+    pos = _rotate(np.arange(size), n)
+    assert np.array_equal(out_re[pos], plain_re)
+    assert np.array_equal(out_im[pos], plain_im)

@@ -396,3 +396,17 @@ def test_check_pq_rejects_a_perturbed_q():
     Q = [list(row) for row in rep.Q]
     Q[3][2] = Q[3][2] + GaussRat(Fraction(0), Fraction(1, 7))
     assert not _check_pq(rep.P, Q, rep.partition.ring.size)
+
+
+def test_cached_class_spectra_are_int32_and_fit():
+    from pseudoplanar.galois_ring import MAX_RING_DEGREE
+
+    # |chi_a(S_k)| <= 4^n, the bound that lets the cache be int32
+    assert 4**MAX_RING_DEGREE < 2**31
+    ring = GR4(GF2n(5))
+    part = build_partition(build_df(ring, _pp_poly(ring.field)))
+    cached = scheme.class_spectra(part)
+    assert all(a.dtype == np.int32 for a in cached)
+    object.__setattr__(part, "_spectra", None)
+    fresh = scheme.class_spectra(part)
+    assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))

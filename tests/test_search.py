@@ -193,8 +193,8 @@ def test_exponent_pairs_computed_once_per_space():
 
 
 @lru_cache(maxsize=None)
-def _per_candidate_sweep(n: int) -> list[int]:
-    space = SearchSpace(GF2n(n), "quad_binomial")
+def _per_candidate_sweep(n: int, kind: str = "quad_binomial") -> list[int]:
+    space = SearchSpace(GF2n(n), kind)
     return [i for i in range(space.total) if exhaustive_witness(space.candidate(i)) is None]
 
 
@@ -213,6 +213,51 @@ def test_bulk_decoded_value_tables(n):
     want = np.stack([space.candidate(i).value_table() for i in range(space.total)])
     assert np.array_equal(tables, want)
     some = [5, 0, space.total - 1, 77]
+    assert np.array_equal(space._value_tables(some), want[some])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("shard", [(0, 1), (0, 3), (1, 3), (2, 3)], ids="{0[0]}of{0[1]}".format)
+def test_batched_monomial_search_equals_per_candidate_sweep(n, shard):
+    k, K = shard
+    want = [i for i in _per_candidate_sweep(n, "monomial") if i % K == k]
+    assert search_monomials(GF2n(n), shard=shard).hit_indices == want
+
+
+@pytest.mark.parametrize("every", [1, 5, 7, 16])
+def test_monomial_intervals_cut_exponent_runs(every):
+    # intervals of `every` owned indices start and end inside exponent runs
+    space = SearchSpace(GF2n(4), "monomial", 1, 3)
+    want = [i for i in _per_candidate_sweep(4, "monomial") if i % 3 == 1]
+    assert run_search(space, checkpoint_every=every).hit_indices == want
+
+
+def test_monomial_rank_test_only_for_quadratic_exponents(monkeypatch):
+    import pseudoplanar.search as search
+
+    space = SearchSpace(GF2n(4), "monomial")
+    seen = []
+    tables = SearchSpace._value_tables
+
+    def spy(self, indices):
+        seen.extend(indices)
+        return tables(self, indices)
+
+    monkeypatch.setattr(SearchSpace, "_value_tables", spy)
+    search._monomial_hits(space, range(space.total))
+    nc = space.coeff_count
+    assert sorted(seen) == [
+        i for i in range(space.total) if (i // nc + 1).bit_count() <= 2
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bulk_decoded_monomial_value_tables(n):
+    space = SearchSpace(GF2n(n), "monomial")
+    tables = space._value_tables(range(space.total))
+    want = np.stack([space.candidate(i).value_table() for i in range(space.total)])
+    assert np.array_equal(tables, want)
+    some = [5, 0, space.total - 1, space.total // 2]
     assert np.array_equal(space._value_tables(some), want[some])
 
 
