@@ -148,18 +148,21 @@ def _report_for(args):
 def cmd_scheme_build(args):
     fld, f, rep = _report_for(args)
     inputs = {"field": fld.spec_string, "f": f.literal}
-    _emit(args, "scheme-build", inputs, rep.to_dict(), [
+    result = rep.to_dict()
+    ok = result["matches_closed_forms"]
+    _emit(args, "scheme-build", inputs, result, [
         f"classes: {rep.class_count + 1} (incl. identity)",
-        f"class sizes: {rep.partition.class_sizes}",
-        f"dual sizes: {list(rep.dual.sizes)}",
-        f"matches closed forms: {rep.matches_closed_forms()}",
+        f"class sizes: {result['class_sizes']}",
+        f"dual sizes: {result['dual_sizes']}",
+        f"matches closed forms: {ok}",
     ])
-    return 0 if rep.matches_closed_forms() else 1
+    return 0 if ok else 1
 
 
 def cmd_eigen(args):
     fld, f, rep = _report_for(args)
-    ok = rep.matches_closed_forms() and sch._check_pq(rep.P, rep.Q, fld.order ** 2)
+    data = rep.to_dict()
+    ok = data["matches_closed_forms"] and data["pq_identity"]
     inputs = {"field": fld.spec_string, "f": f.literal}
     result = {
         "P": [[str(v) for v in row] for row in rep.P],

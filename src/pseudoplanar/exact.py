@@ -2,8 +2,10 @@
 
 Character values and eigenmatrices are integer or rational combinations of
 1 and i; nothing in this package is allowed to round, so these are thin
-exact wrappers: GaussInt over int, GaussRat over Fraction.  A Gauss-Jordan
-inverse over GaussRat is provided for the second-eigenmatrix computation.
+exact wrappers: GaussInt over int, GaussRat over Fraction.  GaussRat has no
+division: the second eigenmatrix divides only by integer class sizes, so no
+matrix inverse is needed.  mat_mul is the exact product behind the
+P Q = |R| I check.
 """
 
 from __future__ import annotations
@@ -110,18 +112,8 @@ class GaussRat:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "GaussRat":
-        other = GaussRat.of(other)
-        nrm = other.re * other.re + other.im * other.im
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero GaussRat")
-        return self * GaussRat(other.re / nrm, -other.im / nrm)
-
     def __neg__(self) -> "GaussRat":
         return GaussRat(-self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
     def is_gauss_int(self) -> bool:
         return self.re.denominator == 1 and self.im.denominator == 1
@@ -138,32 +130,6 @@ class GaussRat:
             return f"{self.im}i"
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-
-def mat_inverse(M: list[list]) -> list[list[GaussRat]]:
-    """Exact inverse of a square matrix of GaussInt/GaussRat entries."""
-    n = len(M)
-    A = [[GaussRat.of(M[r][c]) for c in range(n)] for r in range(n)]
-    B = [
-        [GaussRat.of(1 if r == c else 0) for c in range(n)]
-        for r in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not A[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        A[col], A[piv] = A[piv], A[col]
-        B[col], B[piv] = B[piv], B[col]
-        p = A[col][col]
-        A[col] = [v / p for v in A[col]]
-        B[col] = [v / p for v in B[col]]
-        for r in range(n):
-            if r == col or A[r][col].is_zero():
-                continue
-            f = A[r][col]
-            A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-            B[r] = [a - f * b for a, b in zip(B[r], B[col])]
-    return B
 
 
 def mat_mul(A: list[list], B: list[list]) -> list[list[GaussRat]]:

@@ -85,9 +85,9 @@ class GF2n:
         if modulus is None:
             modulus = default_modulus(n)
         else:
-            if _poly_degree(modulus) != n:
+            if modulus <= 0 or _poly_degree(modulus) != n:
                 raise ValueError(
-                    f"modulus 0x{modulus:x} is not monic of degree {n}"
+                    f"modulus {modulus:#x} is not a positive int of degree {n}"
                 )
             d = reducible_factor_degree(modulus)
             if d is not None:

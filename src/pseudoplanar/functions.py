@@ -228,12 +228,20 @@ def linearized_is_bijection(field: GF2n, coeffs, d: int) -> bool:
 MONOMIAL_FAMILIES = ("linear", "gold_half", "scherr_zieve")
 
 
+def _check_coefficient(field: GF2n, a: int) -> None:
+    """The family parameter a must be a nonzero element of the field."""
+    if not 0 < a < field.order:
+        raise ValueError(
+            f"coefficient parameter a must be a nonzero field element, "
+            f"0 < a < {field.order:#x}; got a = {a:#x}"
+        )
+
+
 def construct_known_monomial(field: GF2n, family: str, a: int, k: int | None = None) -> SparsePoly:
     """Build a known pseudo-planar monomial, validating its row condition."""
     n = field.n
+    _check_coefficient(field, a)
     if family == "linear":
-        if a == 0:
-            raise ValueError("linear family needs a != 0")
         kk = 0 if k is None else k
         if not 0 <= kk < n:
             raise ValueError(f"linear family needs 0 <= k < n, got k={kk}")
@@ -242,7 +250,7 @@ def construct_known_monomial(field: GF2n, family: str, a: int, k: int | None = N
         if n % 2 != 0:
             raise ValueError(f"gold_half family needs even n, got n={n}")
         half = n // 2
-        if a == 0 or not field.in_subfield(a, half):
+        if not field.in_subfield(a, half):
             raise ValueError(f"gold_half family needs a in F_2^{half}*")
         if field.subfield_trace(a, half) != 0:
             raise ValueError(f"gold_half family needs Tr_{half}(a) = 0")
@@ -253,7 +261,7 @@ def construct_known_monomial(field: GF2n, family: str, a: int, k: int | None = N
         kk = n // 6
         e1 = (1 << (2 * kk)) - 1  # 4^k - 1
         group = field.order - 1
-        if a == 0 or field.pow(a, group // e1) != 1:
+        if field.pow(a, group // e1) != 1:
             raise ValueError(f"scherr_zieve family needs a to be a {e1}-th power")
         if field.pow(a, group // (3 * e1)) == 1:
             raise ValueError(f"scherr_zieve family needs a not to be a {3 * e1}-th power")
@@ -334,8 +342,7 @@ def construct_binomial1(field: GF2n, m: int, a: int) -> SparsePoly:
     _cubic_field(field, m)
     if m % 2 != 0:
         raise ValueError(f"this binomial family needs even m, got m={m}")
-    if a == 0:
-        raise ValueError("coefficient parameter a must be nonzero")
+    _check_coefficient(field, a)
     t = 1 << m
     return SparsePoly.make(
         field,
@@ -353,8 +360,7 @@ def binomial1_criterion(field: GF2n, m: int, a: int) -> bool:
     _cubic_field(field, m)
     if m % 2 != 0:
         raise ValueError(f"this binomial family needs even m, got m={m}")
-    if a == 0:
-        raise ValueError("coefficient parameter a must be nonzero")
+    _check_coefficient(field, a)
     t = 1 << m
     c1 = field.pow(a, t * t + t) ^ field.pow(a, -(t * t + t + 2))
     c2 = field.pow(a, t - t * t)

@@ -10,9 +10,11 @@ first eigenmatrix P; when they are constant on as many dual classes as there
 are classes, the classes span a Schur ring (Bridges-Mena) and the
 intersection numbers follow from P exactly.  verify_schur, which convolves
 every pair of classes, names a witness when that fails and is the test
-oracle for the intersection numbers.  The module also computes the second
-eigenmatrix over exact Gaussian rationals, evaluates the Fourier spectrum,
-and fuses classes via the constant-block-row-sum criterion.
+oracle for the intersection numbers.  The second eigenmatrix follows from
+P by the orthogonality relation Q_ij = m_j conj(P_ji) / k_i (m the dual
+class sizes, k the class sizes), and P Q = |R| I is checked exactly.  The
+module also evaluates the Fourier spectrum and fuses classes via the
+constant-block-row-sum criterion.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import GaussInt, GaussRat, mat_inverse, mat_mul
+from .exact import GaussInt, GaussRat, mat_mul
 from .functions import SparsePoly, pseudoplanar_witness
 from .galois_ring import GR4
 from .groupring import GroupVec, _rds_check, build_df
@@ -232,13 +234,13 @@ def dual_partition(part: Partition6) -> DualPartition:
         mask = (s1_re == v.re) & (s1_im == v.im)
         mask[0] = False
         labels[mask] = slot
-    if (labels == -1).any():
-        a = int(np.flatnonzero(labels == -1)[0])
+    a = int(np.argmin(labels))
+    if labels[a] == -1:
         raise SchemeError(
             f"character {a} has unexpected class sum "
             f"chi(S1) = {GaussInt(int(s1_re[a]), int(s1_im[a]))}"
         )
-    sizes = tuple(int((labels == k).sum()) for k in range(6))
+    sizes = tuple(int(m) for m in np.bincount(labels, minlength=6))
     if n >= 3 and min(sizes) == 0:
         raise SchemeError(f"expected 6 dual classes for n={n}, sizes {sizes}")
     if sizes[1] != (1 << n) - 1:
@@ -256,30 +258,49 @@ def eigen_P(part: Partition6, dual: DualPartition):
 
     Returns (P, row_slots, col_slots): P[j][i] is the constant value
     chi(S_{col_slots[i]}) over E_{row_slots[j]}.  Non-constant values within
-    a dual class raise SchemeError.
+    a dual class raise SchemeError, naming the least such (j, i).
     """
     re, im = class_spectra(part)
     row_slots = dual.nonempty_slots()
     col_slots = part.nonempty_slots()
-    P: list[list[GaussInt]] = []
-    for j in row_slots:
-        members = np.flatnonzero(dual.labels == j)
-        row = []
-        for i in col_slots:
-            r, m = re[i][members], im[i][members]
-            if int(r.min()) != int(r.max()) or int(m.min()) != int(m.max()):
-                raise SchemeError(
-                    f"chi(S_{i}) is not constant on dual class {j}"
-                )
-            row.append(GaussInt(int(r[0]), int(m[0])))
-        P.append(row)
+    labels = dual.labels
+    # one member of each dual class; any member serves, since the spectra
+    # must be constant on the class
+    member = np.zeros(6, dtype=np.int64)
+    member[labels] = np.arange(part.ring.size)
+    bad = []
+    for i in col_slots:
+        r, m = re[i][member], im[i][member]
+        off = (re[i] != r[labels]) | (im[i] != m[labels])
+        if off.any():
+            bad.append((int(labels[off].min()), i))
+    if bad:
+        j, i = min(bad)
+        raise SchemeError(f"chi(S_{i}) is not constant on dual class {j}")
+    P = [
+        [GaussInt(int(re[i][member[j]]), int(im[i][member[j]])) for i in col_slots]
+        for j in row_slots
+    ]
     return P, row_slots, col_slots
 
 
-def eigen_Q(P: list[list[GaussInt]], ring_size: int) -> list[list[GaussRat]]:
-    """Second eigenmatrix: |R| * P^{-1}, exact."""
-    inv = mat_inverse(P)
-    return [[GaussRat.of(ring_size) * v for v in row] for row in inv]
+def eigen_Q(
+    P: list[list[GaussInt]], class_sizes: list[int], dual_sizes: list[int]
+) -> list[list[GaussRat]]:
+    """Second eigenmatrix Q_ij = m_j conj(P_ji) / k_i, exact.
+
+    k are the sizes of P's column classes and m of its row (dual) classes.
+    This is the orthogonality relation of a commutative scheme (Delsarte;
+    Bannai-Ito), so for square P it equals |R| P^{-1}; _check_pq confirms
+    P Q = |R| I.
+    """
+    return [
+        [
+            GaussRat(Fraction(m * P[j][i].re, k), Fraction(-m * P[j][i].im, k))
+            for j, m in enumerate(dual_sizes)
+        ]
+        for i, k in enumerate(class_sizes)
+    ]
 
 
 def closed_form_P(n: int) -> list[list[GaussInt]]:
@@ -612,7 +633,8 @@ def build_report(D: GroupVec) -> SchemeReport:
         p_tensor = _intersection_numbers(part, dual, P, row_slots, col_slots)
     else:
         p_tensor = _schur_p_tensor(part)
-    Q = eigen_Q(P, part.ring.size)
+    k = part.class_sizes
+    Q = eigen_Q(P, [k[i] for i in col_slots], [dual.sizes[j] for j in row_slots])
     # callers hold reports; keep the classes, not their (6, 4^n) spectra
     object.__setattr__(part, "_spectra", None)
     return SchemeReport(part, dual, p_tensor, P, Q, row_slots, col_slots)

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, JSON envelope, CSV output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,43 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "pp-test", "--field", "3:b", "--f", "3:ff")
     assert code == 2
 
+
+
+def _run_child(*argv):
+    """The CLI in a child process, so that a hang fails instead of stalling."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "pseudoplanar.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("--field", "3:-b"),
+    ("--field", "3:b", "--modulus-override=-b"),
+    ("--field", "1:-3"),
+])
+def test_negative_modulus_exits_2(argv):
+    proc = _run_child("field-info", *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "is not a positive int of degree" in proc.stderr
+
+
+@pytest.mark.parametrize("a", ["-1", "40"])
+@pytest.mark.parametrize("family, extra", [
+    ("binomial1", ("--m", "2")),
+    ("linear", ()),
+    ("gold_half", ()),
+    ("scherr_zieve", ()),
+])
+def test_construct_a_outside_the_field_exits_2(capsys, family, extra, a):
+    code, out, err = run(
+        capsys, "construct", "--field", "6:43", "--family", family, *extra, "--a", a
+    )
+    assert code == 2 and out == ""
+    assert "nonzero field element, 0 < a < 0x40" in err
 
 
 def test_repeated_exponent_literal_exits_2(capsys):

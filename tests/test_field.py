@@ -28,6 +28,14 @@ def test_irreducibility_detection():
         GF2n(4, 0b10101)  # (x^2+x+1)^2
 
 
+@pytest.mark.parametrize("n, modulus", [(3, -0xB), (1, -0x3), (3, 0), (3, 0x13)])
+def test_modulus_must_be_a_positive_int(n, modulus):
+    # a negative modulus has the bit length of a degree-n one, so the degree
+    # check alone would let it reach the irreducibility sieve
+    with pytest.raises(ValueError, match=f"positive int of degree {n}"):
+        GF2n(n, modulus)
+
+
 def test_spec_roundtrip():
     fld = GF2n.from_spec("6:43")
     assert fld.n == 6 and fld.modulus == 0x43

@@ -112,6 +112,21 @@ def test_known_monomial_conditions():
     assert is_pseudoplanar(g)
 
 
+@pytest.mark.parametrize("a", [-1, 0, 64, 1 << 70])
+def test_family_parameter_must_be_a_nonzero_field_element(a):
+    fld = GF2n(6)
+    calls = [
+        lambda: construct_binomial1(fld, 2, a),
+        lambda: binomial1_criterion(fld, 2, a),
+    ] + [
+        lambda fam=fam: construct_known_monomial(fld, fam, a)
+        for fam in ("linear", "gold_half", "scherr_zieve")
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="nonzero field element, 0 < a < 0x40"):
+            call()
+
+
 def test_known_families_are_pseudoplanar():
     for n in (3, 4, 6):
         fld = GF2n(n)

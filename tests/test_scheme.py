@@ -13,6 +13,7 @@ from pseudoplanar.galois_ring import GR4
 from pseudoplanar.groupring import GroupVec, SpectrumVec, build_df
 from pseudoplanar import scheme
 from pseudoplanar.scheme import (
+    DualPartition,
     FusionError,
     Partition6,
     SchemeError,
@@ -25,6 +26,7 @@ from pseudoplanar.scheme import (
     eigen_P,
     eigen_Q,
     fourier_spectrum,
+    _check_pq,
     _intersection_numbers,
     raw_spectrum,
     s1_identities_hold,
@@ -287,6 +289,7 @@ def test_degenerate_n1_three_classes():
     assert rep.col_slots == [0, 1, 2, 3]
     assert rep.row_slots == [0, 1, 2, 3]
     assert rep.matches_closed_forms()
+    assert _check_pq(rep.P, rep.Q, rep.partition.ring.size)
 
 
 def test_degenerate_n2_four_classes():
@@ -295,6 +298,7 @@ def test_degenerate_n2_four_classes():
     assert rep.col_slots == [0, 1, 2, 3, 5]
     assert rep.row_slots == [0, 1, 2, 4, 5]
     assert rep.matches_closed_forms()
+    assert _check_pq(rep.P, rep.Q, rep.partition.ring.size)
 
 
 def test_bm_fuse_identity_and_symmetrization():
@@ -360,13 +364,62 @@ def test_eigen_pipeline_pieces_agree_with_report():
     part = build_partition(build_df(ring, SparsePoly.parse(ring.field, "5:1")))
     dual = dual_partition(part)
     P, row_slots, col_slots = eigen_P(part, dual)
-    Q = eigen_Q(P, ring.size)
+    Q = eigen_Q(
+        P,
+        [part.class_sizes[i] for i in col_slots],
+        [dual.sizes[j] for j in row_slots],
+    )
     rep = build_report(build_df(ring, SparsePoly.parse(ring.field, "5:1")))
     assert P == rep.P and Q == rep.Q
     assert row_slots == rep.row_slots and col_slots == rep.col_slots
     # P row 0 is the valencies, column 0 all ones
     assert P[0] == [GaussInt(s) for s in part.class_sizes]
     assert all(row[0] == GaussInt(1) for row in P)
+
+
+def _zero_scheme_n3():
+    ring = GR4(GF2n(3))
+    part = build_partition(build_df(ring, SparsePoly.zero(ring.field)))
+    return part, dual_partition(part)
+
+
+def _with_spectra(part, re, im):
+    out = Partition6(part.ring, part.classes)
+    object.__setattr__(out, "_spectra", (re, im))
+    return out
+
+
+def test_eigen_p_names_the_least_non_constant_dual_class():
+    part, dual = _zero_scheme_n3()
+    # n = 3, f = 0: character 9 lies in E_5 and character 8 in E_4
+    assert dual.labels[9] == 5 and dual.labels[8] == 4
+    labels = dual.labels.copy()
+    labels[9] = 2
+    moved = DualPartition(dual.ring, labels, dual.sizes)
+    with pytest.raises(SchemeError) as exc:
+        eigen_P(part, moved)
+    assert str(exc.value) == "chi(S_1) is not constant on dual class 2"
+    # S_5 breaks on E_2 and S_4 on E_3: the lesser dual class is named,
+    # though its class comes later
+    re, im = (a.copy() for a in scheme.class_spectra(part))
+    assert dual.labels[11] == 2 and dual.labels[10] == 3
+    re[5, 11] += 1
+    re[4, 10] += 1
+    with pytest.raises(SchemeError) as exc:
+        eigen_P(_with_spectra(part, re, im), dual)
+    assert str(exc.value) == "chi(S_5) is not constant on dual class 2"
+
+
+def test_dual_partition_names_the_first_unexpected_class_sum():
+    part, _ = _zero_scheme_n3()
+    re, im = (a.copy() for a in scheme.class_spectra(part))
+    # chi_13(S_1) = 1+2i at n = 3; one more makes it match no dual slot
+    assert (re[1, 13], im[1, 13]) == (1, 2)
+    re[1, 13] += 1
+    re[1, 40] += 1
+    with pytest.raises(SchemeError) as exc:
+        dual_partition(_with_spectra(part, re, im))
+    assert str(exc.value) == "character 13 has unexpected class sum chi(S1) = 2+2i"
 
 
 def test_report_json_q_decodes_exactly_with_mixed_denominators():
