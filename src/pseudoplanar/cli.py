@@ -28,13 +28,6 @@ from .groupring import build_df, verify_rds
 from .scheme import SCHEMA_VERSION
 
 
-def _field_from_args(args) -> GF2n:
-    fld = GF2n.from_spec(args.field)
-    if getattr(args, "modulus_override", None):
-        fld = GF2n(fld.n, int(args.modulus_override, 16))
-    return fld
-
-
 def _parse_shard(s: str) -> tuple[int, int]:
     try:
         k, K = s.split("/")
@@ -60,7 +53,7 @@ def _emit(args, command: str, inputs: dict, result: dict, text_lines: list[str])
 
 
 def cmd_field_info(args):
-    fld = _field_from_args(args)
+    fld = GF2n.from_spec(args.field)
     inputs = {"field": fld.spec_string}
     result = {
         "n": fld.n,
@@ -79,7 +72,7 @@ def cmd_field_info(args):
 
 
 def cmd_pp_test(args):
-    fld = _field_from_args(args)
+    fld = GF2n.from_spec(args.field)
     f = SparsePoly.parse(fld, args.f)
     eps = pseudoplanar_witness(f)
     inputs = {"field": fld.spec_string, "f": f.literal}
@@ -93,7 +86,7 @@ def cmd_pp_test(args):
 
 
 def cmd_construct(args):
-    fld = _field_from_args(args)
+    fld = GF2n.from_spec(args.field)
     a = int(args.a, 16) if args.a is not None else 1
     if args.family in MONOMIAL_FAMILIES:
         f = construct_known_monomial(fld, args.family, a, args.k)
@@ -117,7 +110,7 @@ def cmd_construct(args):
 
 
 def cmd_rds_verify(args):
-    fld = _field_from_args(args)
+    fld = GF2n.from_spec(args.field)
     f = SparsePoly.parse(fld, args.f)
     ring = GR4(fld)
     ok, violations = verify_rds(build_df(ring, f))
@@ -139,7 +132,7 @@ def cmd_rds_verify(args):
 
 
 def _report_for(args):
-    fld = _field_from_args(args)
+    fld = GF2n.from_spec(args.field)
     f = SparsePoly.parse(fld, args.f)
     ring = GR4(fld)
     return fld, f, sch.build_report(build_df(ring, f))
@@ -181,7 +174,7 @@ def cmd_eigen(args):
 
 
 def cmd_spectrum(args):
-    fld = _field_from_args(args)
+    fld = GF2n.from_spec(args.field)
     f = SparsePoly.parse(fld, args.f)
     ring = GR4(fld)
     rows = sch.fourier_spectrum(ring, f)
@@ -219,7 +212,7 @@ def _emit_search(args, command: str, fld: GF2n, result, flagged):
 
 
 def cmd_search_monomials(args):
-    fld = _field_from_args(args)
+    fld = GF2n.from_spec(args.field)
     shard = _parse_shard(args.shard)
     result = srch.search_monomials(fld, shard=shard, checkpoint_path=args.checkpoint)
     flagged = srch.unexpected_monomials(fld, result)
@@ -228,7 +221,7 @@ def cmd_search_monomials(args):
 
 
 def cmd_search_binomials(args):
-    fld = _field_from_args(args)
+    fld = GF2n.from_spec(args.field)
     shard = _parse_shard(args.shard)
     result = srch.search_quad_binomials(
         fld, shard=shard, checkpoint_path=args.checkpoint, long_run=args.long_run
@@ -238,7 +231,7 @@ def cmd_search_binomials(args):
 
 
 def cmd_bm_fuse(args):
-    fld = _field_from_args(args)
+    fld = GF2n.from_spec(args.field)
     f = SparsePoly.parse(fld, args.f)
     try:
         cells = [
@@ -279,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, needs_f=False, outs=("json", "text")):
         sp.add_argument("--field", required=True, metavar="n:POLYHEX",
                         help="field degree and modulus, e.g. 4:13")
-        sp.add_argument("--modulus-override", metavar="POLYHEX",
-                        help="replace the modulus from --field")
         sp.add_argument("--out", choices=outs, default="text")
         if needs_f:
             sp.add_argument("--f", required=True, metavar="POLY",

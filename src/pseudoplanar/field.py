@@ -9,6 +9,12 @@ The default modulus for degree n is the irreducible polynomial whose int
 encoding is smallest, so contexts are reproducible without external tables.
 Any monic irreducible of the right degree may be supplied instead; it is
 checked at construction time.
+
+Degrees run from 1 to MAX_DEGREE = 16, so every element fits in uint16.
+Each context builds its log/exp tables once, at construction, by one walk
+through the powers of the smallest generator; the scalar and the bulk
+(numpy) operations both read them.  _poly_mulmod, the table-free product,
+builds the tables and is their test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_DEGREE = 24
+MAX_DEGREE = 16
 
 
 def _poly_degree(p: int) -> int:
@@ -77,7 +83,8 @@ def default_modulus(n: int) -> int:
 
 
 class GF2n:
-    """Context for F_{2^n}: modulus, log/exp tables, and element operations."""
+    """Context for F_{2^n}, 1 <= n <= MAX_DEGREE: modulus, log/exp tables
+    built at construction, and the scalar and bulk element operations."""
 
     def __init__(self, n: int, modulus: int | None = None):
         if not 1 <= n <= MAX_DEGREE:
@@ -97,12 +104,18 @@ class GF2n:
                 )
         self.n = n
         self.modulus = modulus
-        self.order = 1 << n
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        if n <= 16:
-            self._build_tables()
-        self._np_ready = False
+        self.order = N = 1 << n
+        # g^0 .. g^(N-2) for the smallest generator g.  Two nonzero logs sum
+        # to at most 2N - 4, so the extended exp table repeats the powers up
+        # to there; log(0) is a sentinel past that, so a product with 0
+        # lands in the zero tail.
+        self._exp = self._generator_powers()
+        sentinel = 2 * (N - 1) + 1
+        self._log_np = np.full(N, sentinel, dtype=np.int64)
+        self._log_np[self._exp] = np.arange(N - 1)
+        self._log = self._log_np.tolist()
+        self._exp_ext = np.zeros(2 * sentinel + 1, dtype=np.int64)
+        self._exp_ext[: 2 * N - 3] = np.tile(self._exp, 2)[: 2 * N - 3]
 
     # -- construction helpers ------------------------------------------------
 
@@ -134,54 +147,19 @@ class GF2n:
     def __hash__(self) -> int:
         return hash((self.n, self.modulus))
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        return _poly_mulmod(a, b, self.modulus)
-
-    def _build_tables(self) -> None:
+    def _generator_powers(self) -> list[int]:
+        """Powers g^0 .. g^(N-2) of the smallest generator g of the
+        multiplicative group, found by direct period measurement."""
         N = self.order
-        # Smallest generator of the multiplicative group, found by direct
-        # period measurement.
         for g in range(2, N):
-            exp = [0] * (N - 1)
-            log = [0] * N
-            v = 1
-            ok = True
-            for i in range(N - 1):
-                if v == 1 and i > 0:
-                    ok = False
-                    break
-                exp[i] = v
-                log[v] = i
-                v = self._mul_raw(v, g)
-            if ok and v == 1:
-                self._exp = exp
-                self._log = log
-                self._generator = g
-                return
-        # n == 1: the group is trivial
-        self._exp = [1]
-        self._log = [0, 0]
-        self._generator = 1
-
-    def _build_np(self) -> None:
-        if self._np_ready:
-            return
-        if self._exp is None:
-            raise ValueError(f"bulk operations need log tables (n <= 16), n={self.n}")
-        N = self.order
-        sentinel = 2 * (N - 1) + 1  # any product with 0 lands in the zero tail
-        self._log_np = np.empty(N, dtype=np.int64)
-        self._log_np[0] = sentinel
-        for v in range(1, N):
-            self._log_np[v] = self._log[v]
-        ext = np.zeros(2 * sentinel + 1, dtype=np.int64)
-        idx = np.arange(2 * (N - 1) - 1, dtype=np.int64)
-        if N > 2:
-            ext[idx] = np.array(self._exp, dtype=np.int64)[idx % (N - 1)]
-        else:
-            ext[0] = 1
-        self._exp_ext = ext
-        self._np_ready = True
+            powers = [1]
+            v = g
+            while v != 1:
+                powers.append(v)
+                v = _poly_mulmod(v, g, self.modulus)
+            if len(powers) == N - 1:
+                return powers
+        return [1]  # n == 1: the group is trivial
 
     # -- scalar operations ---------------------------------------------------
 
@@ -191,9 +169,7 @@ class GF2n:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return self._mul_raw(a, b)
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     def square(self, a: int) -> int:
         return self.mul(a, a)
@@ -201,9 +177,7 @@ class GF2n:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in F_{2^n}")
-        if self._exp is not None:
-            return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
-        return self.pow(a, self.order - 2)
+        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:
@@ -212,16 +186,7 @@ class GF2n:
             if k < 0:
                 raise ZeroDivisionError("0 to a negative power")
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] * k) % (self.order - 1)]
-        k %= self.order - 1
-        r = 1
-        while k:
-            if k & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            k >>= 1
-        return r
+        return self._exp[(self._log[a] * k) % (self.order - 1)]
 
     def sqrt(self, a: int) -> int:
         """The unique square root: a^(2^(n-1))."""
@@ -279,12 +244,8 @@ class GF2n:
         return t
 
     def generator(self) -> int:
-        if self._exp is not None:
-            return self._generator
-        for g in range(2, self.order):
-            if self.mult_order(g) == self.order - 1:
-                return g
-        return 1
+        """The smallest generator of the multiplicative group (1 for n = 1)."""
+        return self._exp[1 % (self.order - 1)]
 
     # -- bulk (numpy) operations --------------------------------------------
 
@@ -292,21 +253,17 @@ class GF2n:
         return np.arange(self.order, dtype=np.int64)
 
     def log_vec(self, a: np.ndarray) -> np.ndarray:
-        self._build_np()
         return self._log_np[a]
 
     def exp_vec(self, logs: np.ndarray) -> np.ndarray:
-        self._build_np()
         return self._exp_ext[logs]
 
     def mul_vec(self, a, b) -> np.ndarray:
         """Elementwise product of encoded-element arrays (or array * scalar)."""
-        self._build_np()
         return self._exp_ext[self._log_np[a] + self._log_np[b]]
 
     def pow_vec(self, a, k: int) -> np.ndarray:
         """Elementwise a^k for k >= 0 (a may contain zeros when k > 0)."""
-        self._build_np()
         if k == 0:
             return np.ones_like(np.asarray(a))
         logs = self._log_np[a] * (k % (self.order - 1))

@@ -37,7 +37,10 @@ class SparsePoly:
             if not 0 <= exp <= field.order - 1:
                 raise ValueError(f"exponent {exp} out of range [0, {field.order - 1}]")
             if not 0 <= coeff < field.order:
-                raise ValueError(f"coefficient {coeff:#x} is not a field element")
+                raise ValueError(
+                    f"coefficient {coeff:#x} is not a field element, "
+                    f"0 <= c < {field.order:#x}"
+                )
             acc[exp] = acc.get(exp, 0) ^ coeff
         return cls(field, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
@@ -144,7 +147,8 @@ def _rank_witnesses(field: GF2n, tables: np.ndarray) -> np.ndarray:
     block holding its witness.
     """
     n, N = field.n, field.order
-    T = np.asarray(tables).astype(np.uint16)  # bulk field operations need n <= 16
+    # field elements have n <= field.MAX_DEGREE = 16 bits
+    T = np.asarray(tables).astype(np.uint16)
     out = np.zeros(len(T), dtype=np.int64)
     basis = np.int64(1) << np.arange(n, dtype=np.int64)
     alive = np.arange(len(T))

@@ -91,7 +91,9 @@ def build_partition(D: GroupVec) -> Partition6:
 
     D must be a (2^n, 2^n, 2^n, 1) difference set relative to the 2-torsion
     subgroup (i.e. come from a pseudo-planar function); otherwise the class
-    sizes would not be well defined and a SchemeError is raised.
+    sizes would not be well defined and a SchemeError is raised.  D must also
+    contain 0, or S_1 = D - {0} is not a set; for D = D_f that is f(0) = 0,
+    and a D without 0 raises a plain ValueError.
     """
     ring = D.ring
     X = D.char_transform()
@@ -101,6 +103,8 @@ def build_partition(D: GroupVec) -> Partition6:
             f"input is not a relative difference set; first violations "
             f"(idx, got, want): {violations}"
         )
+    if D.counts[ring.idx(ring.zero)] != 1:
+        raise ValueError("D must contain 0, which for D_f means f(0) = 0")
     s0 = GroupVec.delta(ring, ring.zero)
     s1 = D - s0
     s2 = s1.involute()
@@ -389,8 +393,9 @@ def closed_form_Q(n: int) -> list[list[GaussRat]]:
 
 
 def spectrum_closed_form(n: int) -> list[tuple[GaussInt, int]]:
-    """Predicted Fourier spectrum of any pseudo-planar f on F_{2^n},
-    sorted by (re, im)."""
+    """Predicted Fourier spectrum of any pseudo-planar f on F_{2^n} with
+    f(0) = 0, sorted by (re, im).  A constant term c translates D_f by the
+    2-torsion element 2*sqrt(c), which flips the sign of some values."""
     if n % 2 == 1:
         b = 1 << ((n - 1) // 2)
         hi = (b * (2 * b**3 + 2 * b * b - b - 1)) // 2
@@ -419,7 +424,8 @@ def spectrum_closed_form(n: int) -> list[tuple[GaussInt, int]]:
 
 def fourier_spectrum(ring: GR4, f: SparsePoly) -> list[tuple[GaussInt, int]]:
     """Distinct character-sum values of D_f with frequencies, sorted by
-    (re, im).  Requires f pseudo-planar; use raw_spectrum otherwise."""
+    (re, im).  Requires f pseudo-planar; use raw_spectrum otherwise.  It
+    equals spectrum_closed_form(n) when also f(0) = 0."""
     eps = pseudoplanar_witness(f)
     if eps is not None:
         raise SchemeError(

@@ -68,7 +68,6 @@ def _run_child(*argv):
 
 @pytest.mark.parametrize("argv", [
     ("--field", "3:-b"),
-    ("--field", "3:b", "--modulus-override=-b"),
     ("--field", "1:-3"),
 ])
 def test_negative_modulus_exits_2(argv):
@@ -106,13 +105,38 @@ def test_field_info(capsys):
     assert "order: 64" in out
 
 
-def test_modulus_override(capsys):
-    code, out, _ = run(
-        capsys, "field-info", "--field", "3:b", "--modulus-override", "d",
-        "--out", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["result"]["modulus"] == "0xd"
+def test_modulus_override_flag_is_gone():
+    # --field n:POLYHEX is the one way to set the modulus
+    proc = _run_child("field-info", "--field", "3:b", "--modulus-override", "d")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unrecognized arguments: --modulus-override" in proc.stderr
+
+
+@pytest.mark.parametrize("spec", ["17:20009", "24:1000087"])
+def test_field_degree_above_the_cap_exits_2(spec):
+    proc = _run_child("field-info", "--field", spec)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "extension degree must be in [1, 16]" in proc.stderr
+
+
+def test_constant_term_passes_pp_and_rds_tests(capsys):
+    # f(0) = 1 translates D_f by a 2-torsion element: still a difference set
+    code, out, _ = run(capsys, "pp-test", "--field", "3:b", "--f", "0:1")
+    assert code == 0 and "pseudo-planar: true" in out
+    code, out, _ = run(capsys, "rds-verify", "--field", "3:b", "--f", "0:1")
+    assert code == 0 and "relative difference set: true" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("scheme-build",),
+    ("eigen",),
+    ("scheme-build", "--out", "json"),
+    ("bm-fuse", "--cols", "0;1,2;3;4,5"),
+])
+def test_constant_term_scheme_commands_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv[:1], "--field", "3:b", "--f", "0:1", *argv[1:])
+    assert code == 2 and out == ""
+    assert "D must contain 0, which for D_f means f(0) = 0" in err
 
 
 def test_construct_families(capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseudoplanar.field import (
+    MAX_DEGREE,
     GF2n,
+    _poly_mulmod,
     default_modulus,
     reducible_factor_degree,
 )
@@ -145,3 +147,106 @@ def test_vectorized_matches_scalar(n, data):
 def test_capacity_guard():
     with pytest.raises(ValueError):
         GF2n(25)
+    # every field has its tables, so the cap is where they stop
+    assert MAX_DEGREE == 16
+    for n in (0, 17, 24):
+        with pytest.raises(ValueError, match=rf"must be in \[1, 16\], got {n}$"):
+            GF2n(n)
+
+
+def _pow_oracle(a: int, k: int, modulus: int) -> int:
+    r = 1
+    while k:
+        if k & 1:
+            r = _poly_mulmod(r, a, modulus)
+        a = _poly_mulmod(a, a, modulus)
+        k >>= 1
+    return r
+
+
+# every degree above the exhaustive tests, and two moduli whose x is not a
+# generator (x has order 5 in 4:1f and 51 in 8:11b)
+TABLE_FIELDS = [(n, None) for n in range(11, MAX_DEGREE + 1)] + [(4, 0x1F), (8, 0x11B)]
+
+
+@pytest.mark.parametrize("n, modulus", TABLE_FIELDS)
+def test_table_path_matches_polynomial_oracle(n, modulus):
+    fld = GF2n(n, modulus)
+    m, N = fld.modulus, fld.order
+    rng = np.random.default_rng(n * 31 + m)
+    a = rng.integers(0, N, size=300)
+    b = rng.integers(0, N, size=300)
+    a[:3] = b[-3:] = (0, 1, N - 1)
+    want = [_poly_mulmod(int(x), int(y), m) for x, y in zip(a, b)]
+    assert [fld.mul(int(x), int(y)) for x, y in zip(a, b)] == want
+    assert fld.mul_vec(a, b).tolist() == want
+    for x in a[a > 0].tolist():
+        assert _poly_mulmod(x, fld.inv(x), m) == 1
+    for x, k in zip(a.tolist(), rng.integers(-2 * N, 2 * N, size=300).tolist()):
+        if x == 0:
+            continue
+        # a^k for k < 0 is (a^-1)^|k|
+        base, e = (x, k) if k >= 0 else (fld.inv(x), -k)
+        assert fld.pow(x, k) == _pow_oracle(base, e, m)
+
+
+def _order_by_walk(g: int, modulus: int) -> int:
+    t, v = 1, g
+    while v != 1:
+        v = _poly_mulmod(v, g, modulus)
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize(
+    "n, modulus", [(n, None) for n in range(1, 9)] + [(4, 0x1F), (8, 0x11B)]
+)
+def test_generator_is_the_smallest_primitive_element(n, modulus):
+    fld = GF2n(n, modulus)
+    group = fld.order - 1
+    orders = {g: _order_by_walk(g, fld.modulus) for g in range(1, fld.order)}
+    brute = min(g for g, t in orders.items() if t == group)
+    assert fld.generator() == brute
+    assert fld.mult_order(brute) == group
+
+
+@given(
+    st.integers(1, MAX_DEGREE),
+    st.text(alphabet="0123456789abcdefgz", min_size=1, max_size=5).filter(
+        lambda t: set(t) & set("gz")
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_from_spec_refuses_bad_hex(n, poly):
+    with pytest.raises(ValueError, match=r"bad field spec .*; expected 'n:POLYHEX'"):
+        GF2n.from_spec(f"{n}:{poly}")
+
+
+SPEC_ERRORS = (
+    "expected 'n:POLYHEX'",
+    "must be in [1, 16]",
+    "is not a positive int of degree",
+    "is reducible",
+)
+
+
+@given(st.text(alphabet="0123456789abcdefxz:-", max_size=7))
+@settings(max_examples=150, deadline=None)
+def test_from_spec_accepts_a_field_or_names_the_rule(spec):
+    try:
+        fld = GF2n.from_spec(spec)
+    except ValueError as exc:
+        assert any(rule in str(exc) for rule in SPEC_ERRORS), str(exc)
+    else:
+        n, poly = spec.split(":")
+        assert (fld.n, fld.modulus) == (int(n), int(poly, 16))
+
+
+@given(
+    st.one_of(st.integers(-40, 0), st.integers(MAX_DEGREE + 1, 200)),
+    st.integers(0, 2**210),
+)
+@settings(max_examples=60, deadline=None)
+def test_from_spec_refuses_degrees_outside_the_cap(n, modulus):
+    with pytest.raises(ValueError, match=rf"must be in \[1, 16\], got {n}$"):
+        GF2n.from_spec(f"{n}:{modulus:x}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudoplanar.field import GF2n
+from pseudoplanar.field import MAX_DEGREE, GF2n
 from pseudoplanar.functions import (
     SparsePoly,
     _rank_witnesses,
@@ -222,6 +222,53 @@ def test_obstruction_matches_direct_for_variant3():
     assert not shifted_binomial_criterion(GF2n(3), 1, 3)
 
 
+_LITERAL_FIELDS = [GF2n(n) for n in (1, 3, 4, 6, 8)]
+
+
+@given(st.sampled_from(_LITERAL_FIELDS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_parse_refuses_out_of_range_exponents(fld, data):
+    top = fld.order - 1
+    exp = data.draw(
+        st.one_of(st.integers(-3 * top - 3, -1), st.integers(top + 1, 4 * top))
+    )
+    with pytest.raises(ValueError, match=rf"exponent {exp} out of range \[0, {top}\]$"):
+        SparsePoly.parse(fld, f"1:1,{exp}:1")
+
+
+@given(st.sampled_from(_LITERAL_FIELDS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_parse_refuses_coefficients_outside_the_field(fld, data):
+    N = fld.order
+    c = data.draw(st.one_of(st.integers(-N, -1), st.integers(N, 1 << 20)))
+    literal = f"{data.draw(st.integers(0, N - 1))}:{c:x}"
+    with pytest.raises(ValueError, match=rf"is not a field element, 0 <= c < {N:#x}$"):
+        SparsePoly.parse(fld, literal)
+
+
+@given(
+    st.sampled_from(_LITERAL_FIELDS),
+    st.text(alphabet="0123456789abcdefgz:,-", min_size=1, max_size=8).filter(
+        lambda t: t != "0:0"
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_parse_accepts_a_function_or_names_the_rule(fld, literal):
+    try:
+        f = SparsePoly.parse(fld, literal)
+    except ValueError as exc:
+        msg = str(exc)
+        assert any(
+            rule in msg
+            for rule in ("bad polynomial term", "out of range [0, ", "is repeated",
+                         "is not a field element, 0 <= c < ")
+        ), msg
+    else:
+        terms = [part.split(":") for part in literal.split(",")]
+        want = {int(e): int(c, 16) for e, c in terms}
+        assert f.terms == tuple(sorted((e, c) for e, c in want.items() if c))
+
+
 # -- the rank test against the exhaustive eps-loop ---------------------------
 
 
@@ -247,6 +294,11 @@ def test_rank_witness_equals_exhaustive_on_every_quadratic_binomial(n):
     # the same witnesses from one stacked call of the kernel
     stacked = _rank_witnesses(fld, np.stack([f.value_table() for f in polys]))
     assert [int(e) or None for e in stacked] == want
+
+
+def test_uint16_holds_every_field_element():
+    # _rank_witnesses packs value tables into uint16
+    assert 2**MAX_DEGREE - 1 <= np.iinfo(np.uint16).max
 
 
 @st.composite
@@ -304,8 +356,7 @@ def test_non_quadratic_f_takes_the_exhaustive_loop(monkeypatch):
 
 
 def test_rank_test_memory_stays_bounded():
-    fld = GF2n(12)
-    fld.power_table(1)  # the field's own tables are not the test's business
+    fld = GF2n(12)  # builds the field's own tables before tracing starts
     a = next(a for a in range(1, fld.order) if fld.mult_order(a) == 63)
     f = construct_binomial1(fld, 4, a)
     tracemalloc.start()

@@ -2,9 +2,11 @@
 
 import random
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n
@@ -41,6 +43,29 @@ def test_oracle_agreement_random_n4():
             model.from_pair(x), model.from_pair(y)
         )
         assert model.from_pair(ring.neg(x)) == model.neg(model.from_pair(x))
+
+
+@lru_cache(maxsize=None)
+def _ring(n, modulus):
+    return GR4(GF2n(n, modulus))
+
+
+# the default modulus and one other irreducible per degree (0x1f is not
+# primitive: x has order 5)
+RING_FIELDS = [(4, None), (4, 0x1F), (5, None), (5, 0x3D), (6, None), (6, 0x49)]
+
+
+@given(st.sampled_from(RING_FIELDS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ring_ops_match_z4model(spec, data):
+    ring = _ring(*spec)
+    model = ring.oracle
+    x, y = (ring.pair(data.draw(st.integers(0, ring.size - 1))) for _ in range(2))
+    u, v = model.from_pair(x), model.from_pair(y)
+    assert model.to_pair(u) == x
+    assert model.from_pair(ring.add(x, y)) == model.add(u, v)
+    assert model.from_pair(ring.mul(x, y)) == model.mul(u, v)
+    assert model.from_pair(ring.neg(x)) == model.neg(u)
 
 
 def test_oracle_lift_is_unit_root():

@@ -10,7 +10,7 @@ from pseudoplanar.exact import GaussInt, GaussRat
 from pseudoplanar.field import GF2n
 from pseudoplanar.functions import SparsePoly, construct_binomial1
 from pseudoplanar.galois_ring import GR4
-from pseudoplanar.groupring import GroupVec, SpectrumVec, build_df
+from pseudoplanar.groupring import GroupVec, SpectrumVec, build_df, verify_rds
 from pseudoplanar import scheme
 from pseudoplanar.scheme import (
     DualPartition,
@@ -116,6 +116,24 @@ def test_verify_schur_tensor_properties():
 def test_non_rds_input_rejected():
     ring = GR4(GF2n(4))
     D = build_df(ring, SparsePoly.parse(ring.field, "3:1"))  # not pseudo-planar
+    with pytest.raises(SchemeError, match="not a relative difference set"):
+        build_partition(D)
+
+
+@pytest.mark.parametrize("n, literal", [(3, "0:1"), (4, "0:3,5:1"), (5, "0:1f,2:1")])
+def test_partition_needs_f_of_0_to_be_0(n, literal):
+    ring = GR4(GF2n(n))
+    D = build_df(ring, SparsePoly.parse(ring.field, literal))
+    # a constant term keeps D_f a relative difference set without 0
+    assert verify_rds(D)[0] and D.counts[0] == 0
+    with pytest.raises(ValueError, match=r"D must contain 0.*f\(0\) = 0") as exc:
+        build_partition(D)
+    assert not isinstance(exc.value, SchemeError)
+
+
+def test_non_rds_input_with_a_constant_term_keeps_its_message():
+    ring = GR4(GF2n(4))
+    D = build_df(ring, SparsePoly.parse(ring.field, "0:1,3:1"))
     with pytest.raises(SchemeError, match="not a relative difference set"):
         build_partition(D)
 
