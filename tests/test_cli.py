@@ -68,6 +68,7 @@ def _run_child(*argv):
 
 @pytest.mark.parametrize("argv", [
     ("--field", "3:-b"),
+    ("--field", "6:-43"),
     ("--field", "1:-3"),
 ])
 def test_negative_modulus_exits_2(argv):
