@@ -178,6 +178,9 @@ def cmd_spectrum(args):
     f = SparsePoly.parse(fld, args.f)
     ring = GR4(fld)
     rows = sch.fourier_spectrum(ring, f)
+    if f.eval(0):
+        # the closed form holds for f(0) = 0; a constant term flips signs
+        raise ValueError(sch.NEEDS_ZERO)
     ok = rows == sch.spectrum_closed_form(fld.n)
     if args.out == "csv":
         sys.stdout.write(sch.spectrum_csv(rows))

@@ -4,8 +4,8 @@ Character values and eigenmatrices are integer or rational combinations of
 1 and i; nothing in this package is allowed to round, so these are thin
 exact wrappers: GaussInt over int, GaussRat over Fraction.  GaussRat has no
 division: the second eigenmatrix divides only by integer class sizes, so no
-matrix inverse is needed.  mat_mul is the exact product behind the
-P Q = |R| I check.
+matrix inverse is needed, and the P Q = |R| I check scales Q to Gaussian
+integers first.
 """
 
 from __future__ import annotations
@@ -131,13 +131,3 @@ class GaussRat:
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
-
-def mat_mul(A: list[list], B: list[list]) -> list[list[GaussRat]]:
-    n, k, m = len(A), len(B), len(B[0])
-    return [
-        [
-            sum((GaussRat.of(A[r][j]) * B[j][c] for j in range(k)), GaussRat())
-            for c in range(m)
-        ]
-        for r in range(n)
-    ]

@@ -55,6 +55,17 @@ def _poly_mulmod(a: int, b: int, m: int) -> int:
     return r
 
 
+def _poly_powmod(a: int, k: int, m: int) -> int:
+    """a^k mod m by square-and-multiply, for k >= 0."""
+    r = 1
+    while k:
+        if k & 1:
+            r = _poly_mulmod(r, a, m)
+        a = _poly_mulmod(a, a, m)
+        k >>= 1
+    return r
+
+
 def reducible_factor_degree(modulus: int) -> int | None:
     """Smallest d such that the modulus has an irreducible factor of degree
     <= d < deg(modulus), or None when the modulus is irreducible.
@@ -149,15 +160,19 @@ class GF2n:
 
     def _generator_powers(self) -> list[int]:
         """Powers g^0 .. g^(N-2) of the smallest generator g of the
-        multiplicative group, found by direct period measurement."""
-        N = self.order
-        for g in range(2, N):
-            powers = [1]
-            v = g
-            while v != 1:
-                powers.append(v)
-                v = _poly_mulmod(v, g, self.modulus)
-            if len(powers) == N - 1:
+        multiplicative group.
+
+        A candidate g generates exactly when g^((N-1)/p) != 1 for every prime
+        p dividing N - 1; that order test rejects each smaller candidate by a
+        few square-and-multiply powers, so only g's cycle is walked.
+        """
+        group = self.order - 1
+        cofactors = [group // p for p in _prime_factors(group)]
+        for g in range(2, self.order):
+            if all(_poly_powmod(g, k, self.modulus) != 1 for k in cofactors):
+                powers = [1]
+                for _ in range(group - 1):
+                    powers.append(_poly_mulmod(powers[-1], g, self.modulus))
                 return powers
         return [1]  # n == 1: the group is trivial
 

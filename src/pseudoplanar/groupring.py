@@ -11,6 +11,9 @@ l1 norm of its input allows, and runs its last digits on a transposed copy so
 that every stage works on long contiguous runs.
 The relative-difference-set identity is tested on one transform of D; only
 when it fails is |chi(D)|^2 inverted to name the elements where it fails.
+The square of a 0/1 vector needs no transform: square_of_set counts its
+pair sums, taken digit by digit on the packed Z4^n coordinates, in
+O(|D|^2), which for a difference set D_f is 4^n.
 """
 
 from __future__ import annotations
@@ -117,6 +120,18 @@ class GroupVec:
         spectrum = self.char_transform().pointwise_mul(other.char_transform())
         return spectrum.inverse_transform()
 
+    def square_of_set(self) -> "GroupVec":
+        """self * self for a 0/1 vector, counted over its |self|^2 pairs.
+
+        O(|self|^2) instead of the O(n 4^n) of convolve: for a difference
+        set D_f that is 4^n pair sums.  Each sum is taken digit by digit in
+        the Z4^n coordinates (see _coord_sums) and counted per coordinate.
+        """
+        ring = self.ring
+        sums = _coord_sums(ring.coord_of[self.support()], ring.n)
+        by_coord = np.bincount(sums.ravel(), minlength=ring.size)
+        return GroupVec(ring, by_coord[ring.coord_of])
+
     def convolve_naive(self, other: "GroupVec") -> "GroupVec":
         """O(16^n) reference convolution; the test oracle for convolve."""
         self._check_ctx(other)
@@ -220,14 +235,32 @@ class SpectrumVec:
 # times +-1 or +-i, so its re and im parts never exceed the l1 norm
 # sum(|re| + |im|) of the input.  The pair runs in int16 when that norm is
 # below 2^15, in int32 when it is below 2^31, and in int64 otherwise: chi(D)
-# (norm 2^n) runs in int16, and the inverse of chi(D)^2 (norm at most
-# sqrt(2) 8^n, by Parseval) in int32 for every n <= MAX_RING_DEGREE.
+# (norm 2^n) runs in int16, and the inverse of |chi(D)|^2 that names RDS
+# violations (norm 4^n |D| = 8^n for D_f, by Parseval) in int32 for every
+# n <= MAX_RING_DEGREE.
 #
 # Stage j works on digit j of the base-4 coordinate, whose contiguous runs
 # are 4^j long.  The high digits run in place; the last _tail_digits(n) run
 # on a transposed copy, where they are the high digits.  That leaves the
 # result with its base-4 digits rotated, and the gather that reorders the
 # result by element or label reads through the rotated table instead.
+
+
+def _coord_sums(c: np.ndarray, n: int) -> np.ndarray:
+    """u + v for every pair of packed Z4^n coordinates u, v in c: a
+    (len(c), len(c)) uint32 array.
+
+    Digit j of a coordinate is bits 2j (low) and 2j + 1 (high), so the sum
+    mod 4 is u ^ v plus the carry of the low bits into the high ones.
+    """
+    c = c.astype(np.uint32)
+    low_bits = ((1 << 2 * n) - 1) // 3  # bit 0 of every base-4 digit
+    out = np.bitwise_and(c[:, None], c[None, :])
+    out &= low_bits
+    out <<= 1
+    out ^= c[:, None]
+    out ^= c[None, :]
+    return out
 
 
 def _transform(ring: GR4, re, im, sign: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,16 +3,23 @@
 The difference set D_f of a pseudo-planar f induces a 6-part partition of
 the ring (identity, D_f minus 0, its negative, the nonzero 2-torsion, the
 support of D_f^2 outside those, and the rest).  This module checks the
-scheme exactly in the character domain: one transform X = chi(D) gives the
-relative-difference-set identity, D^2 and every class spectrum but that of
-S_4.  The spectra give the dual partition of the character group and the
-first eigenmatrix P; when they are constant on as many dual classes as there
-are classes, the classes span a Schur ring (Bridges-Mena) and the
+scheme exactly in the character domain, from one transform X = chi(D): it
+gives the relative-difference-set identity and every class spectrum.  D^2
+is counted pair by pair instead of transformed, and checked to be the
+combination S_0 + 2 S_1 + S_3 + 2 S_4 (+ 2 S_2 for n even) of the classes,
+so chi(S_4) follows pointwise from X^2.  By Zhou's theorem every relative
+difference set here is a D_f with f pseudo-planar, so once D passes the
+RDS check and contains 0, that check fails only on a wrong count.  The
+spectra give the dual partition of the character group (one table lookup
+per character) and the first eigenmatrix P; when they are constant on as
+many dual classes as there are classes, the classes span a Schur ring
+(Bridges-Mena) and the
 intersection numbers follow from P exactly.  verify_schur, which convolves
 every pair of classes, names a witness when that fails and is the test
 oracle for the intersection numbers.  The second eigenmatrix follows from
 P by the orthogonality relation Q_ij = m_j conj(P_ji) / k_i (m the dual
-class sizes, k the class sizes), and P Q = |R| I is checked exactly.  The
+class sizes, k the class sizes), and P Q = |R| I is checked exactly over
+the Gaussian integers, on Q scaled by its least common denominator.  The
 module also evaluates the Fourier spectrum and fuses classes via the
 constant-block-row-sum criterion.
 """
@@ -25,15 +32,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .exact import GaussInt, GaussRat, mat_mul
+from .exact import GaussInt, GaussRat
 from .functions import SparsePoly, pseudoplanar_witness
 from .galois_ring import GR4
 from .groupring import GroupVec, _rds_check, build_df
 
 SCHEMA_VERSION = 1
+
+# why the scheme commands, and spectrum's closed-form check, refuse f(0) != 0
+NEEDS_ZERO = "D must contain 0, which for D_f means f(0) = 0"
 
 # |chi_a(S_k)| <= |S_k| <= 4^n < 2^31 for every n <= MAX_RING_DEGREE
 _SPECTRUM_DTYPE = np.int32
@@ -48,7 +59,8 @@ class Partition6:
     """Six disjoint 0/1 vectors covering the ring; slots may be empty.
 
     _spectra caches the class spectra as class_spectra returns them; only
-    build_partition sets it, from the same transforms that built the classes.
+    build_partition sets it, from the chi(D) and the D^2 count that built
+    the classes.
     """
 
     ring: GR4
@@ -66,12 +78,12 @@ class Partition6:
         if (hits == 0).any():
             raise SchemeError("partition classes do not cover the ring")
 
-    @property
+    @cached_property
     def class_sizes(self) -> list[int]:
         return [S.total() for S in self.classes]
 
     def nonempty_slots(self) -> list[int]:
-        return [k for k, S in enumerate(self.classes) if S.total() > 0]
+        return [k for k, size in enumerate(self.class_sizes) if size > 0]
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,9 @@ def build_partition(D: GroupVec) -> Partition6:
     subgroup (i.e. come from a pseudo-planar function); otherwise the class
     sizes would not be well defined and a SchemeError is raised.  D must also
     contain 0, or S_1 = D - {0} is not a set; for D = D_f that is f(0) = 0,
-    and a D without 0 raises a plain ValueError.
+    and a D without 0 raises a plain ValueError.  The count of D^2 must be
+    the class combination that s1_identities_hold implies; a SchemeError
+    names the first element where it is not.
     """
     ring = D.ring
     X = D.char_transform()
@@ -104,20 +118,34 @@ def build_partition(D: GroupVec) -> Partition6:
             f"(idx, got, want): {violations}"
         )
     if D.counts[ring.idx(ring.zero)] != 1:
-        raise ValueError("D must contain 0, which for D_f means f(0) = 0")
+        raise ValueError(NEEDS_ZERO)
+    # D is now a 0/1 vector: the RDS identity at 0 gives sum D_g^2 = 2^n =
+    # |sum D_g|, so every D_g is 0 or 1, or every one 0 or -1
     s0 = GroupVec.delta(ring, ring.zero)
     s1 = D - s0
     s2 = s1.involute()
     s3 = GroupVec.two_torsion(ring) - s0
     used = s0.counts + s1.counts + s2.counts + s3.counts
-    dsq = X.pointwise_mul(X).inverse_transform()
-    s4_mask = (dsq.counts > 0) & (used == 0)
-    s5_mask = (dsq.counts == 0) & (used == 0)
-    s4 = GroupVec(ring, s4_mask.astype(np.int64))
-    s5 = GroupVec(ring, s5_mask.astype(np.int64))
+    dsq = D.square_of_set().counts
+    s4 = GroupVec(ring, ((dsq > 0) & (used == 0)).astype(np.int64))
+    s5 = GroupVec(ring, ((dsq == 0) & (used == 0)).astype(np.int64))
+    part = Partition6(ring, (s0, s1, s2, s3, s4, s5))
+    # D^2 = a . S with D = S_0 + S_1 and the S_1^2 identity of
+    # s1_identities_hold, which every pseudo-planar f with f(0) = 0 meets
+    a = (1, 2, 2 * (ring.n % 2 == 0), 1, 2, 0)
+    want = np.zeros_like(dsq)
+    for a_k, S in zip(a, part.classes):
+        want += a_k * S.counts
+    if not np.array_equal(dsq, want):
+        g = int(np.argmax(dsq != want))
+        raise SchemeError(
+            f"D^2 is not sum_k a_k S_k with a = {a}: element {g} has "
+            f"multiplicity {dsq[g]}, expected {want[g]}"
+        )
     # chi(S_0) = 1, chi(S_1) = X - 1, chi(S_2) = conj chi(S_1),
-    # chi(S_3) = chi(Z) - 1 = 2^n [a in Z] - 1; the classes sum to the
-    # whole ring, whose spectrum is 4^n delta_0, which gives chi(S_5).
+    # chi(S_3) = chi(Z) - 1 = 2^n [a in Z] - 1, chi(S_4) from
+    # X^2 = sum_k a_k chi(S_k); the classes sum to the whole ring, whose
+    # spectrum is 4^n delta_0, which gives chi(S_5).
     re = np.zeros((6, ring.size), dtype=_SPECTRUM_DTYPE)
     im = np.zeros((6, ring.size), dtype=_SPECTRUM_DTYPE)
     re[0] = 1
@@ -126,16 +154,41 @@ def build_partition(D: GroupVec) -> Partition6:
     re[2] = re[1]
     im[2] = -X.im
     re[3] = (1 << ring.n) * ring.two_torsion_mask - 1
-    sp4 = s4.char_transform()
-    re[4], im[4] = sp4.re, sp4.im
-    re[5] = -re[:5].sum(axis=0)
+    _spectrum_of_s4(X, a, re, im)
+    re[5] = -re[:5].sum(axis=0, dtype=_SPECTRUM_DTYPE)
     re[5, 0] += ring.size
-    im[5] = -im[:5].sum(axis=0)
+    im[5] = -im[:5].sum(axis=0, dtype=_SPECTRUM_DTYPE)
     re.setflags(write=False)
     im.setflags(write=False)
-    part = Partition6(ring, (s0, s1, s2, s3, s4, s5))
     object.__setattr__(part, "_spectra", (re, im))
     return part
+
+
+def _spectrum_of_s4(X, a, re, im) -> None:
+    """Fill re[4], im[4] with chi(S_4) = (X^2 - sum_{k<4} a_k chi(S_k)) / a_4.
+
+    Rows 0..3 must hold chi(S_0)..chi(S_3).  Every value fits the spectrum
+    dtype, so the rows are built in place, with X's parts as scratch.
+    """
+    r4, i4 = re[4], im[4]
+    xr = X.re.astype(_SPECTRUM_DTYPE)
+    xi = X.im.astype(_SPECTRUM_DTYPE)
+    np.multiply(xr, xi, out=i4)
+    i4 <<= 1
+    np.multiply(xr, xr, out=r4)
+    r4 -= np.multiply(xi, xi, out=xi)
+    for k in range(4):
+        if a[k]:
+            r4 -= np.multiply(re[k], a[k], out=xr)
+            i4 -= np.multiply(im[k], a[k], out=xr)
+    for row in (r4, i4):
+        np.floor_divide(row, a[4], out=xi)
+        if not np.array_equal(np.multiply(xi, a[4], out=xr), row):
+            bad = int(np.argmax(xr != row))
+            raise SchemeError(
+                f"chi(S_4) is not a Gaussian integer at character {bad}"
+            )
+        row[:] = xi
 
 
 def class_spectra(part: Partition6) -> tuple[np.ndarray, np.ndarray]:
@@ -231,13 +284,22 @@ def dual_partition(part: Partition6) -> DualPartition:
     n = ring.n
     re, im = class_spectra(part)
     s1_re, s1_im = re[1], im[1]
-    labels = np.full(ring.size, -1, dtype=np.int64)
+    # Every slot value v has |v.re + 1|, |v.im| <= B.  A table over
+    # [-B-1, B+1]^2 of (v.re + 1, v.im) holds the slot of each value, and -1
+    # on its border, where clip sends every value outside the square.
+    B = 1 << (n // 2)
+    W = 2 * B + 3
+    table = np.full((W, W), -1, dtype=np.int8)
+    for slot, v in enumerate([GaussInt(-1, 0)] + _dual_signatures(n), start=1):
+        table[v.re + 1 + B + 1, v.im + B + 1] = slot
+    key = s1_re + (B + 2)
+    np.clip(key, 0, W - 1, out=key)
+    key *= W
+    col = s1_im + (B + 1)
+    np.clip(col, 0, W - 1, out=col)
+    key += col
+    labels = table.ravel()[key]
     labels[0] = 0
-    want = [GaussInt(-1, 0)] + _dual_signatures(n)
-    for slot, v in enumerate(want, start=1):
-        mask = (s1_re == v.re) & (s1_im == v.im)
-        mask[0] = False
-        labels[mask] = slot
     a = int(np.argmin(labels))
     if labels[a] == -1:
         raise SchemeError(
@@ -268,14 +330,16 @@ def eigen_P(part: Partition6, dual: DualPartition):
     row_slots = dual.nonempty_slots()
     col_slots = part.nonempty_slots()
     labels = dual.labels
-    # one member of each dual class; any member serves, since the spectra
-    # must be constant on the class
-    member = np.zeros(6, dtype=np.int64)
-    member[labels] = np.arange(part.ring.size)
+    # the least member of each dual class; any member serves, since the
+    # spectra must be constant on the class
+    member = np.array([np.argmax(labels == j) for j in range(6)])
+    # each spectrum row against its value at the member, gathered through
+    # the labels (as intp once, the index type a gather needs)
+    lab = labels.astype(np.intp)
     bad = []
     for i in col_slots:
-        r, m = re[i][member], im[i][member]
-        off = (re[i] != r[labels]) | (im[i] != m[labels])
+        off = re[i] != re[i, member][lab]
+        off |= im[i] != im[i, member][lab]
         if off.any():
             bad.append((int(labels[off].min()), i))
     if bad:
@@ -543,7 +607,7 @@ class SchemeReport:
         return {
             "schema_version": SCHEMA_VERSION,
             "n": self.partition.ring.n,
-            "class_sizes": self.partition.class_sizes,
+            "class_sizes": list(self.partition.class_sizes),
             "dual_sizes": list(self.dual.sizes),
             "class_count": self.class_count,
             "row_slots": self.row_slots,
@@ -569,10 +633,21 @@ def _encode_rat(e: GaussRat) -> list[int]:
 
 
 def _check_pq(P, Q, size: int) -> bool:
-    """P Q == |R| I, exactly."""
+    """P Q == |R| I, exactly: P (L Q) == |R| L I over the Gaussian integers,
+    L the least common denominator of the entries of Q."""
+    L = math.lcm(*(x.denominator for row in Q for e in row for x in (e.re, e.im)))
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (L // x.denominator)
+
+    LQ = [[GaussInt(scaled(e.re), scaled(e.im)) for e in row] for row in Q]
+    product = [
+        [sum((p * q[c] for p, q in zip(row, LQ)), GaussInt()) for c in range(len(Q[0]))]
+        for row in P
+    ]
     m = len(P)
-    return mat_mul(P, Q) == [
-        [GaussRat.of(size if j == k else 0) for k in range(m)] for j in range(m)
+    return product == [
+        [GaussInt(size * L if j == k else 0) for k in range(m)] for j in range(m)
     ]
 
 

@@ -140,6 +140,16 @@ def test_constant_term_scheme_commands_exit_2(capsys, argv):
     assert "D must contain 0, which for D_f means f(0) = 0" in err
 
 
+@pytest.mark.parametrize("out", ["text", "json", "csv"])
+def test_constant_term_spectrum_exits_2(capsys, out):
+    # the closed form holds for f(0) = 0; a constant term flips signs of it
+    code, stdout, err = run(
+        capsys, "spectrum", "--field", "3:b", "--f", "0:1", "--out", out
+    )
+    assert code == 2 and stdout == ""
+    assert "D must contain 0, which for D_f means f(0) = 0" in err
+
+
 def test_construct_families(capsys):
     code, out, _ = run(
         capsys, "construct", "--field", "6:43", "--family", "binomial1",

@@ -1,4 +1,4 @@
-"""Exact Gaussian-integer/rational arithmetic and matrix products."""
+"""Exact Gaussian-integer and Gaussian-rational arithmetic."""
 
 from fractions import Fraction
 
@@ -9,7 +9,6 @@ from pseudoplanar.exact import (
     GaussRat,
     I,
     I_POWERS,
-    mat_mul,
 )
 
 
@@ -50,16 +49,3 @@ def test_gauss_rat_field_ops():
     with pytest.raises(ValueError):
         a.to_gauss_int()
 
-
-def test_mat_mul_mixes_gauss_ints_and_rationals():
-    A = [[GaussInt(1, 1), GaussInt(2)], [GaussInt(0, -1), GaussInt(3, 2)]]
-    B = [
-        [GaussRat(Fraction(1, 2)), GaussRat(Fraction(0), Fraction(1, 3))],
-        [GaussRat.of(1), GaussRat(Fraction(-1, 4), Fraction(1))],
-    ]
-    assert mat_mul(A, B) == [
-        [GaussRat(Fraction(5, 2), Fraction(1, 2)),
-         GaussRat(Fraction(-5, 6), Fraction(7, 3))],
-        [GaussRat(Fraction(3), Fraction(3, 2)),
-         GaussRat(Fraction(-29, 12), Fraction(5, 2))],
-    ]

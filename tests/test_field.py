@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pseudoplanar import field
 from pseudoplanar.field import (
     MAX_DEGREE,
     GF2n,
@@ -208,6 +209,25 @@ def test_generator_is_the_smallest_primitive_element(n, modulus):
     brute = min(g for g, t in orders.items() if t == group)
     assert fld.generator() == brute
     assert fld.mult_order(brute) == group
+
+
+def test_generator_search_walks_one_cycle(monkeypatch):
+    # x has order 21845 modulo the default 0x1002b: the order test rejects
+    # it, and only the cycle of the generator 3 is walked
+    fld = GF2n(16)
+    assert fld.modulus == 0x1002B and fld.mult_order(2) == 21845
+    calls = 0
+    mulmod = field._poly_mulmod
+
+    def counted(a, b, m):
+        nonlocal calls
+        calls += 1
+        return mulmod(a, b, m)
+
+    monkeypatch.setattr(field, "_poly_mulmod", counted)
+    assert fld._generator_powers() == fld._exp
+    assert fld.generator() == 3
+    assert 65534 <= calls < 65534 + 1000
 
 
 @given(

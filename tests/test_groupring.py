@@ -9,11 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n
-from pseudoplanar.functions import SparsePoly, is_pseudoplanar
+from pseudoplanar.functions import (
+    SparsePoly,
+    construct_shifted_binomial,
+    is_pseudoplanar,
+)
 from pseudoplanar.galois_ring import GR4
 from pseudoplanar.groupring import (
     GroupVec,
     SpectrumVec,
+    _coord_sums,
     _radix4,
     _rotate,
     _stages,
@@ -64,6 +69,51 @@ def test_fast_convolution_matches_naive(n):
         A = _random_vec(ring, rng)
         B = _random_vec(ring, rng)
         assert A.convolve(B) == A.convolve_naive(B)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_square_of_set_matches_naive_convolution(n):
+    ring = _ring(n)
+    rng = random.Random(20 + n)
+    e = min(3, ring.field.order - 1)
+    sets = [
+        build_df(ring, SparsePoly.parse(ring.field, lit))
+        for lit in ("0:0", f"{e}:1", f"0:1,{e}:1")
+    ]
+    sets += [
+        GroupVec(ring, [rng.randrange(2) for _ in range(ring.size)]) for _ in range(3)
+    ]
+    sets += [GroupVec.zero(ring), GroupVec.full_group(ring)]
+    for A in sets:
+        assert A.square_of_set() == A.convolve_naive(A)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_square_of_set_matches_the_inverse_of_the_squared_spectrum(n):
+    ring = _ring(n)
+    fld = ring.field
+    polys = [SparsePoly.zero(fld), SparsePoly.monomial(fld, 1, min(3, fld.order - 1))]
+    polys.append(SparsePoly.make(fld, [(1 << (n // 2), fld.order - 1), (0, 1)]))
+    if n % 3 == 0:
+        m = n // 3  # variant 2 is pseudo-planar for m = 1 mod 3, variant 3 for m = 2
+        polys.append(construct_shifted_binomial(fld, m, 2 if m % 3 == 1 else 3))
+    for f in polys:
+        D = build_df(ring, f)
+        X = D.char_transform()
+        assert D.square_of_set() == X.pointwise_mul(X).inverse_transform()
+
+
+@given(st.sampled_from([1, 2, 3, 5, 8, 10]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_coordinate_sums_are_ring_addition(n, data):
+    ring = _ring(n)
+    idx = data.draw(st.lists(st.integers(0, ring.size - 1), min_size=1, max_size=6))
+    sums = _coord_sums(ring.coord_of[idx], n)
+    assert sums.dtype == np.uint32
+    for i, g in enumerate(idx):
+        for j, h in enumerate(idx):
+            total = ring.idx(ring.add(ring.pair(g), ring.pair(h)))
+            assert int(sums[i, j]) == int(ring.coord_of[total])
 
 
 def test_inverse_transform_roundtrip():

@@ -8,7 +8,11 @@ import pytest
 
 from pseudoplanar.exact import GaussInt, GaussRat
 from pseudoplanar.field import GF2n
-from pseudoplanar.functions import SparsePoly, construct_binomial1
+from pseudoplanar.functions import (
+    SparsePoly,
+    construct_binomial1,
+    construct_shifted_binomial,
+)
 from pseudoplanar.galois_ring import GR4
 from pseudoplanar.groupring import GroupVec, SpectrumVec, build_df, verify_rds
 from pseudoplanar import scheme
@@ -243,7 +247,8 @@ def test_build_report_transforms_a_few_times_and_never_convolves(monkeypatch):
     rep = _report(5)
     assert rep.matches_closed_forms()
     assert calls["convolve"] == 0
-    assert 0 < calls["transform"] <= 3
+    # chi(D) alone: D^2 is counted pair by pair, chi(S_4) derived from chi(D)
+    assert calls["transform"] == 1
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -481,3 +486,82 @@ def test_cached_class_spectra_are_int32_and_fit():
     object.__setattr__(part, "_spectra", None)
     fresh = scheme.class_spectra(part)
     assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
+
+
+def _pp_polys(fld):
+    """f = 0, a linear term and, for n = 3m, the pseudo-planar shifted
+    binomial: pseudo-planar functions with f(0) = 0."""
+    n = fld.n
+    polys = [
+        SparsePoly.zero(fld),
+        SparsePoly.monomial(fld, fld.order - 1, 1 << (n // 2)),
+    ]
+    if n % 3 == 0:
+        m = n // 3
+        polys.append(construct_shifted_binomial(fld, m, 2 if m % 3 == 1 else 3))
+    return polys
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_derived_s4_spectrum_equals_its_transform(n):
+    ring = GR4(GF2n(n))
+    for f in _pp_polys(ring.field):
+        part = build_partition(build_df(ring, f))
+        re, im = scheme.class_spectra(part)
+        sp = part.classes[4].char_transform()
+        assert np.array_equal(re[4], sp.re) and np.array_equal(im[4], sp.im)
+        assert (part.class_sizes[4] > 0) == (n >= 3)
+
+
+def test_a_d_squared_off_the_class_combination_is_refused(monkeypatch):
+    ring = GR4(GF2n(5))
+    D = build_df(ring, SparsePoly.zero(ring.field))
+    part = build_partition(D)
+    s1, s5 = part.classes[1].support(), part.classes[5].support()
+    true_square = GroupVec.square_of_set
+
+    def perturbed(self):
+        counts = true_square(self).counts.copy()
+        counts[s5[3]] += 2  # moves an element from S_5 to S_4: no error
+        counts[s5[7]] += 1  # an S_4 element with D^2 = 1
+        counts[s1[-1]] -= 2  # an S_1 element with D^2 = 0
+        return GroupVec(self.ring, counts)
+
+    monkeypatch.setattr(GroupVec, "square_of_set", perturbed)
+    g, got = min((int(s5[7]), 1), (int(s1[-1]), 0))
+    with pytest.raises(SchemeError) as exc:
+        build_partition(D)
+    assert str(exc.value) == (
+        f"D^2 is not sum_k a_k S_k with a = (1, 2, 0, 1, 2, 0): element {g} "
+        f"has multiplicity {got}, expected 2"
+    )
+
+
+def test_an_inexact_s4_spectrum_is_refused():
+    ring = GR4(GF2n(4))
+    part = build_partition(build_df(ring, SparsePoly.zero(ring.field)))
+    re, im = (a.copy() for a in scheme.class_spectra(part))
+    X = build_df(ring, SparsePoly.zero(ring.field)).char_transform()
+    bad = SpectrumVec(ring, X.re + (np.arange(ring.size) == 37), X.im)
+    # X^2 moves by 2X + 1 at character 37, which is odd
+    with pytest.raises(
+        SchemeError, match=r"chi\(S_4\) is not a Gaussian integer at character 37"
+    ):
+        scheme._spectrum_of_s4(bad, (1, 2, 2, 1, 2, 0), re, im)
+
+
+@pytest.mark.parametrize(
+    "a, re_a, im_a", [(21, -4000, 0), (30, 7000, 0), (17, None, 3)]
+)
+def test_dual_labels_are_int8_and_far_values_match_no_slot(a, re_a, im_a):
+    part, dual = _zero_scheme_n3()
+    assert dual.labels.dtype == np.int8
+    re, im = (v.copy() for v in scheme.class_spectra(part))
+    # far outside the lookup table, or just outside its square (|im| > 2)
+    if re_a is not None:
+        re[1, a] = re_a
+    im[1, a] = im_a
+    with pytest.raises(SchemeError) as exc:
+        dual_partition(_with_spectra(part, re, im))
+    chi = GaussInt(int(re[1, a]), im_a)
+    assert str(exc.value) == f"character {a} has unexpected class sum chi(S1) = {chi}"
