@@ -2,18 +2,20 @@
 
 The difference set D_f of a pseudo-planar f induces a 6-part partition of
 the ring (identity, D_f minus 0, its negative, the nonzero 2-torsion, the
-support of D_f^2 outside those, and the rest).  This module checks the
-scheme exactly in the character domain, from one transform X = chi(D): it
-gives the relative-difference-set identity and every class spectrum.  D^2
-is counted pair by pair instead of transformed, and checked to be the
-combination S_0 + 2 S_1 + S_3 + 2 S_4 (+ 2 S_2 for n even) of the classes,
-so chi(S_4) follows pointwise from X^2.  By Zhou's theorem every relative
-difference set here is a D_f with f pseudo-planar, so once D passes the
-RDS check and contains 0, that check fails only on a wrong count.  The
-spectra give the dual partition of the character group (one table lookup
-per character) and the first eigenmatrix P; when they are constant on as
-many dual classes as there are classes, the classes span a Schur ring
-(Bridges-Mena) and the
+support of D_f^2 outside those, and the rest), held as one int8 class label
+per element.  The scheme is built from one transform X = chi(D): X gives the
+relative-difference-set identity, and once that holds every class spectrum
+and every dual class is a pointwise function of X.  D^2 is counted pair by
+pair instead of transformed, and checked to be the combination
+S_0 + 2 S_1 + S_3 + 2 S_4 (+ 2 S_2 for n even) of the classes, so chi(S_4)
+follows from X^2.  By Zhou's theorem every relative difference set here is
+a D_f with f pseudo-planar, so once D passes the RDS check and contains 0,
+that check fails only on a wrong count.  The dual partition of the
+character group is one table lookup of X per character, and the first
+eigenmatrix P is evaluated at one member of each dual class; the spectra
+are constant on the dual classes by construction, and class_spectra, one
+transform per class, is the test oracle for that.  With as many dual
+classes as classes the classes span a Schur ring (Bridges-Mena) and the
 intersection numbers follow from P exactly.  verify_schur, which convolves
 every pair of classes, names a witness when that fails and is the test
 oracle for the intersection numbers.  The second eigenmatrix follows from
@@ -30,7 +32,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,15 +41,12 @@ import numpy as np
 from .exact import GaussInt, GaussRat
 from .functions import SparsePoly, pseudoplanar_witness
 from .galois_ring import GR4
-from .groupring import GroupVec, _rds_check, build_df
+from .groupring import GroupVec, SpectrumVec, _rds_check, build_df
 
 SCHEMA_VERSION = 1
 
 # why the scheme commands, and spectrum's closed-form check, refuse f(0) != 0
 NEEDS_ZERO = "D must contain 0, which for D_f means f(0) = 0"
-
-# |chi_a(S_k)| <= |S_k| <= 4^n < 2^31 for every n <= MAX_RING_DEGREE
-_SPECTRUM_DTYPE = np.int32
 
 
 class SchemeError(ValueError):
@@ -56,31 +55,37 @@ class SchemeError(ValueError):
 
 @dataclass(frozen=True)
 class Partition6:
-    """Six disjoint 0/1 vectors covering the ring; slots may be empty.
+    """The ring split into S_0..S_5: labels[g] = k puts element g in S_k.
 
-    _spectra caches the class spectra as class_spectra returns them; only
-    build_partition sets it, from the chi(D) and the D^2 count that built
-    the classes.
+    labels is a read-only int8 vector over the elements; slots may be empty.
+    The 0/1 class vectors are built on first use, for verify_schur,
+    s1_identities_hold and the test oracles; build_report needs them only
+    when it falls back to verify_schur.
     """
 
     ring: GR4
-    classes: tuple[GroupVec, ...]
-    _spectra: tuple[np.ndarray, np.ndarray] | None = field(
-        init=False, default=None, compare=False, repr=False
-    )
+    labels: np.ndarray
 
     def __post_init__(self):
-        hits = np.zeros(self.ring.size, dtype=np.int8)
-        for S in self.classes:
-            hits += S.counts != 0
-        if (hits > 1).any():
-            raise SchemeError("partition classes are not disjoint")
-        if (hits == 0).any():
-            raise SchemeError("partition classes do not cover the ring")
+        labels = self.labels
+        if labels.dtype != np.int8 or labels.shape != (self.ring.size,):
+            raise SchemeError(
+                f"partition labels are {labels.dtype} of shape {labels.shape}, "
+                f"expected int8 of shape ({self.ring.size},)"
+            )
+        off = (labels < 0) | (labels > 5)
+        if off.any():
+            g = int(np.argmax(off))
+            raise SchemeError(f"element {g} has class label {labels[g]}, not 0..5")
+        labels.setflags(write=False)
 
     @cached_property
     def class_sizes(self) -> list[int]:
-        return [S.total() for S in self.classes]
+        return [int(k) for k in np.bincount(self.labels, minlength=6)]
+
+    @cached_property
+    def classes(self) -> tuple[GroupVec, ...]:
+        return tuple(GroupVec(self.ring, self.labels == k) for k in range(6))
 
     def nonempty_slots(self) -> list[int]:
         return [k for k, size in enumerate(self.class_sizes) if size > 0]
@@ -98,6 +103,12 @@ class DualPartition:
         return [k for k, m in enumerate(self.sizes) if m > 0]
 
 
+def _square_coefficients(n: int) -> tuple[int, ...]:
+    """a with D^2 = sum_k a_k S_k: D = S_0 + S_1 and the S_1^2 identity of
+    s1_identities_hold, which every pseudo-planar f with f(0) = 0 meets."""
+    return (1, 2, 2 * (n % 2 == 0), 1, 2, 0)
+
+
 def build_partition(D: GroupVec) -> Partition6:
     """Partition the ring by the difference-set structure of D.
 
@@ -109,102 +120,53 @@ def build_partition(D: GroupVec) -> Partition6:
     the class combination that s1_identities_hold implies; a SchemeError
     names the first element where it is not.
     """
+    return _partition(D, D.char_transform())
+
+
+def _partition(D: GroupVec, X: SpectrumVec) -> Partition6:
+    """build_partition with X = chi(D) given."""
     ring = D.ring
-    X = D.char_transform()
     ok, violations = _rds_check(X)
     if not ok:
         raise SchemeError(
             f"input is not a relative difference set; first violations "
             f"(idx, got, want): {violations}"
         )
-    if D.counts[ring.idx(ring.zero)] != 1:
+    zero = ring.idx(ring.zero)
+    if D.counts[zero] != 1:
         raise ValueError(NEEDS_ZERO)
     # D is now a 0/1 vector: the RDS identity at 0 gives sum D_g^2 = 2^n =
-    # |sum D_g|, so every D_g is 0 or 1, or every one 0 or -1
-    s0 = GroupVec.delta(ring, ring.zero)
-    s1 = D - s0
-    s2 = s1.involute()
-    s3 = GroupVec.two_torsion(ring) - s0
-    used = s0.counts + s1.counts + s2.counts + s3.counts
+    # |sum D_g|, so every D_g is 0 or 1, or every one 0 or -1.  Each class
+    # is written over the ones before it: S_4 / S_5 by D^2, then the
+    # 2-torsion Z, -D, D and 0, which leaves S_1 = D - {0} and S_2 = -S_1.
     dsq = D.square_of_set().counts
-    s4 = GroupVec(ring, ((dsq > 0) & (used == 0)).astype(np.int64))
-    s5 = GroupVec(ring, ((dsq == 0) & (used == 0)).astype(np.int64))
-    part = Partition6(ring, (s0, s1, s2, s3, s4, s5))
-    # D^2 = a . S with D = S_0 + S_1 and the S_1^2 identity of
-    # s1_identities_hold, which every pseudo-planar f with f(0) = 0 meets
-    a = (1, 2, 2 * (ring.n % 2 == 0), 1, 2, 0)
-    want = np.zeros_like(dsq)
-    for a_k, S in zip(a, part.classes):
-        want += a_k * S.counts
+    labels = np.where(dsq > 0, np.int8(4), np.int8(5))
+    labels[ring.two_torsion_mask] = 3
+    in_d = D.support()
+    labels[ring.neg_perm[in_d]] = 2
+    labels[in_d] = 1
+    labels[zero] = 0
+    part = Partition6(ring, labels)
+    # a later class hides an earlier one where they meet
+    if part.class_sizes[1:4] != [(1 << ring.n) - 1] * 3:
+        raise SchemeError("partition classes are not disjoint")
+    a = _square_coefficients(ring.n)
+    want = np.array(a)[labels]
     if not np.array_equal(dsq, want):
         g = int(np.argmax(dsq != want))
         raise SchemeError(
             f"D^2 is not sum_k a_k S_k with a = {a}: element {g} has "
             f"multiplicity {dsq[g]}, expected {want[g]}"
         )
-    # chi(S_0) = 1, chi(S_1) = X - 1, chi(S_2) = conj chi(S_1),
-    # chi(S_3) = chi(Z) - 1 = 2^n [a in Z] - 1, chi(S_4) from
-    # X^2 = sum_k a_k chi(S_k); the classes sum to the whole ring, whose
-    # spectrum is 4^n delta_0, which gives chi(S_5).
-    re = np.zeros((6, ring.size), dtype=_SPECTRUM_DTYPE)
-    im = np.zeros((6, ring.size), dtype=_SPECTRUM_DTYPE)
-    re[0] = 1
-    re[1] = X.re - 1
-    im[1] = X.im
-    re[2] = re[1]
-    im[2] = -X.im
-    re[3] = (1 << ring.n) * ring.two_torsion_mask - 1
-    _spectrum_of_s4(X, a, re, im)
-    re[5] = -re[:5].sum(axis=0, dtype=_SPECTRUM_DTYPE)
-    re[5, 0] += ring.size
-    im[5] = -im[:5].sum(axis=0, dtype=_SPECTRUM_DTYPE)
-    re.setflags(write=False)
-    im.setflags(write=False)
-    object.__setattr__(part, "_spectra", (re, im))
     return part
 
 
-def _spectrum_of_s4(X, a, re, im) -> None:
-    """Fill re[4], im[4] with chi(S_4) = (X^2 - sum_{k<4} a_k chi(S_k)) / a_4.
-
-    Rows 0..3 must hold chi(S_0)..chi(S_3).  Every value fits the spectrum
-    dtype, so the rows are built in place, with X's parts as scratch.
-    """
-    r4, i4 = re[4], im[4]
-    xr = X.re.astype(_SPECTRUM_DTYPE)
-    xi = X.im.astype(_SPECTRUM_DTYPE)
-    np.multiply(xr, xi, out=i4)
-    i4 <<= 1
-    np.multiply(xr, xr, out=r4)
-    r4 -= np.multiply(xi, xi, out=xi)
-    for k in range(4):
-        if a[k]:
-            r4 -= np.multiply(re[k], a[k], out=xr)
-            i4 -= np.multiply(im[k], a[k], out=xr)
-    for row in (r4, i4):
-        np.floor_divide(row, a[4], out=xi)
-        if not np.array_equal(np.multiply(xi, a[4], out=xr), row):
-            bad = int(np.argmax(xr != row))
-            raise SchemeError(
-                f"chi(S_4) is not a Gaussian integer at character {bad}"
-            )
-        row[:] = xi
-
-
 def class_spectra(part: Partition6) -> tuple[np.ndarray, np.ndarray]:
-    """Character sums chi_a(S_k): two (6, 4^n) int32 arrays (re, im).
-
-    Taken from the cache build_partition fills; otherwise one transform per
-    class.
-    """
-    if part._spectra is not None:
-        return part._spectra
-    re = np.empty((6, part.ring.size), dtype=_SPECTRUM_DTYPE)
-    im = np.empty((6, part.ring.size), dtype=_SPECTRUM_DTYPE)
-    for k, S in enumerate(part.classes):
-        sp = S.char_transform()
-        re[k], im[k] = sp.re, sp.im
-    return re, im
+    """Character sums chi_a(S_k), one transform per class: two (6, 4^n)
+    int64 arrays (re, im).  The test oracle for eigen_P, which evaluates
+    them from chi(D) at one character per dual class."""
+    spectra = [S.char_transform() for S in part.classes]
+    return np.array([sp.re for sp in spectra]), np.array([sp.im for sp in spectra])
 
 
 def verify_schur(part: Partition6):
@@ -271,31 +233,32 @@ def _dual_signatures(n: int) -> list[GaussInt]:
     ]
 
 
-def dual_partition(part: Partition6) -> DualPartition:
-    """Group characters chi_a by the value chi_a(S_1).
+def dual_partition(X: SpectrumVec) -> DualPartition:
+    """Group characters chi_a by the value chi_a(S_1) = X_a - 1, X = chi(D).
 
     Slot order is pinned: E_0 = {chi_0}, E_1 = characters trivial outside
     the 2-torsion (value -1), E_2..E_5 by the four +-b +-bi (n odd) or
     +-2^{n/2}, +-2^{n/2} i (n even) branches.  A character whose value
-    matches no slot is a structure error.  For n >= 3 all six classes must
+    matches no slot is a structure error; after the RDS check none can,
+    since X_a is then 0 or of norm 2^n, and the Gaussian integers of norm
+    2^n are the four slot values plus 1.  For n >= 3 all six classes must
     be nonempty.
     """
-    ring = part.ring
+    ring = X.ring
     n = ring.n
-    re, im = class_spectra(part)
-    s1_re, s1_im = re[1], im[1]
     # Every slot value v has |v.re + 1|, |v.im| <= B.  A table over
-    # [-B-1, B+1]^2 of (v.re + 1, v.im) holds the slot of each value, and -1
-    # on its border, where clip sends every value outside the square.
+    # [-B-1, B+1]^2 of (v.re + 1, v.im) = (X.re, X.im) holds the slot of
+    # each value, and -1 on its border, where clip sends every value
+    # outside the square.
     B = 1 << (n // 2)
     W = 2 * B + 3
     table = np.full((W, W), -1, dtype=np.int8)
     for slot, v in enumerate([GaussInt(-1, 0)] + _dual_signatures(n), start=1):
         table[v.re + 1 + B + 1, v.im + B + 1] = slot
-    key = s1_re + (B + 2)
+    key = X.re + (B + 1)
     np.clip(key, 0, W - 1, out=key)
     key *= W
-    col = s1_im + (B + 1)
+    col = X.im + (B + 1)
     np.clip(col, 0, W - 1, out=col)
     key += col
     labels = table.ravel()[key]
@@ -304,7 +267,7 @@ def dual_partition(part: Partition6) -> DualPartition:
     if labels[a] == -1:
         raise SchemeError(
             f"character {a} has unexpected class sum "
-            f"chi(S1) = {GaussInt(int(s1_re[a]), int(s1_im[a]))}"
+            f"chi(S1) = {X.value(a) - 1}"
         )
     sizes = tuple(int(m) for m in np.bincount(labels, minlength=6))
     if n >= 3 and min(sizes) == 0:
@@ -319,36 +282,38 @@ def dual_partition(part: Partition6) -> DualPartition:
     return DualPartition(ring, labels, sizes)
 
 
-def eigen_P(part: Partition6, dual: DualPartition):
-    """First eigenmatrix over the nonempty slots.
+def eigen_P(part: Partition6, dual: DualPartition, X: SpectrumVec):
+    """First eigenmatrix over the nonempty slots, from X = chi(D).
 
-    Returns (P, row_slots, col_slots): P[j][i] is the constant value
-    chi(S_{col_slots[i]}) over E_{row_slots[j]}.  Non-constant values within
-    a dual class raise SchemeError, naming the least such (j, i).
+    Returns (P, row_slots, col_slots): P[j][i] = chi_g(S_{col_slots[i]}) at
+    g the least member of E_{row_slots[j]}.  part and dual must come from X
+    (as build_report makes them); the class spectra are then functions of X,
+    and constant on each dual class:
+    chi(S_0) = 1, chi(S_1) = X - 1, chi(S_2) = conj(X) - 1,
+    chi(S_3) = chi(Z) - 1 = 2^n [g in Z] - 1, chi(S_4) from
+    X^2 = sum_k a_k chi(S_k) (a SchemeError if it is not a Gaussian
+    integer), and chi(S_5) from the spectrum 4^n delta_0 of the whole ring.
     """
-    re, im = class_spectra(part)
+    ring = part.ring
+    a = _square_coefficients(ring.n)
     row_slots = dual.nonempty_slots()
     col_slots = part.nonempty_slots()
-    labels = dual.labels
-    # the least member of each dual class; any member serves, since the
-    # spectra must be constant on the class
-    member = np.array([np.argmax(labels == j) for j in range(6)])
-    # each spectrum row against its value at the member, gathered through
-    # the labels (as intp once, the index type a gather needs)
-    lab = labels.astype(np.intp)
-    bad = []
-    for i in col_slots:
-        off = re[i] != re[i, member][lab]
-        off |= im[i] != im[i, member][lab]
-        if off.any():
-            bad.append((int(labels[off].min()), i))
-    if bad:
-        j, i = min(bad)
-        raise SchemeError(f"chi(S_{i}) is not constant on dual class {j}")
-    P = [
-        [GaussInt(int(re[i][member[j]]), int(im[i][member[j]])) for i in col_slots]
-        for j in row_slots
-    ]
+    P = []
+    for j in row_slots:
+        g = int(np.argmax(dual.labels == j))
+        x = X.value(g)
+        chi = [
+            GaussInt(1),
+            x - 1,
+            x.conj() - 1,
+            GaussInt((1 << ring.n) * int(ring.two_torsion_mask[g]) - 1),
+        ]
+        twice = x * x - sum((a_k * c for a_k, c in zip(a, chi)), GaussInt())
+        if twice.re % a[4] or twice.im % a[4]:
+            raise SchemeError(f"chi(S_4) is not a Gaussian integer at character {g}")
+        chi.append(GaussInt(twice.re // a[4], twice.im // a[4]))
+        chi.append(ring.size * (g == 0) - sum(chi, GaussInt()))
+        P.append([chi[i] for i in col_slots])
     return P, row_slots, col_slots
 
 
@@ -528,14 +493,19 @@ def bm_fuse(P: list[list[GaussInt]], col_partition: list[list[int]]):
     (row cell, column cell) block of P has a constant row sum.  Rows are
     grouped by their block-row-sum signature, which is the only possible
     row partition.  Returns (fused matrix, row_partition); raises
-    FusionError with a witness otherwise.
+    FusionError with a witness otherwise, and a plain ValueError when
+    col_partition is not such a partition.
     """
     m = len(P)
+    width = len(P[0])
     cols = sorted(c for cell in col_partition for c in cell)
-    if cols != list(range(len(P[0]))):
-        raise FusionError("column partition does not partition the columns")
+    if cols != list(range(width)):
+        raise ValueError(
+            f"column partition does not partition the columns 0..{width - 1} "
+            f"of P ({width} columns)"
+        )
     if col_partition[0] != [0]:
-        raise FusionError("column cell 0 must be {0}")
+        raise ValueError("column cell 0 must be {0}")
     signatures = []
     for r in range(m):
         signatures.append(
@@ -696,17 +666,18 @@ def _schur_p_tensor(part: Partition6) -> np.ndarray:
 
 
 def build_report(D: GroupVec) -> SchemeReport:
-    """The scheme of D, checked in the character domain.
+    """The scheme of D, checked in the character domain from one chi(D).
 
     Whenever the spectra cannot certify the Schur property, verify_schur
     decides: a partition that is not a scheme raises with its witness, and
     a scheme that the spectra cannot describe raises the error of
     dual_partition or eigen_P.
     """
-    part = build_partition(D)
+    X = D.char_transform()
+    part = _partition(D, X)
     try:
-        dual = dual_partition(part)
-        P, row_slots, col_slots = eigen_P(part, dual)
+        dual = dual_partition(X)
+        P, row_slots, col_slots = eigen_P(part, dual, X)
     except SchemeError:
         _schur_p_tensor(part)
         raise
@@ -716,8 +687,6 @@ def build_report(D: GroupVec) -> SchemeReport:
         p_tensor = _schur_p_tensor(part)
     k = part.class_sizes
     Q = eigen_Q(P, [k[i] for i in col_slots], [dual.sizes[j] for j in row_slots])
-    # callers hold reports; keep the classes, not their (6, 4^n) spectra
-    object.__setattr__(part, "_spectra", None)
     return SchemeReport(part, dual, p_tensor, P, Q, row_slots, col_slots)
 
 

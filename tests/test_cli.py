@@ -252,6 +252,25 @@ def test_bm_fuse_cli(capsys):
     assert "fusion refused" in err
 
 
+@pytest.mark.parametrize(
+    "field, cols, message",
+    [
+        ("3:b", "0;1,2;3;4,5,5", "partition the columns 0..5 of P (6 columns)"),
+        ("3:b", "0;1,2;3;4,5,6", "partition the columns 0..5 of P (6 columns)"),
+        ("3:b", "1;0,2,3,4,5", "column cell 0 must be {0}"),
+        # n = 2 has five classes, so P has five columns
+        ("2:7", "0;1,2;3", "partition the columns 0..4 of P (5 columns)"),
+    ],
+)
+def test_bm_fuse_cols_that_do_not_fit_p_exit_2(capsys, field, cols, message):
+    code, out, err = run(
+        capsys, "bm-fuse", "--field", field, "--f", "0:0", "--cols", cols
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err and "fusion refused" not in err
+
+
 def test_threads_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pp-test", "--field", "4:13", "--f", "5:1", "--threads", "4"])

@@ -146,39 +146,27 @@ def _split_s4_partition():
     """A partition that covers the ring but is not a scheme: S_4 split in two."""
     ring = GR4(GF2n(3))
     part = build_partition(build_df(ring, SparsePoly.parse(ring.field, "0:0")))
-    s4 = part.classes[4]
-    sup = s4.support()
-    half = GroupVec.indicator(ring, sup[: len(sup) // 2])
-    rest = s4 - half
-    return type(part)(
-        ring,
-        (
-            part.classes[0],
-            part.classes[1],
-            part.classes[2],
-            part.classes[3],
-            half,
-            part.classes[5] + rest,
-        ),
-    )
+    sup = part.classes[4].support()
+    labels = part.labels.copy()
+    labels[sup[len(sup) // 2:]] = 5
+    return Partition6(ring, labels)
 
 
-def test_partition_classes_must_be_disjoint_and_cover_the_ring():
+def test_partition_classes_must_be_disjoint_and_cover_the_ring(monkeypatch):
+    # labels cover the ring by construction; S_0..S_3 are written over each
+    # other, so one that meets another comes out short.  The RDS check
+    # rules that out (g - (-g) = 2g lies in Z), so a D holding g and -g is
+    # let past it here.
     ring = GR4(GF2n(3))
-    s0, s1, s2, s3, s4, s5 = build_partition(
-        build_df(ring, SparsePoly.zero(ring.field))
-    ).classes
-    empty = GroupVec.zero(ring)
-    with pytest.raises(SchemeError, match="classes are not disjoint"):
-        Partition6(ring, (s0, s1 + s0, s2, s3, s4, s5))
-    # overlap is reported before a gap
-    with pytest.raises(SchemeError, match="classes are not disjoint"):
-        Partition6(ring, (s0, s1, s2, s3 + s2, empty, s5))
-    with pytest.raises(SchemeError, match="do not cover the ring"):
-        Partition6(ring, (s0, s1, s2, s3, empty, s5))
-    # a class with a negative count still occupies its elements
-    with pytest.raises(SchemeError, match="classes are not disjoint"):
-        Partition6(ring, (s0, s1 - s0, s2, s3, s4, s5))
+    D = build_df(ring, SparsePoly.zero(ring.field))
+    zero, g, d = (int(e) for e in D.support()[:3])
+    assert zero == 0
+    counts = D.counts.copy()
+    counts[d] = 0
+    counts[ring.neg_perm[g]] = 1
+    monkeypatch.setattr(scheme, "_rds_check", lambda X: (True, []))
+    with pytest.raises(SchemeError, match="^partition classes are not disjoint$"):
+        build_partition(GroupVec(ring, counts))
 
 
 def test_verify_schur_witness_on_broken_partition():
@@ -193,9 +181,17 @@ def test_verify_schur_witness_on_broken_partition():
 
 
 def test_build_report_names_the_schur_witness_of_a_broken_partition(monkeypatch):
+    # _partition cannot return a partition that is not a scheme, and the
+    # P that eigen_P reads off chi(D) does not look at the classes; the
+    # fallback is reached by patching both steps
     broken = _split_s4_partition()
     _, (i, j, k, g, g2) = verify_schur(broken)
-    monkeypatch.setattr(scheme, "build_partition", lambda D: broken)
+    monkeypatch.setattr(scheme, "_partition", lambda D, X: broken)
+
+    def no_dual(X):
+        raise SchemeError("the dual partition fails")
+
+    monkeypatch.setattr(scheme, "dual_partition", no_dual)
     D = build_df(broken.ring, SparsePoly.zero(broken.ring.field))
     want = (
         f"intersection numbers not constant: S_{i}*S_{j} differs on "
@@ -212,14 +208,20 @@ def test_build_report_keeps_the_dual_error_of_a_fused_scheme(monkeypatch):
     # passes, and the dual-partition error stands
     ring = GR4(GF2n(3))
     part = build_partition(build_df(ring, SparsePoly.zero(ring.field)))
-    s0, s1, s2, s3, s4, s5 = part.classes
-    empty = GroupVec.zero(ring)
-    fused = type(part)(ring, (s0, s1 + s2, empty, s3, s4 + s5, empty))
+    labels = part.labels.copy()
+    labels[labels == 2] = 1
+    labels[labels == 5] = 4
+    fused = Partition6(ring, labels)
     _, witness = verify_schur(fused)
     assert witness is None
+    # the dual labels of the fused S_1, through the X = chi(S_0 + S_1) that
+    # makes chi(S_1) = X - 1
+    X_fused = (fused.classes[0] + fused.classes[1]).char_transform()
     with pytest.raises(SchemeError) as dual_error:
-        dual_partition(fused)
-    monkeypatch.setattr(scheme, "build_partition", lambda D: fused)
+        dual_partition(X_fused)
+    true_dual = dual_partition
+    monkeypatch.setattr(scheme, "_partition", lambda D, X: fused)
+    monkeypatch.setattr(scheme, "dual_partition", lambda X: true_dual(X_fused))
     with pytest.raises(SchemeError) as exc:
         build_report(build_df(ring, SparsePoly.zero(ring.field)))
     assert str(exc.value) == str(dual_error.value)
@@ -249,6 +251,9 @@ def test_build_report_transforms_a_few_times_and_never_convolves(monkeypatch):
     assert calls["convolve"] == 0
     # chi(D) alone: D^2 is counted pair by pair, chi(S_4) derived from chi(D)
     assert calls["transform"] == 1
+    # one int8 label per element, and no class vectors built
+    assert rep.partition.labels.dtype == np.int8
+    assert "classes" not in vars(rep.partition)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -344,10 +349,15 @@ def test_bm_fuse_identity_and_symmetrization():
 
 def test_bm_fuse_refusals():
     P = closed_form_P(3)
-    with pytest.raises(FusionError, match="column cell 0"):
+    # a column partition of the wrong shape is bad input, not a refusal
+    with pytest.raises(ValueError, match="column cell 0") as exc:
         bm_fuse(P, [[0, 1], [2], [3], [4], [5]])
-    with pytest.raises(FusionError, match="partition the columns"):
+    assert not isinstance(exc.value, FusionError)
+    with pytest.raises(
+        ValueError, match=r"partition the columns 0\.\.5 of P \(6 columns\)"
+    ) as exc:
         bm_fuse(P, [[0], [1], [2], [3], [4]])
+    assert not isinstance(exc.value, FusionError)
     # splitting only the conjugate pair S_2/S_3 leaves too many row signatures
     with pytest.raises(FusionError, match="distinct row signatures"):
         bm_fuse(P, [[0], [1], [2, 3], [4], [5]])
@@ -384,9 +394,11 @@ def test_modulus_independence():
 
 def test_eigen_pipeline_pieces_agree_with_report():
     ring = GR4(GF2n(4))
-    part = build_partition(build_df(ring, SparsePoly.parse(ring.field, "5:1")))
-    dual = dual_partition(part)
-    P, row_slots, col_slots = eigen_P(part, dual)
+    D = build_df(ring, SparsePoly.parse(ring.field, "5:1"))
+    X = D.char_transform()
+    part = build_partition(D)
+    dual = dual_partition(X)
+    P, row_slots, col_slots = eigen_P(part, dual, X)
     Q = eigen_Q(
         P,
         [part.class_sizes[i] for i in col_slots],
@@ -402,46 +414,78 @@ def test_eigen_pipeline_pieces_agree_with_report():
 
 def _zero_scheme_n3():
     ring = GR4(GF2n(3))
-    part = build_partition(build_df(ring, SparsePoly.zero(ring.field)))
-    return part, dual_partition(part)
+    D = build_df(ring, SparsePoly.zero(ring.field))
+    X = D.char_transform()
+    return build_partition(D), dual_partition(X), X
 
 
-def _with_spectra(part, re, im):
-    out = Partition6(part.ring, part.classes)
-    object.__setattr__(out, "_spectra", (re, im))
-    return out
+def _constant_P(re, im, dual, col_slots):
+    """The first eigenmatrix read off full class spectra (re, im), as
+    class_spectra returns them, after checking that every row is constant
+    on every dual class: the oracle for eigen_P, which reads P off chi(D)
+    at one member per dual class.  Non-constant values raise SchemeError,
+    naming the least such (j, i)."""
+    labels = dual.labels
+    # the least member of each dual class
+    member = np.array([np.argmax(labels == j) for j in range(6)])
+    # each spectrum row against its value at the member, gathered through
+    # the labels (as intp once, the index type a gather needs)
+    lab = labels.astype(np.intp)
+    bad = []
+    for i in col_slots:
+        off = re[i] != re[i, member][lab]
+        off |= im[i] != im[i, member][lab]
+        if off.any():
+            bad.append((int(labels[off].min()), i))
+    if bad:
+        j, i = min(bad)
+        raise SchemeError(f"chi(S_{i}) is not constant on dual class {j}")
+    return [
+        [GaussInt(int(re[i][member[j]]), int(im[i][member[j]])) for i in col_slots]
+        for j in dual.nonempty_slots()
+    ]
+
+
+def _with_x(X, at, re=None, im=None):
+    """X with the values at character at replaced."""
+    xr, xi = X.re.copy(), X.im.copy()
+    if re is not None:
+        xr[at] = re
+    if im is not None:
+        xi[at] = im
+    return SpectrumVec(X.ring, xr, xi)
 
 
 def test_eigen_p_names_the_least_non_constant_dual_class():
-    part, dual = _zero_scheme_n3()
+    # the constancy check of the class-spectra oracle
+    part, dual, _ = _zero_scheme_n3()
+    re, im = scheme.class_spectra(part)
+    cols = part.nonempty_slots()
     # n = 3, f = 0: character 9 lies in E_5 and character 8 in E_4
     assert dual.labels[9] == 5 and dual.labels[8] == 4
     labels = dual.labels.copy()
     labels[9] = 2
     moved = DualPartition(dual.ring, labels, dual.sizes)
     with pytest.raises(SchemeError) as exc:
-        eigen_P(part, moved)
+        _constant_P(re, im, moved, cols)
     assert str(exc.value) == "chi(S_1) is not constant on dual class 2"
     # S_5 breaks on E_2 and S_4 on E_3: the lesser dual class is named,
     # though its class comes later
-    re, im = (a.copy() for a in scheme.class_spectra(part))
     assert dual.labels[11] == 2 and dual.labels[10] == 3
     re[5, 11] += 1
     re[4, 10] += 1
     with pytest.raises(SchemeError) as exc:
-        eigen_P(_with_spectra(part, re, im), dual)
+        _constant_P(re, im, dual, cols)
     assert str(exc.value) == "chi(S_5) is not constant on dual class 2"
 
 
 def test_dual_partition_names_the_first_unexpected_class_sum():
-    part, _ = _zero_scheme_n3()
-    re, im = (a.copy() for a in scheme.class_spectra(part))
-    # chi_13(S_1) = 1+2i at n = 3; one more makes it match no dual slot
-    assert (re[1, 13], im[1, 13]) == (1, 2)
-    re[1, 13] += 1
-    re[1, 40] += 1
+    _, _, X = _zero_scheme_n3()
+    # chi_13(S_1) = X_13 - 1 = 1+2i at n = 3; one more matches no dual slot
+    assert X.value(13) == GaussInt(2, 2)
+    bad = _with_x(_with_x(X, 13, re=3), 40, re=int(X.re[40]) + 1)
     with pytest.raises(SchemeError) as exc:
-        dual_partition(_with_spectra(part, re, im))
+        dual_partition(bad)
     assert str(exc.value) == "character 13 has unexpected class sum chi(S1) = 2+2i"
 
 
@@ -474,20 +518,6 @@ def test_check_pq_rejects_a_perturbed_q():
     assert not _check_pq(rep.P, Q, rep.partition.ring.size)
 
 
-def test_cached_class_spectra_are_int32_and_fit():
-    from pseudoplanar.galois_ring import MAX_RING_DEGREE
-
-    # |chi_a(S_k)| <= 4^n, the bound that lets the cache be int32
-    assert 4**MAX_RING_DEGREE < 2**31
-    ring = GR4(GF2n(5))
-    part = build_partition(build_df(ring, _pp_poly(ring.field)))
-    cached = scheme.class_spectra(part)
-    assert all(a.dtype == np.int32 for a in cached)
-    object.__setattr__(part, "_spectra", None)
-    fresh = scheme.class_spectra(part)
-    assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
-
-
 def _pp_polys(fld):
     """f = 0, a linear term and, for n = 3m, the pseudo-planar shifted
     binomial: pseudo-planar functions with f(0) = 0."""
@@ -506,11 +536,41 @@ def _pp_polys(fld):
 def test_derived_s4_spectrum_equals_its_transform(n):
     ring = GR4(GF2n(n))
     for f in _pp_polys(ring.field):
-        part = build_partition(build_df(ring, f))
-        re, im = scheme.class_spectra(part)
-        sp = part.classes[4].char_transform()
-        assert np.array_equal(re[4], sp.re) and np.array_equal(im[4], sp.im)
+        D = build_df(ring, f)
+        X = D.char_transform()
+        part = build_partition(D)
+        dual = dual_partition(X)
+        P, row_slots, col_slots = eigen_P(part, dual, X)
         assert (part.class_sizes[4] > 0) == (n >= 3)
+        if 4 not in col_slots:
+            continue
+        sp = part.classes[4].char_transform()
+        column = col_slots.index(4)
+        for row, j in zip(P, row_slots):
+            g = int(np.argmax(dual.labels == j))
+            assert row[column] == sp.value(g)
+
+
+def _oracle_polys(fld):
+    polys = _pp_polys(fld)
+    if fld.n == 6:
+        polys += [SparsePoly.parse(fld, "5:2,17:27"), SparsePoly.parse(fld, "10:1,34:1")]
+    return polys
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_p_from_chi_d_equals_the_class_spectra_oracle(n):
+    ring = GR4(GF2n(n))
+    for f in _oracle_polys(ring.field):
+        D = build_df(ring, f)
+        X = D.char_transform()
+        part = build_partition(D)
+        dual = dual_partition(X)
+        P, row_slots, col_slots = eigen_P(part, dual, X)
+        re, im = scheme.class_spectra(part)
+        assert row_slots == dual.nonempty_slots()
+        assert col_slots == part.nonempty_slots()
+        assert P == _constant_P(re, im, dual, col_slots)
 
 
 def test_a_d_squared_off_the_class_combination_is_refused(monkeypatch):
@@ -539,29 +599,71 @@ def test_a_d_squared_off_the_class_combination_is_refused(monkeypatch):
 
 def test_an_inexact_s4_spectrum_is_refused():
     ring = GR4(GF2n(4))
-    part = build_partition(build_df(ring, SparsePoly.zero(ring.field)))
-    re, im = (a.copy() for a in scheme.class_spectra(part))
-    X = build_df(ring, SparsePoly.zero(ring.field)).char_transform()
-    bad = SpectrumVec(ring, X.re + (np.arange(ring.size) == 37), X.im)
-    # X^2 moves by 2X + 1 at character 37, which is odd
+    D = build_df(ring, SparsePoly.zero(ring.field))
+    X = D.char_transform()
+    part = build_partition(D)
+    dual = dual_partition(X)
+    # 22 is the least member of its dual class, E_3
+    assert dual.labels[22] == 3 and int(np.argmax(dual.labels == 3)) == 22
+    # X^2 moves by 2X + 1 at character 22, which is odd
+    bad = _with_x(X, 22, re=int(X.re[22]) + 1)
     with pytest.raises(
-        SchemeError, match=r"chi\(S_4\) is not a Gaussian integer at character 37"
+        SchemeError, match=r"^chi\(S_4\) is not a Gaussian integer at character 22$"
     ):
-        scheme._spectrum_of_s4(bad, (1, 2, 2, 1, 2, 0), re, im)
+        eigen_P(part, dual, bad)
 
 
 @pytest.mark.parametrize(
     "a, re_a, im_a", [(21, -4000, 0), (30, 7000, 0), (17, None, 3)]
 )
 def test_dual_labels_are_int8_and_far_values_match_no_slot(a, re_a, im_a):
-    part, dual = _zero_scheme_n3()
+    _, dual, X = _zero_scheme_n3()
     assert dual.labels.dtype == np.int8
-    re, im = (v.copy() for v in scheme.class_spectra(part))
-    # far outside the lookup table, or just outside its square (|im| > 2)
-    if re_a is not None:
-        re[1, a] = re_a
-    im[1, a] = im_a
+    # chi(S_1) = X - 1 far outside the lookup table, or just outside its
+    # square (|im| > 2)
+    bad = _with_x(X, a, re=None if re_a is None else re_a + 1, im=im_a)
     with pytest.raises(SchemeError) as exc:
-        dual_partition(_with_spectra(part, re, im))
-    chi = GaussInt(int(re[1, a]), im_a)
+        dual_partition(bad)
+    chi = bad.value(a) - 1
     assert str(exc.value) == f"character {a} has unexpected class sum chi(S1) = {chi}"
+
+
+def test_partition_labels_must_be_int8_of_ring_size_and_in_range():
+    ring = GR4(GF2n(3))
+    part = build_partition(build_df(ring, SparsePoly.zero(ring.field)))
+    assert part.labels.dtype == np.int8 and not part.labels.flags.writeable
+    with pytest.raises(SchemeError, match=r"int64 of shape \(64,\), expected int8"):
+        Partition6(ring, part.labels.astype(np.int64))
+    with pytest.raises(SchemeError, match=r"int8 of shape \(63,\), expected"):
+        Partition6(ring, part.labels[:-1].copy())
+    for value in (-1, 6):
+        labels = part.labels.copy()
+        labels[17] = value
+        with pytest.raises(SchemeError) as exc:
+            Partition6(ring, labels)
+        assert str(exc.value) == f"element 17 has class label {value}, not 0..5"
+    # the class vectors are built on demand from the labels
+    assert "classes" not in vars(part)
+    assert [S.total() for S in part.classes] == part.class_sizes
+    assert part.class_sizes == [1, 7, 7, 7, 21, 21]
+
+
+def test_the_gaussian_integers_of_norm_2_to_the_n_are_the_dual_slots():
+    # After the RDS check X_a = 0 (a in Z, a != 0) or |X_a|^2 = 2^n (a not
+    # in Z), a = 0 aside.  X = 0 is E_1's value -1 plus 1, and the values of
+    # norm 2^n, the units times (1+i)^n, are E_2..E_5's plus 1: so
+    # dual_partition's "unexpected class sum" cannot fire on such an X.
+    units = [GaussInt(1), GaussInt(0, 1), GaussInt(-1), GaussInt(0, -1)]
+    power = GaussInt(1)
+    for n in range(1, 17):
+        power = power * GaussInt(1, 1)
+        r = 1 << (n // 2 + 1)
+        norm_2n = {
+            GaussInt(x, y)
+            for x in range(-r, r + 1)
+            for y in range(-r, r + 1)
+            if x * x + y * y == 1 << n
+        }
+        slots = [v + 1 for v in scheme._dual_signatures(n)]
+        assert norm_2n == set(slots) == {u * power for u in units}
+        assert len(slots) == 4
