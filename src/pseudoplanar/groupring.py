@@ -9,8 +9,13 @@ butterfly over the additive Z4^n coordinates, anchored against a naive double
 loop for small n.  It runs in the narrowest of int16, int32 and int64 that the
 l1 norm of its input allows, and runs its last digits on a transposed copy so
 that every stage works on long contiguous runs.
-The relative-difference-set identity is tested on one transform of D; only
-when it fails is |chi(D)|^2 inverted to name the elements where it fails.
+A GroupVec cannot change once built, so its transform is computed at most
+once: _spectrum keeps chi(D) on D, read-only, for verify_rds, the scheme
+and raw_spectrum, while char_transform stays uncached and is the oracle
+for the stored value.  build_df keeps the last D_f it built, so one
+(ring, f) gives one D_f and one transform.
+The relative-difference-set identity is tested on chi(D); only when it
+fails is |chi(D)|^2 inverted to name the elements where it fails.
 The square of a 0/1 vector needs no transform: square_of_set counts its
 pair sums, taken digit by digit on the packed Z4^n coordinates, in
 O(|D|^2), which for a difference set D_f is 4^n.
@@ -30,12 +35,19 @@ NAIVE_MAX_DEGREE = 3
 
 
 class GroupVec:
-    """Integer-valued function on GR(4, n), i.e. a (signed) multiset."""
+    """Integer-valued function on GR(4, n), i.e. a (signed) multiset.
 
-    __slots__ = ("ring", "counts")
+    counts is read-only, and copied when it is a view of another array, so
+    nothing can change it and its stored transform (see _spectrum) stays
+    valid.
+    """
+
+    __slots__ = ("ring", "counts", "_chi")
 
     def __init__(self, ring: GR4, counts: np.ndarray):
         counts = np.asarray(counts, dtype=np.int64)
+        if counts.base is not None:
+            counts = counts.copy()
         if counts.shape != (ring.size,):
             raise ValueError(
                 f"counts vector has shape {counts.shape}, expected ({ring.size},)"
@@ -43,6 +55,7 @@ class GroupVec:
         self.ring = ring
         self.counts = counts
         self.counts.setflags(write=False)
+        self._chi = None
 
     # -- constructors --------------------------------------------------------
 
@@ -151,7 +164,9 @@ class GroupVec:
     # -- character transform -------------------------------------------------
 
     def char_transform(self) -> "SpectrumVec":
-        """chi_a(A) = sum_g A_g i^Tr(ag) for every a, as exact Gaussian ints."""
+        """chi_a(A) = sum_g A_g i^Tr(ag) for every a, as exact Gaussian ints.
+
+        A fresh, writable vector on every call; _spectrum keeps one."""
         return SpectrumVec(self.ring, *_transform(self.ring, self.counts, None, +1))
 
     # -- serialization -------------------------------------------------------
@@ -375,11 +390,26 @@ def _stages(re, im, sre, sim, count: int, sign: int) -> None:
         outer *= 4
 
 
+def _spectrum(D: GroupVec) -> SpectrumVec:
+    """chi(D), transformed on the first request and kept on D, read-only."""
+    if D._chi is None:
+        X = D.char_transform()
+        X.re.setflags(write=False)
+        X.im.setflags(write=False)
+        D._chi = X
+    return D._chi
+
+
 # -- difference sets ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def build_df(ring: GR4, f: SparsePoly) -> GroupVec:
-    """The graph-of-f set {x + 2*sqrt(f(x)) : x in the Teichmuller system}."""
+    """The graph-of-f set {x + 2*sqrt(f(x)) : x in the Teichmuller system}.
+
+    The last D_f built is kept, so a repeated (ring, f) returns the same
+    GroupVec, and with it the transform that _spectrum stored on it.
+    """
     if f.field != ring.field:
         raise ValueError("polynomial field does not match the ring")
     field = ring.field
@@ -426,6 +456,6 @@ def verify_rds(D: GroupVec) -> tuple[bool, list[tuple[int, int, int]]]:
 
     Returns (ok, violations) with at most 10 violations, each a triple
     (element idx, actual multiplicity, expected multiplicity).  The identity
-    is tested on one transform of D.
+    is tested on chi(D), transformed only if D has no stored transform yet.
     """
-    return _rds_check(D.char_transform())
+    return _rds_check(_spectrum(D))

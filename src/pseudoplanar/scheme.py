@@ -41,7 +41,7 @@ import numpy as np
 from .exact import GaussInt, GaussRat
 from .functions import SparsePoly, pseudoplanar_witness
 from .galois_ring import GR4
-from .groupring import GroupVec, SpectrumVec, _rds_check, build_df
+from .groupring import GroupVec, SpectrumVec, _rds_check, _spectrum, build_df
 
 SCHEMA_VERSION = 1
 
@@ -51,6 +51,13 @@ NEEDS_ZERO = "D must contain 0, which for D_f means f(0) = 0"
 
 class SchemeError(ValueError):
     """Structural failure: the input does not produce the expected scheme."""
+
+
+def _label_counts(labels: np.ndarray) -> list[int]:
+    """How many of the int8 labels are 0, 1, ..., 5: one compare per label
+    value, where np.bincount would first cast the labels to a 4^n intp
+    array."""
+    return [int(np.count_nonzero(labels == k)) for k in range(6)]
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ class Partition6:
 
     @cached_property
     def class_sizes(self) -> list[int]:
-        return [int(k) for k in np.bincount(self.labels, minlength=6)]
+        return _label_counts(self.labels)
 
     @cached_property
     def classes(self) -> tuple[GroupVec, ...]:
@@ -120,7 +127,7 @@ def build_partition(D: GroupVec) -> Partition6:
     the class combination that s1_identities_hold implies; a SchemeError
     names the first element where it is not.
     """
-    return _partition(D, D.char_transform())
+    return _partition(D, _spectrum(D))
 
 
 def _partition(D: GroupVec, X: SpectrumVec) -> Partition6:
@@ -269,7 +276,7 @@ def dual_partition(X: SpectrumVec) -> DualPartition:
             f"character {a} has unexpected class sum "
             f"chi(S1) = {X.value(a) - 1}"
         )
-    sizes = tuple(int(m) for m in np.bincount(labels, minlength=6))
+    sizes = tuple(_label_counts(labels))
     if n >= 3 and min(sizes) == 0:
         raise SchemeError(f"expected 6 dual classes for n={n}, sizes {sizes}")
     if sizes[1] != (1 << n) - 1:
@@ -465,7 +472,11 @@ def fourier_spectrum(ring: GR4, f: SparsePoly) -> list[tuple[GaussInt, int]]:
 
 
 def raw_spectrum(ring: GR4, f: SparsePoly) -> list[tuple[GaussInt, int]]:
-    sp = build_df(ring, f).char_transform()
+    """Distinct character-sum values of D_f with frequencies, sorted by
+    (re, im), for any f.  build_df returns the D_f last built for the same
+    (ring, f), so a chi(D_f) that verify_rds or build_report stored on it is
+    read, not transformed again."""
+    sp = _spectrum(build_df(ring, f))
     # |chi_a(D_f)| <= |D_f| = 2^n, so one int key per value orders the
     # values by (re, im)
     off = 1 << ring.n
@@ -666,14 +677,15 @@ def _schur_p_tensor(part: Partition6) -> np.ndarray:
 
 
 def build_report(D: GroupVec) -> SchemeReport:
-    """The scheme of D, checked in the character domain from one chi(D).
+    """The scheme of D, checked in the character domain from one chi(D):
+    the transform stored on D, made here only if verify_rds has not made it.
 
     Whenever the spectra cannot certify the Schur property, verify_schur
     decides: a partition that is not a scheme raises with its witness, and
     a scheme that the spectra cannot describe raises the error of
     dual_partition or eigen_P.
     """
-    X = D.char_transform()
+    X = _spectrum(D)
     part = _partition(D, X)
     try:
         dual = dual_partition(X)

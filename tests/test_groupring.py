@@ -21,6 +21,7 @@ from pseudoplanar.groupring import (
     _coord_sums,
     _radix4,
     _rotate,
+    _spectrum,
     _stages,
     _transform,
     _work_dtype,
@@ -176,6 +177,14 @@ def test_build_df_shape():
     assert len(a_parts) == 16
 
 
+def _scalar_df(ring, f):
+    field = ring.field
+    want = np.zeros(ring.size, dtype=np.int64)
+    for x in range(field.order):
+        want[ring.idx((x, field.sqrt(f.eval(x))))] = 1
+    return want
+
+
 @pytest.mark.parametrize(
     "n, literal, pp",
     [
@@ -190,10 +199,7 @@ def test_build_df_matches_scalar_loop(n, literal, pp):
     field = ring.field
     f = SparsePoly.parse(field, literal)
     assert is_pseudoplanar(f) == pp
-    want = np.zeros(ring.size, dtype=np.int64)
-    for x in range(field.order):
-        want[ring.idx((x, field.sqrt(f.eval(x))))] = 1
-    assert np.array_equal(build_df(ring, f).counts, want)
+    assert np.array_equal(build_df(ring, f).counts, _scalar_df(ring, f))
 
 
 @pytest.mark.parametrize(
@@ -221,6 +227,99 @@ def test_verify_rds(n, literal, good):
         conv = D.convolve(D.involute())
         assert int(conv.counts[idx]) == got
         assert int(rds_expected(ring).counts[idx]) == want
+
+
+def test_a_groupvec_does_not_follow_writes_to_the_array_it_came_from():
+    ring = _ring(3)
+    arr = np.zeros(ring.size + 2, dtype=np.int64)
+    arr[[1, 5, 9]] = [1, 2, -3]
+    G = GroupVec(ring, arr[:-2])
+    X = _spectrum(G)
+    counts, re, im = G.counts.copy(), X.re.copy(), X.im.copy()
+    arr[3] = 7
+    arr[5] = 0
+    assert np.array_equal(G.counts, counts)
+    assert _spectrum(G) is X
+    assert np.array_equal(X.re, re) and np.array_equal(X.im, im)
+    assert X == G.char_transform()
+
+
+def _spectrum_cases(n):
+    """D_f for pseudo-planar and other f, some with f(0) != 0, and random
+    0/1 and signed vectors."""
+    ring = _ring(n)
+    field = ring.field
+    rng = random.Random(n)
+    polys = [SparsePoly.zero(field), SparsePoly.parse(field, "0:1")]
+    polys += [
+        SparsePoly.make(
+            field,
+            [(rng.randrange(field.order), rng.randrange(1, field.order))
+             for _ in range(3)],
+        )
+        for _ in range(2)
+    ]
+    if n >= 2:
+        polys += [SparsePoly.parse(field, "3:1"), SparsePoly.parse(field, "0:1,3:1")]
+    if n % 3 == 0:
+        m = n // 3
+        polys.append(construct_shifted_binomial(field, m, 3 if m % 3 == 2 else 2))
+    vecs = [build_df(ring, f) for f in polys]
+    nrng = np.random.default_rng(n)
+    vecs.append(GroupVec(ring, nrng.integers(0, 2, ring.size)))
+    vecs.append(GroupVec(ring, nrng.integers(-5, 6, ring.size)))
+    return polys, vecs
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stored_spectrum_is_the_fresh_transform_and_read_only(n):
+    polys, vecs = _spectrum_cases(n)
+    if n >= 2:
+        assert not all(is_pseudoplanar(f) for f in polys)
+    assert any(f.eval(0) for f in polys)
+    for D in vecs:
+        X = _spectrum(D)
+        fresh = D.char_transform()
+        assert X == fresh
+        assert _spectrum(D) is X
+        assert not X.re.flags.writeable and not X.im.flags.writeable
+        with pytest.raises(ValueError):
+            X.re[0] = 0
+        # char_transform stays uncached and writable
+        assert fresh is not X and fresh.re.flags.writeable
+
+
+def test_build_df_returns_the_same_d_for_an_equal_ring_and_f():
+    f = SparsePoly.parse(GF2n(4), "5:1")
+    D = build_df(GR4(GF2n(4)), f)
+    assert build_df(GR4(GF2n(4)), SparsePoly.parse(GF2n(4), "5:1")) is D
+    X = _spectrum(D)
+    assert _spectrum(build_df(GR4(GF2n(4)), f)) is X
+
+
+def test_build_df_rebuilds_for_another_f_or_modulus():
+    ring_b, ring_d = GR4(GF2n(3, 0xB)), GR4(GF2n(3, 0xD))
+    f = SparsePoly.parse(ring_b.field, "3:1,6:1")
+    g = SparsePoly.parse(ring_b.field, "3:1")
+    f_d = SparsePoly.parse(ring_d.field, "3:1,6:1")
+    D = build_df(ring_b, f)
+    E = build_df(ring_b, g)
+    F = build_df(ring_d, f_d)
+    assert E is not D and F is not D
+    assert F.ring == ring_d != ring_b
+    for vec, ring, poly in ((D, ring_b, f), (E, ring_b, g), (F, ring_d, f_d)):
+        assert np.array_equal(vec.counts, _scalar_df(ring, poly))
+    assert not np.array_equal(D.counts, F.counts)
+
+
+def test_build_df_field_mismatch_raises_every_time_and_is_not_cached():
+    ring_b, ring_d = GR4(GF2n(3, 0xB)), GR4(GF2n(3, 0xD))
+    f = SparsePoly.parse(ring_b.field, "3:1,6:1")
+    D = build_df(ring_b, f)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="polynomial field does not match"):
+            build_df(ring_d, f)
+    assert build_df(ring_b, f) is D
 
 
 def test_rds_expected_structure():

@@ -14,7 +14,13 @@ from pseudoplanar.functions import (
     construct_shifted_binomial,
 )
 from pseudoplanar.galois_ring import GR4
-from pseudoplanar.groupring import GroupVec, SpectrumVec, build_df, verify_rds
+from pseudoplanar.groupring import (
+    GroupVec,
+    SpectrumVec,
+    _rds_check,
+    build_df,
+    verify_rds,
+)
 from pseudoplanar import scheme
 from pseudoplanar.scheme import (
     DualPartition,
@@ -227,7 +233,8 @@ def test_build_report_keeps_the_dual_error_of_a_fused_scheme(monkeypatch):
     assert str(exc.value) == str(dual_error.value)
 
 
-def test_build_report_transforms_a_few_times_and_never_convolves(monkeypatch):
+def _count_transforms(monkeypatch) -> dict:
+    """Count convolutions and forward and inverse transforms from now on."""
     calls = {"convolve": 0, "transform": 0}
 
     def counted(fn, key):
@@ -246,6 +253,12 @@ def test_build_report_transforms_a_few_times_and_never_convolves(monkeypatch):
         "inverse_transform",
         counted(SpectrumVec.inverse_transform, "transform"),
     )
+    return calls
+
+
+def test_build_report_transforms_a_few_times_and_never_convolves(monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    build_df.cache_clear()  # a fresh D, with no transform stored on it
     rep = _report(5)
     assert rep.matches_closed_forms()
     assert calls["convolve"] == 0
@@ -254,6 +267,47 @@ def test_build_report_transforms_a_few_times_and_never_convolves(monkeypatch):
     # one int8 label per element, and no class vectors built
     assert rep.partition.labels.dtype == np.int8
     assert "classes" not in vars(rep.partition)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rds_report_and_spectrum_of_one_f_share_one_transform(monkeypatch, n):
+    build_df.cache_clear()
+    calls = _count_transforms(monkeypatch)
+    ring = GR4(GF2n(n))
+    D = build_df(ring, _pp_poly(ring.field))
+    assert verify_rds(D) == (True, [])
+    rep = build_report(D)
+    # an equal (ring, f) built afresh finds the same D_f and its chi(D_f)
+    spectrum = fourier_spectrum(GR4(GF2n(n)), _pp_poly(GF2n(n)))
+    assert calls == {"convolve": 0, "transform": 1}
+    assert rep.matches_closed_forms()
+    assert spectrum == spectrum_closed_form(n)
+
+
+@pytest.mark.parametrize("n, literal", [(3, "3:1"), (4, "3:1"), (6, "5:1,20:1")])
+def test_a_failed_report_leaves_the_rds_violations_as_they_were(n, literal):
+    ring = GR4(GF2n(n))
+    rng = np.random.default_rng(n)
+    for D in (
+        build_df(ring, SparsePoly.parse(ring.field, literal)),
+        GroupVec(ring, rng.integers(0, 2, ring.size)),
+    ):
+        before = verify_rds(D)
+        assert not before[0] and before[1]
+        with pytest.raises(SchemeError, match="not a relative difference set"):
+            build_report(D)
+        assert verify_rds(D) == before == _rds_check(D.char_transform())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_class_and_dual_sizes_equal_the_bincount_of_the_labels(n):
+    ring = GR4(GF2n(n))
+    rep = build_report(build_df(ring, SparsePoly.zero(ring.field)))
+    part, dual = rep.partition, rep.dual
+    for sizes, labels in ((part.class_sizes, part.labels), (dual.sizes, dual.labels)):
+        assert list(sizes) == np.bincount(labels.astype(np.intp), minlength=6).tolist()
+    # the empty slots of the small schemes
+    assert (0 in part.class_sizes) == (n <= 2)
 
 
 @pytest.mark.parametrize("n", [3, 4])
