@@ -3,17 +3,19 @@
 A multiset of ring elements is a dense integer vector of length 4^n indexed
 by element idx.  Signed vectors are allowed so identities like
 2^n*delta_0 + (R - Z) are first-class values.  Convolution, involution, the
-additive character transform and its inverse are all exact, and vectors are
-int64 at the interface.  The fast transform is an n-dimensional radix-4
-butterfly over the additive Z4^n coordinates, anchored against a naive double
-loop for small n.  It runs in the narrowest of int16, int32 and int64 that the
-l1 norm of its input allows, and runs its last digits on a transposed copy so
-that every stage works on long contiguous runs.
-A GroupVec cannot change once built, so its transform is computed at most
-once: _spectrum keeps chi(D) on D, read-only, for verify_rds, the scheme
-and raw_spectrum, while char_transform stays uncached and is the oracle
-for the stored value.  build_df keeps the last D_f it built, so one
-(ring, f) gives one D_f and one transform.
+additive character transform and its inverse are all exact.  A GroupVec is
+int64; a SpectrumVec keeps the integer dtype it is given, and the transform
+returns its values in the narrowest of int16, int32 and int64 that the l1
+norm of its input allows, so chi(D) of a set is int16.  The fast transform is
+an n-dimensional radix-4 butterfly over the additive Z4^n coordinates,
+anchored against a naive double loop for small n.  It scatters only the
+support of a GroupVec, and runs its last digits on a transposed copy so that
+every stage works on long contiguous runs.
+A GroupVec cannot change once built, so each 4^n fact about it is computed
+at most once and kept on it, read-only: its support, its transform (see
+_spectrum), and the verdict of verify_rds.  char_transform stays uncached
+and is the oracle for the stored transform.  build_df keeps the last D_f it
+built, so one (ring, f) gives one D_f and one transform.
 The relative-difference-set identity is tested on chi(D); only when it
 fails is |chi(D)|^2 inverted to name the elements where it fails.
 The square of a 0/1 vector needs no transform: square_of_set counts its
@@ -38,11 +40,11 @@ class GroupVec:
     """Integer-valued function on GR(4, n), i.e. a (signed) multiset.
 
     counts is read-only, and copied when it is a view of another array, so
-    nothing can change it and its stored transform (see _spectrum) stays
-    valid.
+    nothing can change it, and its stored support, transform (see _spectrum)
+    and RDS verdict (see verify_rds) stay valid.
     """
 
-    __slots__ = ("ring", "counts", "_chi")
+    __slots__ = ("ring", "counts", "_support", "_chi", "_rds")
 
     def __init__(self, ring: GR4, counts: np.ndarray):
         counts = np.asarray(counts, dtype=np.int64)
@@ -55,7 +57,9 @@ class GroupVec:
         self.ring = ring
         self.counts = counts
         self.counts.setflags(write=False)
+        self._support = None
         self._chi = None
+        self._rds = None
 
     # -- constructors --------------------------------------------------------
 
@@ -114,7 +118,11 @@ class GroupVec:
         return int(self.counts.sum())
 
     def support(self) -> np.ndarray:
-        return np.flatnonzero(self.counts)
+        """The indices of the nonzero counts, found once and kept read-only."""
+        if self._support is None:
+            self._support = np.flatnonzero(self.counts)
+            self._support.setflags(write=False)
+        return self._support
 
     def involute(self) -> "GroupVec":
         """Re-index by negation: the multiset {-g : g in A}."""
@@ -166,8 +174,13 @@ class GroupVec:
     def char_transform(self) -> "SpectrumVec":
         """chi_a(A) = sum_g A_g i^Tr(ag) for every a, as exact Gaussian ints.
 
-        A fresh, writable vector on every call; _spectrum keeps one."""
-        return SpectrumVec(self.ring, *_transform(self.ring, self.counts, None, +1))
+        The values come in the narrowest integer dtype that holds them
+        exactly (int16 for a set, see _work_dtype).  A fresh, writable vector
+        on every call; _spectrum keeps one."""
+        sup = self.support()
+        return SpectrumVec(
+            self.ring, *_transform(self.ring, self.counts[sup], None, +1, at=sup)
+        )
 
     # -- serialization -------------------------------------------------------
 
@@ -185,14 +198,22 @@ class GroupVec:
 
 
 class SpectrumVec:
-    """Character values of a multiset: entry a = chi_a(A), a Gaussian integer."""
+    """Character values of a multiset: entry a = chi_a(A), a Gaussian integer.
+
+    re and im keep any signed integer dtype they are given (others become
+    int64), and char_transform gives the narrowest exact one, often int16.
+    Arithmetic on re and im must widen them first, as pointwise_mul does:
+    the product of two int16 spectra wraps around.
+    """
 
     __slots__ = ("ring", "re", "im")
 
     def __init__(self, ring: GR4, re: np.ndarray, im: np.ndarray):
         self.ring = ring
-        self.re = np.asarray(re, dtype=np.int64)
-        self.im = np.asarray(im, dtype=np.int64)
+        self.re, self.im = (
+            v if v.dtype.kind == "i" else v.astype(np.int64)
+            for v in (np.asarray(re), np.asarray(im))
+        )
         if self.re.shape != (ring.size,) or self.im.shape != (ring.size,):
             raise ValueError("spectrum vector has wrong length")
 
@@ -208,16 +229,18 @@ class SpectrumVec:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.re.tobytes(), self.im.tobytes()))
+        # int64 bytes, so that equal vectors of two dtypes hash alike
+        re, im = (v.astype(np.int64, copy=False) for v in (self.re, self.im))
+        return hash((self.ring, re.tobytes(), im.tobytes()))
 
     def pointwise_mul(self, other: "SpectrumVec") -> "SpectrumVec":
         if self.ring != other.ring:
             raise ValueError("group ring context mismatch")
-        return SpectrumVec(
-            self.ring,
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        a, b, c, d = (
+            v.astype(np.int64, copy=False)
+            for v in (self.re, self.im, other.re, other.im)
         )
+        return SpectrumVec(self.ring, a * c - b * d, a * d + b * c)
 
     def inverse_transform(self) -> GroupVec:
         """Recover the multiset: A_g = (1/4^n) sum_a chi_a(A) i^-Tr(ag).
@@ -226,6 +249,7 @@ class SpectrumVec:
         """
         ring = self.ring
         re, im = _transform(ring, self.re, self.im, -1)
+        re = re.astype(np.int64, copy=False)
         # ring.size is 4^n: re is a multiple of it when its low 2n bits are 0
         rem = re & (ring.size - 1)
         if im.any() or rem.any():
@@ -247,12 +271,14 @@ class SpectrumVec:
 # i^{u_j v_j}, on a pair of integer vectors (re, im) with i * (r, s) = (-s, r).
 #
 # Every value a stage computes, forward or inverse, is a sum of input entries
-# times +-1 or +-i, so its re and im parts never exceed the l1 norm
+# times +-1 or +-i, so its |re| + |im| never exceeds the l1 norm
 # sum(|re| + |im|) of the input.  The pair runs in int16 when that norm is
-# below 2^15, in int32 when it is below 2^31, and in int64 otherwise: chi(D)
-# (norm 2^n) runs in int16, and the inverse of |chi(D)|^2 that names RDS
-# violations (norm 4^n |D| = 8^n for D_f, by Parseval) in int32 for every
-# n <= MAX_RING_DEGREE.
+# below 2^15, in int32 when it is below 2^31, and in int64 otherwise, and the
+# result comes back in that dtype: chi(D) (norm 2^n) is int16, and the
+# inverse of |chi(D)|^2 that names RDS violations (norm 4^n |D| = 8^n for
+# D_f, by Parseval) runs in int32 for every n <= MAX_RING_DEGREE.  Only
+# GroupVec is int64 at the interface; whatever multiplies or shifts a result
+# widens it first.
 #
 # Stage j works on digit j of the base-4 coordinate, whose contiguous runs
 # are 4^j long.  The high digits run in place; the last _tail_digits(n) run
@@ -278,33 +304,38 @@ def _coord_sums(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _transform(ring: GR4, re, im, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_x A_x i^(sign Tr(a x)) for every a, exactly, as int64 (re, im).
+def _transform(
+    ring: GR4, re, im, sign: int, at=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_x A_x i^(sign Tr(a x)) for every a, exactly, as (re, im) in the
+    work dtype of A (see _work_dtype).
 
     sign = +1 is the character transform of the element-indexed vector A
     (im None means 0); sign = -1 is the unnormalized inverse of a
-    label-indexed spectrum, which comes back element-indexed.
+    label-indexed spectrum, which comes back element-indexed.  With at
+    given, re and im are the entries of A at the indices at, and A is 0
+    elsewhere.
     """
     forward_gather, inverse_gather = _gathers(ring)
     if sign > 0:
         scatter, gather = ring.coord_of, forward_gather
     else:
         scatter, gather = ring.dual_perm, inverse_gather
+    if at is not None:
+        scatter = scatter[at]
     parts = (re,) if im is None else (re, im)
-    dtype = _work_dtype(parts)
-    fre = np.empty(ring.size, dtype=dtype)
+    fre = np.zeros(ring.size, dtype=_work_dtype(parts))
     fre[scatter] = re
-    if im is None:
-        fim = np.zeros_like(fre)
-    else:
-        fim = np.empty_like(fre)
+    fim = np.zeros_like(fre)
+    if im is not None:
         fim[scatter] = im
     fre, fim = _radix4(fre, fim, sign)
-    return fre[gather].astype(np.int64), fim[gather].astype(np.int64)
+    return fre[gather], fim[gather]
 
 
 def _work_dtype(parts) -> type:
-    """The narrowest of int16, int32, int64 above the l1 norm of parts."""
+    """The narrowest of int16, int32, int64 above the l1 norm of parts; the
+    zero entries of a vector may be left out of its part."""
     # a float64 sum cannot wrap around, and is exact while below 2^53
     l1 = sum(float(np.abs(p, dtype=np.float64).sum()) for p in parts)
     for dtype in (np.int16, np.int32):
@@ -428,7 +459,7 @@ def rds_expected(ring: GR4) -> GroupVec:
 
 
 def _rds_check(X: SpectrumVec) -> tuple[bool, list[tuple[int, int, int]]]:
-    """verify_rds on X = chi(D).
+    """verify_rds on X = chi(D), as char_transform gives it.
 
     chi(involute(D)) = conj chi(D), chi_a(R) = 4^n [a = 0] and
     chi_a(Z) = 2^n [a in Z], so the identity reads
@@ -437,10 +468,14 @@ def _rds_check(X: SpectrumVec) -> tuple[bool, list[tuple[int, int, int]]]:
     inverted back to D * involute(D), to name the violations.
     """
     ring = X.ring
-    norm = X.re * X.re + X.im * X.im
-    want = (1 << ring.n) * (~ring.two_torsion_mask).astype(np.int64)
-    want[0] = ring.size
-    if np.array_equal(norm, want):
+    # an int16 X has |re| + |im| <= 2^15 - 1 (see _work_dtype), so
+    # re^2 + im^2 < 2^30 fits int32
+    wide = np.int32 if X.re.dtype == np.int16 else np.int64
+    norm = np.multiply(X.re, X.re, dtype=wide)
+    norm += np.multiply(X.im, X.im, dtype=wide)
+    # a is in Z (ring.two_torsion_mask) exactly when a < 2^n
+    t = 1 << ring.n
+    if norm[0] == ring.size and not norm[1:t].any() and (norm[t:] == t).all():
         return True, []
     diff = SpectrumVec(ring, norm, np.zeros_like(norm)).inverse_transform()
     expected = rds_expected(ring)
@@ -455,7 +490,12 @@ def verify_rds(D: GroupVec) -> tuple[bool, list[tuple[int, int, int]]]:
     """Check D * involute(D) == 2^n*delta_0 + (R - Z).
 
     Returns (ok, violations) with at most 10 violations, each a triple
-    (element idx, actual multiplicity, expected multiplicity).  The identity
-    is tested on chi(D), transformed only if D has no stored transform yet.
+    (element idx, actual multiplicity, expected multiplicity), in a fresh
+    list.  The identity is tested on chi(D) once per D, and the verdict is
+    kept on D.
     """
-    return _rds_check(_spectrum(D))
+    if D._rds is None:
+        ok, violations = _rds_check(_spectrum(D))
+        D._rds = ok, tuple(violations)
+    ok, violations = D._rds
+    return ok, list(violations)

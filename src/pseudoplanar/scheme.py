@@ -41,7 +41,7 @@ import numpy as np
 from .exact import GaussInt, GaussRat
 from .functions import SparsePoly, pseudoplanar_witness
 from .galois_ring import GR4
-from .groupring import GroupVec, SpectrumVec, _rds_check, _spectrum, build_df
+from .groupring import GroupVec, SpectrumVec, _spectrum, build_df, verify_rds
 
 SCHEMA_VERSION = 1
 
@@ -125,15 +125,11 @@ def build_partition(D: GroupVec) -> Partition6:
     contain 0, or S_1 = D - {0} is not a set; for D = D_f that is f(0) = 0,
     and a D without 0 raises a plain ValueError.  The count of D^2 must be
     the class combination that s1_identities_hold implies; a SchemeError
-    names the first element where it is not.
+    names the first element where it is not.  The RDS check is verify_rds,
+    whose verdict is kept on D.
     """
-    return _partition(D, _spectrum(D))
-
-
-def _partition(D: GroupVec, X: SpectrumVec) -> Partition6:
-    """build_partition with X = chi(D) given."""
     ring = D.ring
-    ok, violations = _rds_check(X)
+    ok, violations = verify_rds(D)
     if not ok:
         raise SchemeError(
             f"input is not a relative difference set; first violations "
@@ -147,7 +143,8 @@ def _partition(D: GroupVec, X: SpectrumVec) -> Partition6:
     # is written over the ones before it: S_4 / S_5 by D^2, then the
     # 2-torsion Z, -D, D and 0, which leaves S_1 = D - {0} and S_2 = -S_1.
     dsq = D.square_of_set().counts
-    labels = np.where(dsq > 0, np.int8(4), np.int8(5))
+    labels = (dsq == 0).view(np.int8)
+    labels += 4
     labels[ring.two_torsion_mask] = 3
     in_d = D.support()
     labels[ring.neg_perm[in_d]] = 2
@@ -158,7 +155,7 @@ def _partition(D: GroupVec, X: SpectrumVec) -> Partition6:
     if part.class_sizes[1:4] != [(1 << ring.n) - 1] * 3:
         raise SchemeError("partition classes are not disjoint")
     a = _square_coefficients(ring.n)
-    want = np.array(a)[labels]
+    want = np.take(np.array(a, dtype=np.int8), labels)
     if not np.array_equal(dsq, want):
         g = int(np.argmax(dsq != want))
         raise SchemeError(
@@ -170,7 +167,7 @@ def _partition(D: GroupVec, X: SpectrumVec) -> Partition6:
 
 def class_spectra(part: Partition6) -> tuple[np.ndarray, np.ndarray]:
     """Character sums chi_a(S_k), one transform per class: two (6, 4^n)
-    int64 arrays (re, im).  The test oracle for eigen_P, which evaluates
+    integer arrays (re, im).  The test oracle for eigen_P, which evaluates
     them from chi(D) at one character per dual class."""
     spectra = [S.char_transform() for S in part.classes]
     return np.array([sp.re for sp in spectra]), np.array([sp.im for sp in spectra])
@@ -240,6 +237,27 @@ def _dual_signatures(n: int) -> list[GaussInt]:
     ]
 
 
+def _window_keys(X: SpectrumVec) -> tuple[np.ndarray, int, int]:
+    """(key, B, W): key = (re + B + 1) W + (im + B + 1) for each value
+    re + im i of X, with B = 2^floor(n/2) and W = 2B + 3, so that key
+    indexes a W x W table over [-B-1, B+1]^2.  re and im are clipped into
+    that square, so every value outside [-B, B]^2 lands on its border.
+
+    The clip runs in X's own dtype, where it cannot wrap, and the key stays
+    in it, or in int16 if X is narrower: every key is below W^2, and W^2 is
+    below 2^15 for n <= 13.
+    """
+    B = 1 << (X.ring.n // 2)
+    W = 2 * B + 3
+    key = np.clip(X.re, -(B + 1), B + 1)
+    key = key.astype(np.promote_types(key.dtype, np.int16), copy=False)
+    key += B + 1
+    key *= W
+    key += np.clip(X.im, -(B + 1), B + 1)
+    key += B + 1
+    return key, B, W
+
+
 def dual_partition(X: SpectrumVec) -> DualPartition:
     """Group characters chi_a by the value chi_a(S_1) = X_a - 1, X = chi(D).
 
@@ -253,22 +271,14 @@ def dual_partition(X: SpectrumVec) -> DualPartition:
     """
     ring = X.ring
     n = ring.n
-    # Every slot value v has |v.re + 1|, |v.im| <= B.  A table over
-    # [-B-1, B+1]^2 of (v.re + 1, v.im) = (X.re, X.im) holds the slot of
-    # each value, and -1 on its border, where clip sends every value
-    # outside the square.
-    B = 1 << (n // 2)
-    W = 2 * B + 3
+    # Every slot value v has |v.re + 1|, |v.im| <= B.  A table over the
+    # window of _window_keys, at (v.re + 1, v.im) = (X.re, X.im), holds the
+    # slot of each value, and -1 on its border.
+    key, B, W = _window_keys(X)
     table = np.full((W, W), -1, dtype=np.int8)
     for slot, v in enumerate([GaussInt(-1, 0)] + _dual_signatures(n), start=1):
         table[v.re + 1 + B + 1, v.im + B + 1] = slot
-    key = X.re + (B + 1)
-    np.clip(key, 0, W - 1, out=key)
-    key *= W
-    col = X.im + (B + 1)
-    np.clip(col, 0, W - 1, out=col)
-    key += col
-    labels = table.ravel()[key]
+    labels = np.take(table.ravel(), key)
     labels[0] = 0
     a = int(np.argmin(labels))
     if labels[a] == -1:
@@ -477,16 +487,31 @@ def raw_spectrum(ring: GR4, f: SparsePoly) -> list[tuple[GaussInt, int]]:
     (ring, f), so a chi(D_f) that verify_rds or build_report stored on it is
     read, not transformed again."""
     sp = _spectrum(build_df(ring, f))
-    # |chi_a(D_f)| <= |D_f| = 2^n, so one int key per value orders the
-    # values by (re, im)
-    off = 1 << ring.n
-    width = 2 * off + 1
-    keys, freq = np.unique((sp.re + off) * width + (sp.im + off), return_counts=True)
-    re, im = np.divmod(keys, width)
-    return [
-        (GaussInt(int(r) - off, int(m) - off), int(c))
-        for r, m, c in zip(re, im, freq)
+    # The values in the window of _window_keys, which holds every value but
+    # chi_0(D_f) = 2^n of a pseudo-planar f, are counted in its table, in
+    # (re, im) order; the few on its border are sorted out exactly.
+    key, B, W = _window_keys(sp)
+    freq = np.bincount(key, minlength=W * W).reshape(W, W)
+    inner = freq[1:-1, 1:-1]
+    rows = [
+        (GaussInt(int(r) - B, int(m) - B), int(inner[r, m]))
+        for r, m in zip(*np.nonzero(inner))
     ]
+    if inner.sum() < ring.size:
+        re, im = sp.re, sp.im
+        far = np.flatnonzero((re < -B) | (re > B) | (im < -B) | (im > B))
+        # |chi_a(D_f)| <= |D_f| = 2^n, so one int key per value orders the
+        # values by (re, im)
+        off = 1 << ring.n
+        width = 2 * off + 1
+        re, im = (v[far].astype(np.int64) + off for v in (sp.re, sp.im))
+        keys, counts = np.unique(re * width + im, return_counts=True)
+        re, im = np.divmod(keys, width)
+        rows += [
+            (GaussInt(int(r) - off, int(m) - off), int(c))
+            for r, m, c in zip(re, im, counts)
+        ]
+    return sorted(rows, key=lambda vc: vc[0].sort_key())
 
 
 # -- fusion -------------------------------------------------------------------
@@ -686,7 +711,7 @@ def build_report(D: GroupVec) -> SchemeReport:
     dual_partition or eigen_P.
     """
     X = _spectrum(D)
-    part = _partition(D, X)
+    part = build_partition(D)
     try:
         dual = dual_partition(X)
         P, row_slots, col_slots = eigen_P(part, dual, X)

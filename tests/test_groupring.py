@@ -20,6 +20,7 @@ from pseudoplanar.groupring import (
     SpectrumVec,
     _coord_sums,
     _radix4,
+    _rds_check,
     _rotate,
     _spectrum,
     _stages,
@@ -438,6 +439,7 @@ def test_transforms_at_dtype_thresholds_match_naive_character_sums(
     assert _work_dtype((counts,)) == dtype
     A = GroupVec(ring, counts)
     sp = A.char_transform()
+    assert sp.re.dtype == sp.im.dtype == dtype
     want = _naive_sum(ring, counts, zero, +1)
     assert np.array_equal(sp.re, want[0]) and np.array_equal(sp.im, want[1])
     assert sp.inverse_transform() == A
@@ -448,6 +450,7 @@ def test_transforms_at_dtype_thresholds_match_naive_character_sums(
     im[np.flatnonzero(re)] = values[parts:]
     assert _work_dtype((re, im)) == dtype
     got = _transform(ring, re, im, -1)
+    assert got[0].dtype == got[1].dtype == dtype
     want = _naive_sum(ring, re, im, -1)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     # inverse_transform divides by 4^n, or names the first element it cannot
@@ -460,6 +463,114 @@ def test_transforms_at_dtype_thresholds_match_naive_character_sums(
         assert SpectrumVec(ring, re, im).inverse_transform().counts.tolist() == (
             want_counts.tolist()
         )
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_char_transform_returns_the_work_dtype_and_the_character_sums(n):
+    ring = _ring(n)
+    field = ring.field
+    rng = random.Random(n)
+    f = SparsePoly.make(
+        field,
+        [(rng.randrange(field.order), rng.randrange(1, field.order))
+         for _ in range(2)],
+    )
+    cases = [(build_df(ring, f), np.int16)]
+    for l1, dtype in L1_DTYPES:
+        counts = _sparse(ring, rng, _split_l1(rng, l1, min(4, ring.size)))
+        cases.append((GroupVec(ring, counts), dtype))
+    labels = range(ring.size) if n <= 3 else rng.sample(range(ring.size), 24)
+    for A, dtype in cases:
+        sp = A.char_transform()
+        assert sp.re.dtype == sp.im.dtype == dtype == _work_dtype((A.counts,))
+        for a in labels:
+            want = GaussInt()
+            for x in A.support():
+                chi = ring.character(ring.pair(a), ring.pair(int(x)))
+                want = want + chi * int(A.counts[x])
+            assert sp.value(a) == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pointwise_mul_of_int16_spectra_widens_before_it_multiplies(n):
+    ring = _ring(n)
+    rng = random.Random(n)
+    A, B = (
+        GroupVec(ring, _sparse(ring, rng, [abs(v) for v in _split_l1(rng, l1, 3)]))
+        for l1 in (2**15 - 1, 2**15 - 1)
+    )
+    X, Y = A.char_transform(), B.char_transform()
+    assert X.re.dtype == Y.re.dtype == np.int16
+    xr, xi, yr, yi = (v.astype(np.int64) for v in (X.re, X.im, Y.re, Y.im))
+    got = X.pointwise_mul(Y)
+    assert np.array_equal(got.re, xr * yr - xi * yi)
+    assert np.array_equal(got.im, xr * yi + xi * yr)
+    # in int16 the product wraps: chi_0(A) chi_0(B) = (2^15 - 1)^2
+    assert int((X.re * Y.re)[0]) != int(xr[0] * yr[0])
+    assert got.inverse_transform() == A.convolve_naive(B)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rds_check_of_an_int16_x_equals_that_of_its_int64_copy(n):
+    ring = _ring(n)
+    # _rds_check compares slices: Z is the labels below 2^n
+    assert np.array_equal(np.flatnonzero(ring.two_torsion_mask), np.arange(1 << n))
+    polys, vecs = _spectrum_cases(n)
+    verdicts = []
+    for i, D in enumerate(vecs):
+        X = D.char_transform()
+        if i < len(polys):  # D_f, a set of l1 norm 2^n
+            assert X.re.dtype == np.int16
+        X64 = SpectrumVec(ring, X.re.astype(np.int64), X.im.astype(np.int64))
+        got = _rds_check(X)
+        assert got == _rds_check(X64)
+        verdicts.append(got[0])
+    assert True in verdicts
+    if n >= 2:
+        assert False in verdicts[: len(polys)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rds_check_refuses_one_wrong_norm_at_each_end_of_z_and_its_complement(n):
+    ring = _ring(n)
+    X = build_df(ring, SparsePoly.zero(ring.field)).char_transform()
+    assert _rds_check(X) == (True, [])
+    t = 1 << n
+    for a in (0, 1, t - 1, t, ring.size - 1):
+        re = X.re.copy()
+        re[a] += 1 if a else -1
+        try:
+            ok = _rds_check(SpectrumVec(ring, re, X.im))[0]
+        except ValueError:  # |X|^2 is no longer a transform, so not an RDS
+            ok = False
+        assert not ok, a
+
+
+def test_spectrum_equality_and_hash_do_not_depend_on_the_dtype():
+    ring = _ring(3)
+    X = build_df(ring, SparsePoly.parse(ring.field, "3:1,6:1")).char_transform()
+    assert X.re.dtype == np.int16
+    for dtype in (np.int8, np.int32, np.int64):
+        Y = SpectrumVec(ring, X.re.astype(dtype), X.im.astype(dtype))
+        assert Y.re.dtype == Y.im.dtype == dtype
+        assert Y == X and X == Y and hash(Y) == hash(X)
+    # values that wrap to X in int16 are still different
+    Z = SpectrumVec(ring, X.re.astype(np.int64) + (1 << 16), X.im)
+    assert Z != X and X != Z
+    # dtypes that are not signed integers become int64
+    W = SpectrumVec(ring, ring.two_torsion_mask, np.zeros(ring.size, dtype=np.uint8))
+    assert W.re.dtype == W.im.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stored_support_is_the_nonzero_indices_and_read_only(n):
+    _, vecs = _spectrum_cases(n)
+    for D in vecs + [GroupVec.zero(_ring(n))]:
+        sup = D.support()
+        assert D.support() is sup
+        assert np.array_equal(sup, np.flatnonzero(D.counts))
+        with pytest.raises(ValueError):
+            sup[...] = 0
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -12,6 +12,7 @@ from pseudoplanar.functions import (
     SparsePoly,
     construct_binomial1,
     construct_shifted_binomial,
+    is_pseudoplanar,
 )
 from pseudoplanar.galois_ring import GR4
 from pseudoplanar.groupring import (
@@ -21,7 +22,7 @@ from pseudoplanar.groupring import (
     build_df,
     verify_rds,
 )
-from pseudoplanar import scheme
+from pseudoplanar import groupring, scheme
 from pseudoplanar.scheme import (
     DualPartition,
     FusionError,
@@ -170,7 +171,7 @@ def test_partition_classes_must_be_disjoint_and_cover_the_ring(monkeypatch):
     counts = D.counts.copy()
     counts[d] = 0
     counts[ring.neg_perm[g]] = 1
-    monkeypatch.setattr(scheme, "_rds_check", lambda X: (True, []))
+    monkeypatch.setattr(scheme, "verify_rds", lambda D: (True, []))
     with pytest.raises(SchemeError, match="^partition classes are not disjoint$"):
         build_partition(GroupVec(ring, counts))
 
@@ -187,12 +188,12 @@ def test_verify_schur_witness_on_broken_partition():
 
 
 def test_build_report_names_the_schur_witness_of_a_broken_partition(monkeypatch):
-    # _partition cannot return a partition that is not a scheme, and the
+    # build_partition cannot return a partition that is not a scheme, and the
     # P that eigen_P reads off chi(D) does not look at the classes; the
     # fallback is reached by patching both steps
     broken = _split_s4_partition()
     _, (i, j, k, g, g2) = verify_schur(broken)
-    monkeypatch.setattr(scheme, "_partition", lambda D, X: broken)
+    monkeypatch.setattr(scheme, "build_partition", lambda D: broken)
 
     def no_dual(X):
         raise SchemeError("the dual partition fails")
@@ -226,7 +227,7 @@ def test_build_report_keeps_the_dual_error_of_a_fused_scheme(monkeypatch):
     with pytest.raises(SchemeError) as dual_error:
         dual_partition(X_fused)
     true_dual = dual_partition
-    monkeypatch.setattr(scheme, "_partition", lambda D, X: fused)
+    monkeypatch.setattr(scheme, "build_partition", lambda D: fused)
     monkeypatch.setattr(scheme, "dual_partition", lambda X: true_dual(X_fused))
     with pytest.raises(SchemeError) as exc:
         build_report(build_df(ring, SparsePoly.zero(ring.field)))
@@ -234,8 +235,9 @@ def test_build_report_keeps_the_dual_error_of_a_fused_scheme(monkeypatch):
 
 
 def _count_transforms(monkeypatch) -> dict:
-    """Count convolutions and forward and inverse transforms from now on."""
-    calls = {"convolve": 0, "transform": 0}
+    """Count convolutions, forward and inverse transforms and RDS checks of
+    a chi(D) from now on."""
+    calls = {"convolve": 0, "transform": 0, "rds_check": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -253,6 +255,7 @@ def _count_transforms(monkeypatch) -> dict:
         "inverse_transform",
         counted(SpectrumVec.inverse_transform, "transform"),
     )
+    monkeypatch.setattr(groupring, "_rds_check", counted(_rds_check, "rds_check"))
     return calls
 
 
@@ -279,7 +282,7 @@ def test_rds_report_and_spectrum_of_one_f_share_one_transform(monkeypatch, n):
     rep = build_report(D)
     # an equal (ring, f) built afresh finds the same D_f and its chi(D_f)
     spectrum = fourier_spectrum(GR4(GF2n(n)), _pp_poly(GF2n(n)))
-    assert calls == {"convolve": 0, "transform": 1}
+    assert calls == {"convolve": 0, "transform": 1, "rds_check": 1}
     assert rep.matches_closed_forms()
     assert spectrum == spectrum_closed_form(n)
 
@@ -294,6 +297,8 @@ def test_a_failed_report_leaves_the_rds_violations_as_they_were(n, literal):
     ):
         before = verify_rds(D)
         assert not before[0] and before[1]
+        # every caller gets its own copy of the stored violations
+        verify_rds(D)[1].clear()
         with pytest.raises(SchemeError, match="not a relative difference set"):
             build_report(D)
         assert verify_rds(D) == before == _rds_check(D.char_transform())
@@ -340,7 +345,11 @@ def test_spectrum_rejects_non_pp_with_witness():
 
 
 @pytest.mark.parametrize(
-    "n, literal", [(3, "3:1"), (4, "3:1"), (4, "7:1,9:3"), (5, "3:1,5:1"), (6, "5:1,20:1")]
+    "n, literal",
+    [
+        (3, "3:1"), (4, "3:1"), (4, "7:1,9:3"), (5, "3:1,5:1"), (6, "5:1,20:1"),
+        (8, "7:1,0:9"), (1, "0:1"), (2, "0:0"), (7, "0:3,16:1"), (9, "0:0"),
+    ],
 )
 def test_raw_spectrum_counts_match_stacked_unique(n, literal):
     ring = GR4(GF2n(n))
@@ -352,7 +361,13 @@ def test_raw_spectrum_counts_match_stacked_unique(n, literal):
     want = [(GaussInt(int(r), int(m)), int(c)) for (r, m), c in zip(pairs, freq)]
     rows = raw_spectrum(ring, f)
     assert rows == sorted(want, key=lambda vf: vf[0].sort_key())
-    assert len(rows) > 6
+    pp = is_pseudoplanar(f)
+    assert (len(rows) > 6) == (not pp)
+    # values inside and outside raw_spectrum's table of |re|, |im| <= B
+    B = 1 << (n // 2)
+    far = [v for v, _ in rows if max(abs(v.re), abs(v.im)) > B]
+    assert far and len(far) < len(rows)
+    assert (len(far) > 1) == (not pp)
 
 
 def test_spectrum_csv_format():
