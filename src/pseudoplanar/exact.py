@@ -69,12 +69,6 @@ def _as_gi(v) -> GaussInt:
     raise TypeError(f"cannot coerce {v!r} to GaussInt")
 
 
-I = GaussInt(0, 1)
-
-# i^k for k mod 4
-I_POWERS = (GaussInt(1, 0), GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))
-
-
 @dataclass(frozen=True)
 class GaussRat:
     re: Fraction = Fraction(0)
@@ -114,14 +108,6 @@ class GaussRat:
 
     def __neg__(self) -> "GaussRat":
         return GaussRat(-self.re, -self.im)
-
-    def is_gauss_int(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
-
-    def to_gauss_int(self) -> GaussInt:
-        if not self.is_gauss_int():
-            raise ValueError(f"{self} is not a Gaussian integer")
-        return GaussInt(int(self.re), int(self.im))
 
     def __str__(self) -> str:
         if self.im == 0:

@@ -248,16 +248,6 @@ class GF2n:
         if self.n != 3 * m:
             raise ValueError(f"need n == 3m, got n={self.n}, m={m}")
 
-    def mult_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        group = self.order - 1
-        t = group
-        for p in _prime_factors(group):
-            while t % p == 0 and self.pow(a, t // p) == 1:
-                t //= p
-        return t
-
     def generator(self) -> int:
         """The smallest generator of the multiplicative group (1 for n = 1)."""
         return self._exp[1 % (self.order - 1)]

@@ -3,9 +3,10 @@
 A function f is pseudo-planar when x -> f(x+e) + f(x) + e*x is a permutation
 of the field for every nonzero e.  This module carries the direct test (a
 GF(2) rank test for quadratic-type f, an exhaustive eps-loop for the rest), the
-Moore-determinant permutation criterion for linearized polynomials, the known
-monomial families, and the three binomial constructions on F_{2^{3m}} with
-their exact trace criteria.
+known monomial families, and the three binomial constructions on F_{2^{3m}}
+with their exact trace criteria.  The Moore-determinant criterion for
+linearized polynomials, the test oracle of binomial1_criterion, lives in
+tests/oracles.py with the scalar oracles of the other criteria.
 """
 
 from __future__ import annotations
@@ -178,55 +179,6 @@ def is_pseudoplanar(f: SparsePoly) -> bool:
     return pseudoplanar_witness(f) is None
 
 
-# -- linearized polynomials ------------------------------------------------
-
-
-def linearized_eval(field: GF2n, coeffs, d: int, x: int) -> int:
-    """Evaluate L(x) = sum c_i x^(q^i) with q = 2^d."""
-    out = 0
-    for i, c in enumerate(coeffs):
-        out ^= field.mul(c, field.pow(x, 1 << (d * i)))
-    return out
-
-
-def moore_det(field: GF2n, coeffs, d: int) -> int:
-    """Determinant of the twisted circulant deciding bijectivity of a
-    linearized polynomial over F_{q^r}, q = 2^d, r = len(coeffs).
-
-    Entry (j, k) is c_((j-k) mod r) raised to the q^k power; L permutes the
-    field exactly when the determinant is nonzero.
-    """
-    r = len(coeffs)
-    if field.n % (d * r) != 0 or field.n != d * r:
-        raise ValueError(f"need n == d*r, got n={field.n}, d={d}, r={r}")
-    M = [
-        [field.pow(coeffs[(j - k) % r], 1 << (d * k)) for k in range(r)]
-        for j in range(r)
-    ]
-    det = 1
-    for col in range(r):
-        piv = next((row for row in range(col, r) if M[row][col]), None)
-        if piv is None:
-            return 0
-        M[col], M[piv] = M[piv], M[col]  # char 2: swaps do not change the determinant
-        det = field.mul(det, M[col][col])
-        inv = field.inv(M[col][col])
-        M[col] = [field.mul(inv, v) for v in M[col]]
-        for row in range(col + 1, r):
-            fac = M[row][col]
-            if fac:
-                M[row] = [a ^ field.mul(fac, b) for a, b in zip(M[row], M[col])]
-    return det
-
-
-def linearized_is_bijection(field: GF2n, coeffs, d: int) -> bool:
-    """Brute-force bijectivity check; the test oracle for moore_det."""
-    seen = set()
-    for x in range(field.order):
-        seen.add(linearized_eval(field, coeffs, d, x))
-    return len(seen) == field.order
-
-
 # -- known pseudo-planar monomial families ---------------------------------
 
 MONOMIAL_FAMILIES = ("linear", "gold_half", "scherr_zieve")
@@ -295,17 +247,6 @@ def known_family_hits(field: GF2n) -> set[tuple[int, int]]:
             if field.pow(a, group // e1) == 1 and field.pow(a, group // (3 * e1)) != 1:
                 hits.add((a, (1 << (2 * k)) * ((1 << (2 * k)) + 1)))
     return hits
-
-
-def scaling_orbit(field: GF2n, c: int, t: int) -> set[tuple[int, int]]:
-    """Orbit of the monomial c*x^t under f(x) -> u^(-2) f(u x).
-
-    That substitution preserves pseudo-planarity (the difference map of the
-    image is the original difference map composed with x -> u x and scaled
-    by u^(-2)) and sends c*x^t to (c*u^(t-2))*x^t.  Test oracle for
-    known_hits_closure.
-    """
-    return {(field.mul(c, field.pow(u, t - 2)), t) for u in range(1, field.order)}
 
 
 def known_hits_closure(field: GF2n) -> set[tuple[int, int]]:
@@ -383,27 +324,6 @@ def binomial1_criterion(field: GF2n, m: int, a: int) -> bool:
     return bool((tr3 != 0).all())
 
 
-def binomial1_criterion_det(field: GF2n, m: int, a: int) -> bool:
-    """Same criterion via the Moore determinant of the per-eps linearized
-    difference map; the test oracle for binomial1_criterion, which must
-    agree with it everywhere."""
-    _cubic_field(field, m)
-    t = 1 << m
-    ca = field.pow(a, t * t + 1)
-    cb = field.pow(a, -(t + 1))
-    for eps in range(1, field.order):
-        c0 = (
-            field.mul(ca, field.pow(eps, t * t))
-            ^ field.mul(cb, field.pow(eps, t))
-            ^ eps
-        )
-        c1 = field.mul(cb, eps)
-        c2 = field.mul(ca, eps)
-        if moore_det(field, [c0, c1, c2], m) == 0:
-            return False
-    return True
-
-
 def construct_shifted_binomial(field: GF2n, m: int, variant: int) -> SparsePoly:
     """The two monic binomial families on F_{2^{3m}}, t = 2^m:
 
@@ -430,25 +350,11 @@ def construct_shifted_binomial(field: GF2n, m: int, variant: int) -> SparsePoly:
     raise ValueError(f"variant must be 2 or 3, got {variant}")
 
 
-def shifted_binomial_obstruction(field: GF2n, m: int, variant: int, e: int) -> int:
-    """The per-eps obstruction value for the shifted binomials:
-    N3(e) + Tr3(e^3 + e^(1+2t)) for variant 2, N3(e) + Tr3(e^3 + e^(2+t))
-    for variant 3.  The binomial is pseudo-planar iff this is nonzero for
-    every nonzero e.  Scalar test oracle for shifted_binomial_criterion."""
-    _cubic_field(field, m)
-    t = 1 << m
-    if variant == 2:
-        extra = 1 + 2 * t
-    elif variant == 3:
-        extra = 2 + t
-    else:
-        raise ValueError(f"variant must be 2 or 3, got {variant}")
-    inner = field.pow(e, 3) ^ field.pow(e, extra)
-    return field.rel_norm(e, m) ^ field.rel_trace(inner, m)
-
-
 def shifted_binomial_criterion(field: GF2n, m: int, variant: int) -> bool:
-    """Vectorized check that the obstruction is nonzero for every eps."""
+    """Exact pseudo-planarity criterion for construct_shifted_binomial: the
+    obstruction N3(e) + Tr3(e^3 + e^(1+2t)) (variant 2) or
+    N3(e) + Tr3(e^3 + e^(2+t)) (variant 3) must be nonzero for every
+    nonzero e.  Vectorized over e."""
     _cubic_field(field, m)
     t = 1 << m
     extra = 1 + 2 * t if variant == 2 else 2 + t

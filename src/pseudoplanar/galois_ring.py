@@ -8,13 +8,15 @@ The pair formulas
     (a, b) * (c, d) = (a*c, a*d ^ b*c)
 
 are derived from the Teichmuller addition x (+) y = x + y + 2 sqrt(xy).  The
-tests cross-check them against Z4Model, an independent brute-force model of
-the ring as Z4[y]/(h(y)) with h a coefficient lift of the field modulus;
-GR4 itself never uses the model.  GR4 also builds the additive Z4^n
-coordinate and character-label tables used by the fast character transform
-in groupring, as outer XORs of 2^n-entry tables.
+tests cross-check them, the trace and the characters against Z4Model in
+tests/oracles.py, an independent brute-force model of the ring as
+Z4[y]/(h(y)) with h a coefficient lift of the field modulus.  GR4 also
+builds the additive Z4^n coordinate and character-label tables used by the
+fast character transform in groupring, as outer XORs of 2^n-entry tables.
 
-Indexing convention for dense vectors: idx = enc(a) * 2^n + enc(b).
+Indexing convention for dense vectors: idx = enc(a) * 2^n + enc(b).  The
+2-torsion ideal Z = 2R is the pairs (0, b), so its elements are exactly the
+indices below 2^n.
 """
 
 from __future__ import annotations
@@ -23,106 +25,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import I_POWERS, GaussInt
 from .field import GF2n
 
 MAX_RING_DEGREE = 10
 
 Pair = tuple[int, int]
-
-_Z4_OF_PAIR = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
-
-
-class Z4Model:
-    """Brute-force model of GR(4, n): Z4-coefficient vectors modulo h(y).
-
-    Test oracle for the Teichmuller-pair formulas of GR4 and for its
-    coordinate tables: y^j is the basis element e_j = T(x^j) of coord_of.
-
-    h is the unique monic lift of the field modulus to Z4 that divides
-    y^(2^n - 1) - 1, found by scanning all 2^n coefficient lifts.  When the
-    field modulus is primitive, y then has multiplicative order exactly
-    2^n - 1 and generates the Teichmuller group.
-    """
-
-    def __init__(self, field: GF2n):
-        self.field = field
-        self.n = field.n
-        self.h = self._find_lift()
-
-    def _find_lift(self) -> tuple[int, ...]:
-        n = self.n
-        bits = [(self.field.modulus >> i) & 1 for i in range(n)]
-        group = (1 << n) - 1
-        one = self.one()
-        y = tuple(1 if j == 1 else 0 for j in range(n)) if n > 1 else None
-        for mask in range(1 << n):
-            h = tuple(bits[i] + 2 * ((mask >> i) & 1) for i in range(n))
-            if n == 1:
-                yv = ((4 - h[0]) % 4,)
-            else:
-                yv = y
-            if self.pow(yv, group, h) == one:
-                return h
-        raise AssertionError(
-            f"no Z4 lift of modulus 0x{self.field.modulus:x} divides y^(2^n-1) - 1"
-        )
-
-    def one(self) -> tuple[int, ...]:
-        return tuple(1 if j == 0 else 0 for j in range(self.n))
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.n
-
-    def add(self, u: tuple, v: tuple) -> tuple[int, ...]:
-        return tuple((a + b) % 4 for a, b in zip(u, v))
-
-    def neg(self, u: tuple) -> tuple[int, ...]:
-        return tuple((-a) % 4 for a in u)
-
-    def mul(self, u: tuple, v: tuple, h: tuple | None = None) -> tuple[int, ...]:
-        n = self.n
-        h = self.h if h is None else h
-        prod = [0] * (2 * n - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    prod[i + j] += a * b
-        for j in range(2 * n - 2, n - 1, -1):
-            c = prod[j] % 4
-            prod[j] = 0
-            if c:
-                for k in range(n):
-                    prod[j - n + k] -= c * h[k]
-        return tuple(c % 4 for c in prod[:n])
-
-    def pow(self, u: tuple, k: int, h: tuple | None = None) -> tuple[int, ...]:
-        r = self.one()
-        while k:
-            if k & 1:
-                r = self.mul(r, u, h)
-            u = self.mul(u, u, h)
-            k >>= 1
-        return r
-
-    def teich(self, a: int) -> tuple[int, ...]:
-        """Teichmuller lift of field element a: (any lift)^(2^n)."""
-        v = tuple((a >> i) & 1 for i in range(self.n))
-        for _ in range(self.n):
-            v = self.mul(v, v)
-        return v
-
-    def from_pair(self, x: Pair) -> tuple[int, ...]:
-        a, b = x
-        return self.add(self.teich(a), self.mul((2,) + (0,) * (self.n - 1), self.teich(b)))
-
-    def to_pair(self, v: tuple) -> Pair:
-        a = sum(((c & 1) << i) for i, c in enumerate(v))
-        rest = self.add(v, self.neg(self.teich(a)))
-        if any(c & 1 for c in rest):
-            raise AssertionError(f"oracle vector {v} has no Teichmuller pair form")
-        b = sum(((c >> 1) << i) for i, c in enumerate(rest))
-        return (a, b)
 
 
 class GR4:
@@ -160,17 +67,6 @@ class GR4:
     def pair(self, idx: int) -> Pair:
         return (idx >> self.n, idx & (self.field.order - 1))
 
-    def parse_elem(self, s: str) -> Pair:
-        """Parse a ring element literal "aHEX+2*bHEX"."""
-        try:
-            a_str, b_str = s.split("+2*")
-            a, b = int(a_str, 16), int(b_str, 16)
-        except ValueError as exc:
-            raise ValueError(f"bad ring element literal {s!r}") from exc
-        if not (0 <= a < self.field.order and 0 <= b < self.field.order):
-            raise ValueError(f"ring element literal {s!r} out of range")
-        return (a, b)
-
     def elem_string(self, x: Pair) -> str:
         return f"{x[0]:x}+2*{x[1]:x}"
 
@@ -198,32 +94,7 @@ class GR4:
         f = self.field
         return (f.square(x[0]), f.square(x[1]))
 
-    def trace(self, x: Pair) -> int:
-        """Trace to Z4: the ring sum of all n Frobenius iterates."""
-        t = self.zero
-        v = x
-        for _ in range(self.n):
-            t = self.add(t, v)
-            v = self.frobenius(v)
-        return _Z4_OF_PAIR[t]
-
-    def character(self, a: Pair, x: Pair) -> GaussInt:
-        """Additive character value chi_a(x) = i^Tr(ax).
-
-        Test oracle: the naive character sum that the radix-4 transform in
-        groupring is checked against.
-        """
-        return I_POWERS[self.trace(self.mul(a, x))]
-
-    def in_two_torsion(self, x: Pair) -> bool:
-        """Membership in Z = 2R, the ideal of zero divisors plus 0."""
-        return x[0] == 0
-
     # -- dense tables --------------------------------------------------------
-
-    @cached_property
-    def oracle(self) -> Z4Model:
-        return Z4Model(self.field)
 
     def _outer_xor(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The 4^n vector whose entry at idx(a, b) is rows[a] ^ cols[b]."""
@@ -278,8 +149,3 @@ class GR4:
             u |= trace[f.mul_vec(a, 1 << k)] << (2 * k)
         low_bits = (self.size - 1) // 3  # bit 0 of every base-4 digit
         return self._outer_xor(u, (u & low_bits) << 1)
-
-    @cached_property
-    def two_torsion_mask(self) -> np.ndarray:
-        idx = np.arange(self.size, dtype=np.int64)
-        return (idx >> self.n) == 0

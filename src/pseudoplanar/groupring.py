@@ -7,10 +7,11 @@ additive character transform and its inverse are all exact.  A GroupVec is
 int64; a SpectrumVec keeps the integer dtype it is given, and the transform
 returns its values in the narrowest of int16, int32 and int64 that the l1
 norm of its input allows, so chi(D) of a set is int16.  The fast transform is
-an n-dimensional radix-4 butterfly over the additive Z4^n coordinates,
-anchored against a naive double loop for small n.  It scatters only the
-support of a GroupVec, and runs its last digits on a transposed copy so that
-every stage works on long contiguous runs.
+an n-dimensional radix-4 butterfly over the additive Z4^n coordinates.  It
+scatters only the support of a GroupVec, and runs its last digits on a
+transposed copy so that every stage works on long contiguous runs.  The
+tests anchor it, convolve and square_of_set against the naive character sums
+and the O(16^n) convolution of tests/oracles.py for small n.
 A GroupVec cannot change once built, so each 4^n fact about it is computed
 at most once and kept on it, read-only: its support, its transform (see
 _spectrum), and the verdict of verify_rds.  char_transform stays uncached
@@ -32,8 +33,6 @@ import numpy as np
 from .exact import GaussInt
 from .galois_ring import GR4
 from .functions import SparsePoly
-
-NAIVE_MAX_DEGREE = 3
 
 
 class GroupVec:
@@ -82,10 +81,6 @@ class GroupVec:
     @classmethod
     def full_group(cls, ring: GR4) -> "GroupVec":
         return cls(ring, np.ones(ring.size, dtype=np.int64))
-
-    @classmethod
-    def two_torsion(cls, ring: GR4) -> "GroupVec":
-        return cls(ring, ring.two_torsion_mask.astype(np.int64))
 
     # -- basic algebra -------------------------------------------------------
 
@@ -153,22 +148,6 @@ class GroupVec:
         by_coord = np.bincount(sums.ravel(), minlength=ring.size)
         return GroupVec(ring, by_coord[ring.coord_of])
 
-    def convolve_naive(self, other: "GroupVec") -> "GroupVec":
-        """O(16^n) reference convolution; the test oracle for convolve."""
-        self._check_ctx(other)
-        ring = self.ring
-        if ring.n > NAIVE_MAX_DEGREE:
-            raise ValueError(
-                f"naive convolution is capped at n <= {NAIVE_MAX_DEGREE}"
-            )
-        out = np.zeros(ring.size, dtype=np.int64)
-        for i in self.support():
-            ci = self.counts[i]
-            xi = ring.pair(int(i))
-            for j in other.support():
-                out[ring.idx(ring.add(xi, ring.pair(int(j))))] += ci * other.counts[j]
-        return GroupVec(ring, out)
-
     # -- character transform -------------------------------------------------
 
     def char_transform(self) -> "SpectrumVec":
@@ -181,20 +160,6 @@ class GroupVec:
         return SpectrumVec(
             self.ring, *_transform(self.ring, self.counts[sup], None, +1, at=sup)
         )
-
-    # -- serialization -------------------------------------------------------
-
-    def to_sparse(self) -> list[list[int]]:
-        return [[int(i), int(self.counts[i])] for i in self.support()]
-
-    @classmethod
-    def from_sparse(cls, ring: GR4, items) -> "GroupVec":
-        counts = np.zeros(ring.size, dtype=np.int64)
-        for i, c in items:
-            if not 0 <= i < ring.size:
-                raise ValueError(f"element index {i} out of range")
-            counts[i] = c
-        return cls(ring, counts)
 
 
 class SpectrumVec:
@@ -453,7 +418,7 @@ def build_df(ring: GR4, f: SparsePoly) -> GroupVec:
 def rds_expected(ring: GR4) -> GroupVec:
     """2^n * delta_0 + (R - Z): the difference multiset of a (2^n,2^n,2^n,1)-RDS."""
     counts = np.ones(ring.size, dtype=np.int64)
-    counts[ring.two_torsion_mask] = 0
+    counts[: 1 << ring.n] = 0  # Z is the index prefix [0, 2^n)
     counts[0] = 1 << ring.n
     return GroupVec(ring, counts)
 
@@ -473,7 +438,7 @@ def _rds_check(X: SpectrumVec) -> tuple[bool, list[tuple[int, int, int]]]:
     wide = np.int32 if X.re.dtype == np.int16 else np.int64
     norm = np.multiply(X.re, X.re, dtype=wide)
     norm += np.multiply(X.im, X.im, dtype=wide)
-    # a is in Z (ring.two_torsion_mask) exactly when a < 2^n
+    # a is in Z exactly when a < 2^n
     t = 1 << ring.n
     if norm[0] == ring.size and not norm[1:t].any() and (norm[t:] == t).all():
         return True, []

@@ -13,17 +13,21 @@ a D_f with f pseudo-planar, so once D passes the RDS check and contains 0,
 that check fails only on a wrong count.  The dual partition of the
 character group is one table lookup of X per character, and the first
 eigenmatrix P is evaluated at one member of each dual class; the spectra
-are constant on the dual classes by construction, and class_spectra, one
-transform per class, is the test oracle for that.  With as many dual
-classes as classes the classes span a Schur ring (Bridges-Mena) and the
-intersection numbers follow from P exactly.  verify_schur, which convolves
-every pair of classes, names a witness when that fails and is the test
-oracle for the intersection numbers.  The second eigenmatrix follows from
-P by the orthogonality relation Q_ij = m_j conj(P_ji) / k_i (m the dual
-class sizes, k the class sizes), and P Q = |R| I is checked exactly over
-the Gaussian integers, on Q scaled by its least common denominator.  The
-module also evaluates the Fourier spectrum and fuses classes via the
-constant-block-row-sum criterion.
+are constant on the dual classes by construction.  P is square: for n >= 3
+there are six classes and dual_partition refuses fewer than six dual
+classes, and for n <= 2 every pseudo-planar f with f(0) = 0 gives the 4 x 4
+or 5 x 5 P of the closed forms.  So the classes span a Schur ring
+(Bridges-Mena), and the intersection numbers follow from P exactly.  The
+second eigenmatrix follows from P by the orthogonality relation
+Q_ij = m_j conj(P_ji) / k_i (m the dual class sizes, k the class sizes),
+and P Q = |R| I is checked exactly over the Gaussian integers, on Q scaled
+by its least common denominator.  build_report runs these steps on one
+path, and the SchemeError of any step propagates unchanged.  The tests
+check the steps against the oracles in tests/oracles.py: class_spectra
+(one transform per class) for eigen_P, verify_schur (every pair of classes
+convolved) for the intersection numbers, and s1_identities_hold for the
+D^2 combination.  The module also evaluates the Fourier spectrum and fuses
+classes via the constant-block-row-sum criterion.
 """
 
 from __future__ import annotations
@@ -65,9 +69,8 @@ class Partition6:
     """The ring split into S_0..S_5: labels[g] = k puts element g in S_k.
 
     labels is a read-only int8 vector over the elements; slots may be empty.
-    The 0/1 class vectors are built on first use, for verify_schur,
-    s1_identities_hold and the test oracles; build_report needs them only
-    when it falls back to verify_schur.
+    The 0/1 class vectors are built on first use, for the test oracles;
+    build_report never builds them.
     """
 
     ring: GR4
@@ -111,8 +114,9 @@ class DualPartition:
 
 
 def _square_coefficients(n: int) -> tuple[int, ...]:
-    """a with D^2 = sum_k a_k S_k: D = S_0 + S_1 and the S_1^2 identity of
-    s1_identities_hold, which every pseudo-planar f with f(0) = 0 meets."""
+    """a with D^2 = sum_k a_k S_k: D = S_0 + S_1 and the identity
+    S_1^2 = S_3 + 2 S_4 (+ 2 S_2 for n even), which every pseudo-planar f
+    with f(0) = 0 meets."""
     return (1, 2, 2 * (n % 2 == 0), 1, 2, 0)
 
 
@@ -124,9 +128,9 @@ def build_partition(D: GroupVec) -> Partition6:
     sizes would not be well defined and a SchemeError is raised.  D must also
     contain 0, or S_1 = D - {0} is not a set; for D = D_f that is f(0) = 0,
     and a D without 0 raises a plain ValueError.  The count of D^2 must be
-    the class combination that s1_identities_hold implies; a SchemeError
-    names the first element where it is not.  The RDS check is verify_rds,
-    whose verdict is kept on D.
+    the class combination sum_k a_k S_k of _square_coefficients; a
+    SchemeError names the first element where it is not.  The RDS check is
+    verify_rds, whose verdict is kept on D.
     """
     ring = D.ring
     ok, violations = verify_rds(D)
@@ -145,7 +149,7 @@ def build_partition(D: GroupVec) -> Partition6:
     dsq = D.square_of_set().counts
     labels = (dsq == 0).view(np.int8)
     labels += 4
-    labels[ring.two_torsion_mask] = 3
+    labels[: 1 << ring.n] = 3  # Z is the index prefix [0, 2^n)
     in_d = D.support()
     labels[ring.neg_perm[in_d]] = 2
     labels[in_d] = 1
@@ -163,59 +167,6 @@ def build_partition(D: GroupVec) -> Partition6:
             f"multiplicity {dsq[g]}, expected {want[g]}"
         )
     return part
-
-
-def class_spectra(part: Partition6) -> tuple[np.ndarray, np.ndarray]:
-    """Character sums chi_a(S_k), one transform per class: two (6, 4^n)
-    integer arrays (re, im).  The test oracle for eigen_P, which evaluates
-    them from chi(D) at one character per dual class."""
-    spectra = [S.char_transform() for S in part.classes]
-    return np.array([sp.re for sp in spectra]), np.array([sp.im for sp in spectra])
-
-
-def verify_schur(part: Partition6):
-    """Intersection numbers p_{ij}^k, or a witness that they don't exist.
-
-    Convolves every pair of classes: build_report's witness producer when
-    the spectral check fails, and the test oracle for _intersection_numbers.
-    Returns (p_tensor, None) on success — a (6,6,6) array with
-    p_tensor[i][j][k] = multiplicity of any S_k element in S_i * S_j — or
-    (None, (i, j, k, g, g_prime)) naming two elements of the same class
-    with different multiplicities.
-    """
-    p = np.zeros((6, 6, 6), dtype=np.int64)
-    for i in range(6):
-        for j in range(i, 6):
-            conv = part.classes[i].convolve(part.classes[j])
-            for k in range(6):
-                sup = part.classes[k].support()
-                if len(sup) == 0:
-                    continue
-                vals = conv.counts[sup]
-                vmin, vmax = int(vals.min()), int(vals.max())
-                if vmin != vmax:
-                    g = int(sup[int(np.argmin(vals))])
-                    g2 = int(sup[int(np.argmax(vals))])
-                    return None, (i, j, k, g, g2)
-                p[i, j, k] = p[j, i, k] = vmin
-    return p, None
-
-
-def s1_identities_hold(part: Partition6) -> bool:
-    """The two exact multiset identities satisfied by S_1.
-
-    S_1 * involute(S_1) = (2^n - 1) delta_0 + S_4 + S_5, and
-    S_1^2 = S_3 + 2 S_4 (n odd) or S_3 + 2 S_2 + 2 S_4 (n even).
-    """
-    ring = part.ring
-    s0, s1, s2, s3, s4, s5 = part.classes
-    lhs = s1.convolve(s1.involute())
-    if lhs != s0.scale((1 << ring.n) - 1) + s4 + s5:
-        return False
-    sq = s1.convolve(s1)
-    if ring.n % 2 == 1:
-        return sq == s3 + s4.scale(2)
-    return sq == s3 + s2.scale(2) + s4.scale(2)
 
 
 def _dual_signatures(n: int) -> list[GaussInt]:
@@ -323,7 +274,7 @@ def eigen_P(part: Partition6, dual: DualPartition, X: SpectrumVec):
             GaussInt(1),
             x - 1,
             x.conj() - 1,
-            GaussInt((1 << ring.n) * int(ring.two_torsion_mask[g]) - 1),
+            GaussInt((1 << ring.n) * (g < 1 << ring.n) - 1),  # Z is g < 2^n
         ]
         twice = x * x - sum((a_k * c for a_k, c in zip(a, chi)), GaussInt())
         if twice.re % a[4] or twice.im % a[4]:
@@ -662,12 +613,12 @@ def _intersection_numbers(
 ) -> np.ndarray:
     """p_{ij}^k = sum_l m_l P_li P_lj conj(P_lk) / (|R| k_k), exactly.
 
-    The (6,6,6) tensor of verify_schur, from the first eigenmatrix.  Valid
-    when P is square: the class spectra are then constant on as many dual
-    classes as there are classes, so the classes span every function
-    constant on the dual classes, and that span is closed under convolution
-    (Bridges-Mena).  Raises SchemeError unless every value is a
-    non-negative integer.
+    The (6,6,6) tensor p[i, j, k], the multiplicity of any S_k element in
+    S_i * S_j, from the first eigenmatrix.  Valid because P is square: the
+    class spectra are constant on as many dual classes as there are
+    classes, so the classes span every function constant on the dual
+    classes, and that span is closed under convolution (Bridges-Mena).
+    Raises SchemeError unless every value is a non-negative integer.
     """
     size = part.ring.size
     sizes = part.class_sizes
@@ -689,39 +640,19 @@ def _intersection_numbers(
     return p
 
 
-def _schur_p_tensor(part: Partition6) -> np.ndarray:
-    """verify_schur's p-tensor, or the SchemeError naming its witness."""
-    p_tensor, witness = verify_schur(part)
-    if witness is not None:
-        i, j, k, g, g2 = witness
-        raise SchemeError(
-            f"intersection numbers not constant: S_{i}*S_{j} differs on "
-            f"elements {g} and {g2} of S_{k}"
-        )
-    return p_tensor
-
-
 def build_report(D: GroupVec) -> SchemeReport:
     """The scheme of D, checked in the character domain from one chi(D):
     the transform stored on D, made here only if verify_rds has not made it.
 
-    Whenever the spectra cannot certify the Schur property, verify_schur
-    decides: a partition that is not a scheme raises with its witness, and
-    a scheme that the spectra cannot describe raises the error of
-    dual_partition or eigen_P.
+    One path: build_partition, dual_partition, eigen_P, the intersection
+    numbers and eigen_Q.  The SchemeError (or, for a D without 0, the
+    ValueError) of the first step that fails propagates unchanged.
     """
     X = _spectrum(D)
     part = build_partition(D)
-    try:
-        dual = dual_partition(X)
-        P, row_slots, col_slots = eigen_P(part, dual, X)
-    except SchemeError:
-        _schur_p_tensor(part)
-        raise
-    if len(row_slots) == len(col_slots):
-        p_tensor = _intersection_numbers(part, dual, P, row_slots, col_slots)
-    else:
-        p_tensor = _schur_p_tensor(part)
+    dual = dual_partition(X)
+    P, row_slots, col_slots = eigen_P(part, dual, X)
+    p_tensor = _intersection_numbers(part, dual, P, row_slots, col_slots)
     k = part.class_sizes
     Q = eigen_Q(P, [k[i] for i in col_slots], [dual.sizes[j] for j in row_slots])
     return SchemeReport(part, dual, p_tensor, P, Q, row_slots, col_slots)

@@ -1,0 +1,332 @@
+"""Test oracles: slow, independent reference implementations.
+
+Each fast path of the package is checked against one of these.  They share
+no code with the paths they check, and the package itself never calls them.
+
+- Z4Model, trace and character: GR(4, n) as Z4[y]/(h(y)), and the naive
+  additive characters, for the Teichmuller-pair arithmetic and the radix-4
+  character transform.
+- convolve_naive: the O(16^n) convolution, for GroupVec.convolve and
+  GroupVec.square_of_set.
+- moore_det, linearized_is_bijection and binomial1_criterion_det: the
+  Moore-determinant criterion, for binomial1_criterion.
+- shifted_binomial_obstruction, scaling_orbit and mult_order: scalar
+  versions of the shifted-binomial criterion, the scaling closure and the
+  multiplicative order.
+- class_spectra, s1_identities_hold and verify_schur: one transform per
+  class, the S_1 multiset identities and the pairwise convolutions of the
+  classes, for eigen_P, build_partition and the intersection numbers.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pseudoplanar.exact import GaussInt
+from pseudoplanar.field import GF2n, _prime_factors
+from pseudoplanar.functions import _cubic_field
+from pseudoplanar.galois_ring import GR4, Pair
+from pseudoplanar.groupring import GroupVec
+from pseudoplanar.scheme import Partition6
+
+# -- GR(4, n) -----------------------------------------------------------------
+
+
+class Z4Model:
+    """Brute-force model of GR(4, n): Z4-coefficient vectors modulo h(y).
+
+    Test oracle for the Teichmuller-pair formulas of GR4 and for its
+    coordinate tables: y^j is the basis element e_j = T(x^j) of coord_of.
+
+    h is the unique monic lift of the field modulus to Z4 that divides
+    y^(2^n - 1) - 1, found by scanning all 2^n coefficient lifts.  When the
+    field modulus is primitive, y then has multiplicative order exactly
+    2^n - 1 and generates the Teichmuller group.
+    """
+
+    def __init__(self, field: GF2n):
+        self.field = field
+        self.n = field.n
+        self.h = self._find_lift()
+
+    def _find_lift(self) -> tuple[int, ...]:
+        n = self.n
+        bits = [(self.field.modulus >> i) & 1 for i in range(n)]
+        group = (1 << n) - 1
+        one = self.one()
+        y = tuple(1 if j == 1 else 0 for j in range(n)) if n > 1 else None
+        for mask in range(1 << n):
+            h = tuple(bits[i] + 2 * ((mask >> i) & 1) for i in range(n))
+            if n == 1:
+                yv = ((4 - h[0]) % 4,)
+            else:
+                yv = y
+            if self.pow(yv, group, h) == one:
+                return h
+        raise AssertionError(
+            f"no Z4 lift of modulus 0x{self.field.modulus:x} divides y^(2^n-1) - 1"
+        )
+
+    def one(self) -> tuple[int, ...]:
+        return tuple(1 if j == 0 else 0 for j in range(self.n))
+
+    def zero(self) -> tuple[int, ...]:
+        return (0,) * self.n
+
+    def add(self, u: tuple, v: tuple) -> tuple[int, ...]:
+        return tuple((a + b) % 4 for a, b in zip(u, v))
+
+    def neg(self, u: tuple) -> tuple[int, ...]:
+        return tuple((-a) % 4 for a in u)
+
+    def mul(self, u: tuple, v: tuple, h: tuple | None = None) -> tuple[int, ...]:
+        n = self.n
+        h = self.h if h is None else h
+        prod = [0] * (2 * n - 1)
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    prod[i + j] += a * b
+        for j in range(2 * n - 2, n - 1, -1):
+            c = prod[j] % 4
+            prod[j] = 0
+            if c:
+                for k in range(n):
+                    prod[j - n + k] -= c * h[k]
+        return tuple(c % 4 for c in prod[:n])
+
+    def pow(self, u: tuple, k: int, h: tuple | None = None) -> tuple[int, ...]:
+        r = self.one()
+        while k:
+            if k & 1:
+                r = self.mul(r, u, h)
+            u = self.mul(u, u, h)
+            k >>= 1
+        return r
+
+    def teich(self, a: int) -> tuple[int, ...]:
+        """Teichmuller lift of field element a: (any lift)^(2^n)."""
+        v = tuple((a >> i) & 1 for i in range(self.n))
+        for _ in range(self.n):
+            v = self.mul(v, v)
+        return v
+
+    def from_pair(self, x: Pair) -> tuple[int, ...]:
+        a, b = x
+        return self.add(self.teich(a), self.mul((2,) + (0,) * (self.n - 1), self.teich(b)))
+
+    def to_pair(self, v: tuple) -> Pair:
+        a = sum(((c & 1) << i) for i, c in enumerate(v))
+        rest = self.add(v, self.neg(self.teich(a)))
+        if any(c & 1 for c in rest):
+            raise AssertionError(f"oracle vector {v} has no Teichmuller pair form")
+        b = sum(((c >> 1) << i) for i, c in enumerate(rest))
+        return (a, b)
+
+
+_Z4_OF_PAIR = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
+
+# i^k for k mod 4
+I_POWERS = (GaussInt(1, 0), GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))
+
+
+def trace(ring: GR4, x: Pair) -> int:
+    """Trace to Z4: the ring sum of all n Frobenius iterates."""
+    t = ring.zero
+    v = x
+    for _ in range(ring.n):
+        t = ring.add(t, v)
+        v = ring.frobenius(v)
+    return _Z4_OF_PAIR[t]
+
+
+def character(ring: GR4, a: Pair, x: Pair) -> GaussInt:
+    """Additive character value chi_a(x) = i^Tr(ax): the naive character
+    sum that the radix-4 transform is checked against."""
+    return I_POWERS[trace(ring, ring.mul(a, x))]
+
+
+# -- group ring ---------------------------------------------------------------
+
+NAIVE_MAX_DEGREE = 3
+
+
+def convolve_naive(A: GroupVec, B: GroupVec) -> GroupVec:
+    """O(16^n) reference convolution A * B, by ring addition pair by pair."""
+    A._check_ctx(B)
+    ring = A.ring
+    if ring.n > NAIVE_MAX_DEGREE:
+        raise ValueError(
+            f"naive convolution is capped at n <= {NAIVE_MAX_DEGREE}"
+        )
+    out = np.zeros(ring.size, dtype=np.int64)
+    for i in A.support():
+        ci = A.counts[i]
+        xi = ring.pair(int(i))
+        for j in B.support():
+            out[ring.idx(ring.add(xi, ring.pair(int(j))))] += ci * B.counts[j]
+    return GroupVec(ring, out)
+
+
+# -- functions ----------------------------------------------------------------
+
+
+def linearized_eval(field: GF2n, coeffs, d: int, x: int) -> int:
+    """Evaluate L(x) = sum c_i x^(q^i) with q = 2^d."""
+    out = 0
+    for i, c in enumerate(coeffs):
+        out ^= field.mul(c, field.pow(x, 1 << (d * i)))
+    return out
+
+
+def moore_det(field: GF2n, coeffs, d: int) -> int:
+    """Determinant of the twisted circulant deciding bijectivity of a
+    linearized polynomial over F_{q^r}, q = 2^d, r = len(coeffs).
+
+    Entry (j, k) is c_((j-k) mod r) raised to the q^k power; L permutes the
+    field exactly when the determinant is nonzero.
+    """
+    r = len(coeffs)
+    if field.n % (d * r) != 0 or field.n != d * r:
+        raise ValueError(f"need n == d*r, got n={field.n}, d={d}, r={r}")
+    M = [
+        [field.pow(coeffs[(j - k) % r], 1 << (d * k)) for k in range(r)]
+        for j in range(r)
+    ]
+    det = 1
+    for col in range(r):
+        piv = next((row for row in range(col, r) if M[row][col]), None)
+        if piv is None:
+            return 0
+        M[col], M[piv] = M[piv], M[col]  # char 2: swaps do not change the determinant
+        det = field.mul(det, M[col][col])
+        inv = field.inv(M[col][col])
+        M[col] = [field.mul(inv, v) for v in M[col]]
+        for row in range(col + 1, r):
+            fac = M[row][col]
+            if fac:
+                M[row] = [a ^ field.mul(fac, b) for a, b in zip(M[row], M[col])]
+    return det
+
+
+def linearized_is_bijection(field: GF2n, coeffs, d: int) -> bool:
+    """Brute-force bijectivity check; the oracle for moore_det."""
+    seen = set()
+    for x in range(field.order):
+        seen.add(linearized_eval(field, coeffs, d, x))
+    return len(seen) == field.order
+
+
+def binomial1_criterion_det(field: GF2n, m: int, a: int) -> bool:
+    """binomial1_criterion via the Moore determinant of the per-eps
+    linearized difference map, which must agree with it everywhere."""
+    _cubic_field(field, m)
+    t = 1 << m
+    ca = field.pow(a, t * t + 1)
+    cb = field.pow(a, -(t + 1))
+    for eps in range(1, field.order):
+        c0 = (
+            field.mul(ca, field.pow(eps, t * t))
+            ^ field.mul(cb, field.pow(eps, t))
+            ^ eps
+        )
+        c1 = field.mul(cb, eps)
+        c2 = field.mul(ca, eps)
+        if moore_det(field, [c0, c1, c2], m) == 0:
+            return False
+    return True
+
+
+def shifted_binomial_obstruction(field: GF2n, m: int, variant: int, e: int) -> int:
+    """The per-eps obstruction value for the shifted binomials:
+    N3(e) + Tr3(e^3 + e^(1+2t)) for variant 2, N3(e) + Tr3(e^3 + e^(2+t))
+    for variant 3.  The binomial is pseudo-planar iff this is nonzero for
+    every nonzero e.  Scalar oracle for shifted_binomial_criterion."""
+    _cubic_field(field, m)
+    t = 1 << m
+    if variant == 2:
+        extra = 1 + 2 * t
+    elif variant == 3:
+        extra = 2 + t
+    else:
+        raise ValueError(f"variant must be 2 or 3, got {variant}")
+    inner = field.pow(e, 3) ^ field.pow(e, extra)
+    return field.rel_norm(e, m) ^ field.rel_trace(inner, m)
+
+
+def scaling_orbit(field: GF2n, c: int, t: int) -> set[tuple[int, int]]:
+    """Orbit of the monomial c*x^t under f(x) -> u^(-2) f(u x).
+
+    That substitution preserves pseudo-planarity (the difference map of the
+    image is the original difference map composed with x -> u x and scaled
+    by u^(-2)) and sends c*x^t to (c*u^(t-2))*x^t.  Oracle for
+    known_hits_closure.
+    """
+    return {(field.mul(c, field.pow(u, t - 2)), t) for u in range(1, field.order)}
+
+
+def mult_order(field: GF2n, a: int) -> int:
+    """The multiplicative order of a nonzero field element."""
+    if a == 0:
+        raise ValueError("0 has no multiplicative order")
+    group = field.order - 1
+    t = group
+    for p in _prime_factors(group):
+        while t % p == 0 and field.pow(a, t // p) == 1:
+            t //= p
+    return t
+
+
+# -- schemes ------------------------------------------------------------------
+
+
+def class_spectra(part: Partition6) -> tuple[np.ndarray, np.ndarray]:
+    """Character sums chi_a(S_k), one transform per class: two (6, 4^n)
+    integer arrays (re, im).  The oracle for eigen_P, which evaluates them
+    from chi(D) at one character per dual class."""
+    spectra = [S.char_transform() for S in part.classes]
+    return np.array([sp.re for sp in spectra]), np.array([sp.im for sp in spectra])
+
+
+def verify_schur(part: Partition6):
+    """Intersection numbers p_{ij}^k, or a witness that they don't exist.
+
+    Convolves every pair of classes: the oracle for the intersection numbers
+    that build_report derives from P.  Returns (p_tensor, None) on success —
+    a (6,6,6) array with p_tensor[i][j][k] = multiplicity of any S_k element
+    in S_i * S_j — or (None, (i, j, k, g, g_prime)) naming two elements of
+    the same class with different multiplicities.
+    """
+    p = np.zeros((6, 6, 6), dtype=np.int64)
+    for i in range(6):
+        for j in range(i, 6):
+            conv = part.classes[i].convolve(part.classes[j])
+            for k in range(6):
+                sup = part.classes[k].support()
+                if len(sup) == 0:
+                    continue
+                vals = conv.counts[sup]
+                vmin, vmax = int(vals.min()), int(vals.max())
+                if vmin != vmax:
+                    g = int(sup[int(np.argmin(vals))])
+                    g2 = int(sup[int(np.argmax(vals))])
+                    return None, (i, j, k, g, g2)
+                p[i, j, k] = p[j, i, k] = vmin
+    return p, None
+
+
+def s1_identities_hold(part: Partition6) -> bool:
+    """The two exact multiset identities satisfied by S_1.
+
+    S_1 * involute(S_1) = (2^n - 1) delta_0 + S_4 + S_5, and
+    S_1^2 = S_3 + 2 S_4 (n odd) or S_3 + 2 S_2 + 2 S_4 (n even).
+    """
+    ring = part.ring
+    s0, s1, s2, s3, s4, s5 = part.classes
+    lhs = s1.convolve(s1.involute())
+    if lhs != s0.scale((1 << ring.n) - 1) + s4 + s5:
+        return False
+    sq = s1.convolve(s1)
+    if ring.n % 2 == 1:
+        return sq == s3 + s4.scale(2)
+    return sq == s3 + s2.scale(2) + s4.scale(2)

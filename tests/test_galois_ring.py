@@ -10,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n
-from pseudoplanar.galois_ring import GR4, Z4Model
+from pseudoplanar.galois_ring import GR4
 from pseudoplanar.groupring import GroupVec
+
+from oracles import Z4Model, character, trace
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_oracle_agreement_exhaustive(n):
     ring = GR4(GF2n(n))
-    model = ring.oracle
+    model = Z4Model(ring.field)
     elems = [ring.pair(i) for i in range(ring.size)]
     vecs = {x: model.from_pair(x) for x in elems}
     for x in elems:
@@ -31,7 +33,7 @@ def test_oracle_agreement_exhaustive(n):
 
 def test_oracle_agreement_random_n4():
     ring = GR4(GF2n(4))
-    model = ring.oracle
+    model = Z4Model(ring.field)
     rng = random.Random(11)
     for _ in range(2000):
         x = ring.pair(rng.randrange(ring.size))
@@ -50,6 +52,11 @@ def _ring(n, modulus):
     return GR4(GF2n(n, modulus))
 
 
+@lru_cache(maxsize=None)
+def _model(n, modulus):
+    return Z4Model(_ring(n, modulus).field)
+
+
 # the default modulus and one other irreducible per degree (0x1f is not
 # primitive: x has order 5)
 RING_FIELDS = [(4, None), (4, 0x1F), (5, None), (5, 0x3D), (6, None), (6, 0x49)]
@@ -59,7 +66,7 @@ RING_FIELDS = [(4, None), (4, 0x1F), (5, None), (5, 0x3D), (6, None), (6, 0x49)]
 @settings(max_examples=150, deadline=None)
 def test_ring_ops_match_z4model(spec, data):
     ring = _ring(*spec)
-    model = ring.oracle
+    model = _model(*spec)
     x, y = (ring.pair(data.draw(st.integers(0, ring.size - 1))) for _ in range(2))
     u, v = model.from_pair(x), model.from_pair(y)
     assert model.to_pair(u) == x
@@ -101,19 +108,20 @@ def test_trace_properties():
     ring = GR4(GF2n(3))
     for i in range(ring.size):
         x = ring.pair(i)
-        assert ring.trace(ring.frobenius(x)) == ring.trace(x)
+        assert trace(ring, ring.frobenius(x)) == trace(ring, x)
     # trace is additive into Z4
     for i in range(0, ring.size, 7):
         for j in range(0, ring.size, 5):
             x, y = ring.pair(i), ring.pair(j)
-            assert ring.trace(ring.add(x, y)) == (ring.trace(x) + ring.trace(y)) % 4
+            want = (trace(ring, x) + trace(ring, y)) % 4
+            assert trace(ring, ring.add(x, y)) == want
 
 
 def test_trace_balance_small():
     ring = GR4(GF2n(2))
     counts = [0, 0, 0, 0]
     for i in range(ring.size):
-        counts[ring.trace(ring.pair(i))] += 1
+        counts[trace(ring, ring.pair(i))] += 1
     assert counts == [4, 4, 4, 4]
 
 
@@ -123,7 +131,7 @@ def test_character_orthogonality():
         a = ring.pair(a_idx)
         total = GaussInt()
         for x_idx in range(ring.size):
-            total = total + ring.character(a, ring.pair(x_idx))
+            total = total + character(ring, a, ring.pair(x_idx))
         assert total == (GaussInt(ring.size) if a_idx == 0 else GaussInt())
 
 
@@ -132,8 +140,19 @@ def test_negation_and_two_torsion():
     for i in range(ring.size):
         x = ring.pair(i)
         assert ring.add(x, ring.neg(x)) == ring.zero
-        assert ring.in_two_torsion(ring.add(x, x))
-    assert int(ring.two_torsion_mask.sum()) == 1 << ring.n
+        # 2x lies in Z = 2R, the pairs (0, b)
+        assert ring.add(x, x)[0] == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_two_torsion_is_the_index_prefix(n):
+    # Z = 2R is the pairs (0, b), which are exactly the indices below 2^n;
+    # build_partition, eigen_P, rds_expected and _rds_check rely on it
+    ring = GR4(GF2n(n))
+    for i in range(ring.size):
+        assert (ring.pair(i)[0] == 0) == (i < 1 << n)
+    doubles = {ring.idx(ring.add(x, x)) for x in map(ring.pair, range(ring.size))}
+    assert doubles == set(range(1 << n))
 
 
 def test_dual_pairing():
@@ -150,7 +169,7 @@ def test_dual_pairing():
                 dot = sum(
                     ((u >> (2 * j)) & 3) * ((v >> (2 * j)) & 3) for j in range(n)
                 ) % 4
-                assert dot == ring.trace(ring.mul(a, x))
+                assert dot == trace(ring, ring.mul(a, x))
 
 
 def _oracle_tables(ring):
@@ -160,7 +179,7 @@ def _oracle_tables(ring):
     of the label of chi_a is Tr(a e_k), with e_k the element whose model
     vector is y^k.
     """
-    model = ring.oracle
+    model = Z4Model(ring.field)
     n = ring.n
     pow4 = [4**j for j in range(n)]
     coord = [
@@ -169,7 +188,7 @@ def _oracle_tables(ring):
     ]
     basis = [model.to_pair(tuple(int(j == k) for j in range(n))) for k in range(n)]
     dual = [
-        sum(ring.trace(ring.mul(ring.pair(i), e)) * p for e, p in zip(basis, pow4))
+        sum(trace(ring, ring.mul(ring.pair(i), e)) * p for e, p in zip(basis, pow4))
         for i in range(ring.size)
     ]
     return np.array(coord, dtype=np.int64), np.array(dual, dtype=np.int64)
@@ -209,12 +228,7 @@ def test_table_build_memory_n10():
 
 def test_elem_literals():
     ring = GR4(GF2n(4))
-    assert ring.parse_elem("3+2*a") == (3, 10)
     assert ring.elem_string((3, 10)) == "3+2*a"
-    with pytest.raises(ValueError):
-        ring.parse_elem("3")
-    with pytest.raises(ValueError):
-        ring.parse_elem("ff+2*0")
 
 
 def test_capacity_guard():

@@ -1,6 +1,7 @@
 """Scheme construction, eigenmatrices, spectra, duals, and fusion."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -40,11 +41,11 @@ from pseudoplanar.scheme import (
     _check_pq,
     _intersection_numbers,
     raw_spectrum,
-    s1_identities_hold,
     spectrum_closed_form,
     spectrum_csv,
-    verify_schur,
 )
+
+from oracles import class_spectra, s1_identities_hold, verify_schur
 
 PP_EXAMPLES = {
     3: "3:1,6:1",
@@ -185,28 +186,6 @@ def test_verify_schur_witness_on_broken_partition():
     # the witness really exhibits unequal multiplicities
     conv = broken.classes[i].convolve(broken.classes[j])
     assert int(conv.counts[g]) != int(conv.counts[g2])
-
-
-def test_build_report_names_the_schur_witness_of_a_broken_partition(monkeypatch):
-    # build_partition cannot return a partition that is not a scheme, and the
-    # P that eigen_P reads off chi(D) does not look at the classes; the
-    # fallback is reached by patching both steps
-    broken = _split_s4_partition()
-    _, (i, j, k, g, g2) = verify_schur(broken)
-    monkeypatch.setattr(scheme, "build_partition", lambda D: broken)
-
-    def no_dual(X):
-        raise SchemeError("the dual partition fails")
-
-    monkeypatch.setattr(scheme, "dual_partition", no_dual)
-    D = build_df(broken.ring, SparsePoly.zero(broken.ring.field))
-    want = (
-        f"intersection numbers not constant: S_{i}*S_{j} differs on "
-        f"elements {g} and {g2} of S_{k}"
-    )
-    with pytest.raises(SchemeError) as exc:
-        build_report(D)
-    assert str(exc.value) == want
 
 
 def test_build_report_keeps_the_dual_error_of_a_fused_scheme(monkeypatch):
@@ -389,6 +368,28 @@ def test_degenerate_n1_three_classes():
     assert _check_pq(rep.P, rep.Q, rep.partition.ring.size)
 
 
+@pytest.mark.parametrize("n, count", [(1, 2), (2, 16)])
+def test_every_small_pseudoplanar_f_gives_a_square_p(n, count):
+    # build_report has no path for a P that is not square.  For n >= 3 the
+    # class sizes and dual_partition fix six classes and six dual classes;
+    # for n <= 2 every f of degree < 2^n with f(0) = 0 is tried here.
+    ring = GR4(GF2n(n))
+    fld = ring.field
+    exps = range(1, fld.order)
+    found = 0
+    for coeffs in itertools.product(range(fld.order), repeat=len(exps)):
+        f = SparsePoly.make(fld, zip(exps, coeffs))
+        if not is_pseudoplanar(f):
+            continue
+        found += 1
+        rep = build_report(build_df(ring, f))
+        assert len(rep.row_slots) == len(rep.col_slots)
+        assert rep.matches_closed_forms()
+        p, witness = verify_schur(rep.partition)
+        assert witness is None and np.array_equal(rep.p_tensor, p)
+    assert found == count
+
+
 def test_degenerate_n2_four_classes():
     rep = _report(2, "0:0")
     assert rep.class_count == 4
@@ -528,7 +529,7 @@ def _with_x(X, at, re=None, im=None):
 def test_eigen_p_names_the_least_non_constant_dual_class():
     # the constancy check of the class-spectra oracle
     part, dual, _ = _zero_scheme_n3()
-    re, im = scheme.class_spectra(part)
+    re, im = class_spectra(part)
     cols = part.nonempty_slots()
     # n = 3, f = 0: character 9 lies in E_5 and character 8 in E_4
     assert dual.labels[9] == 5 and dual.labels[8] == 4
@@ -636,7 +637,7 @@ def test_p_from_chi_d_equals_the_class_spectra_oracle(n):
         part = build_partition(D)
         dual = dual_partition(X)
         P, row_slots, col_slots = eigen_P(part, dual, X)
-        re, im = scheme.class_spectra(part)
+        re, im = class_spectra(part)
         assert row_slots == dual.nonempty_slots()
         assert col_slots == part.nonempty_slots()
         assert P == _constant_P(re, im, dual, col_slots)
