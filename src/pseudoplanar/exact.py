@@ -47,9 +47,6 @@ class GaussInt:
     def conj(self) -> "GaussInt":
         return GaussInt(self.re, -self.im)
 
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)

@@ -36,8 +36,6 @@ class GR4:
     """Context for GR(4, n) on top of a binary field context."""
 
     zero: Pair = (0, 0)
-    one: Pair = (1, 0)
-    two: Pair = (0, 1)
     three: Pair = (1, 1)
 
     def __init__(self, field: GF2n):
@@ -80,9 +78,6 @@ class GR4:
 
     def neg(self, x: Pair) -> Pair:
         return self.mul(x, self.three)
-
-    def sub(self, x: Pair, y: Pair) -> Pair:
-        return self.add(x, self.neg(y))
 
     def mul(self, x: Pair, y: Pair) -> Pair:
         f = self.field

@@ -16,9 +16,16 @@ no code with the paths they check, and the package itself never calls them.
 - class_spectra, s1_identities_hold and verify_schur: one transform per
   class, the S_1 multiset identities and the pairwise convolutions of the
   classes, for eigen_P, build_partition and the intersection numbers.
+- intersection_numbers_gauss and check_pq_gauss: the intersection numbers
+  from P and the P Q = |R| I check as loops over GaussInt products, for the
+  object-int tensor contractions of scheme._intersection_numbers and
+  scheme._check_pq.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +34,7 @@ from pseudoplanar.field import GF2n, _prime_factors
 from pseudoplanar.functions import _cubic_field
 from pseudoplanar.galois_ring import GR4, Pair
 from pseudoplanar.groupring import GroupVec
-from pseudoplanar.scheme import Partition6
+from pseudoplanar.scheme import Partition6, SchemeError
 
 # -- GR(4, n) -----------------------------------------------------------------
 
@@ -330,3 +337,46 @@ def s1_identities_hold(part: Partition6) -> bool:
     if ring.n % 2 == 1:
         return sq == s3 + s4.scale(2)
     return sq == s3 + s2.scale(2) + s4.scale(2)
+
+
+def intersection_numbers_gauss(P, class_sizes, dual_sizes, col_slots) -> np.ndarray:
+    """p_{ij}^k = sum_l m_l P_li P_lj conj(P_lk) / (|R| k_k), one GaussInt
+    product at a time, with the same checks and SchemeError text as
+    scheme._intersection_numbers; |R| = sum k."""
+    size = sum(class_sizes)
+    sizes = class_sizes
+    m = dual_sizes
+    rows = range(len(dual_sizes))
+    p = np.zeros((6, 6, 6), dtype=np.int64)
+    for a, i in enumerate(col_slots):
+        for b in range(a, len(col_slots)):
+            j = col_slots[b]
+            w = [m[l] * P[l][a] * P[l][b] for l in rows]
+            for c, k in enumerate(col_slots):
+                v = sum((w[l] * P[l][c].conj() for l in rows), GaussInt())
+                den = size * sizes[c]
+                if v.im != 0 or v.re < 0 or v.re % den != 0:
+                    raise SchemeError(
+                        f"p_{i}{j}^{k} = ({v})/{den} is not a non-negative integer"
+                    )
+                p[i, j, k] = p[j, i, k] = v.re // den
+    return p
+
+
+def check_pq_gauss(P, Q, size: int) -> bool:
+    """P Q == |R| I over the Gaussian integers, on Q scaled by the least
+    common denominator L of its entries, as GaussInt sums of products."""
+    L = math.lcm(*(x.denominator for row in Q for e in row for x in (e.re, e.im)))
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (L // x.denominator)
+
+    LQ = [[GaussInt(scaled(e.re), scaled(e.im)) for e in row] for row in Q]
+    product = [
+        [sum((p * q[c] for p, q in zip(row, LQ)), GaussInt()) for c in range(len(Q[0]))]
+        for row in P
+    ]
+    m = len(P)
+    return product == [
+        [GaussInt(size * L if j == k else 0) for k in range(m)] for j in range(m)
+    ]

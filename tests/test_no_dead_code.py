@@ -1,12 +1,17 @@
-"""Every function, class, constant and import in the package is used by the
-package or the benchmark.
+"""Every function, class, method, class attribute, constant and import in
+the package is used by the package or the benchmark.
 
-A non-dunder function, method or class defined in src/pseudoplanar must
-appear as a NAME token other than at its own definition in src/ or
-perfbench/, or be named in ALLOWED_TEST_ONLY with the reason it stays.  A
+A non-dunder function or class defined in src/pseudoplanar must appear as a
+NAME token other than at its own definition in src/ or perfbench/.  A
+non-dunder method of a package class, or a name bound in a class body (a
+class attribute or dataclass field), must be read as an attribute (.name)
+in src/ or perfbench/: a bare NAME that happens to share its name, such as
+a local variable, does not count.  Either may instead be named in
+ALLOWED_TEST_ONLY, methods as "Class.name", with the reason it stays.  A
 use in tests/ does not count: a definition that only the tests reach is a
-test oracle, and belongs in tests/oracles.py.  The match is by name only,
-so a name shared by two definitions counts as used when either is used.
+test oracle, and belongs in tests/oracles.py.  The match is by name, not by
+type, so a method counts as used when any object's attribute of that name
+is read.
 
 A non-dunder name bound by a module-level assignment in a package module
 must be read (a Name load or an attribute) in src/ or perfbench/.
@@ -28,15 +33,18 @@ SEARCHED = ("src", "perfbench")
 # Public algebra of exported classes that neither the package nor the
 # benchmark calls; the tests reach it.
 ALLOWED_TEST_ONLY = {
-    "convolve": "GroupVec product; the traced benchmark patches it by name",
-    "involute": "GroupVec negation, the other half of the group-ring algebra",
-    "delta": "GroupVec constructor of a point mass",
-    "indicator": "GroupVec constructor of a 0/1 set",
-    "full_group": "GroupVec constructor of the whole ring",
-    "classes": "Partition6 class vectors, built on demand from the labels",
-    "rel_trace": "GF2n relative trace of the cubic tower F_{2^3m} / F_{2^m}",
-    "rel_norm": "GF2n relative norm of the same tower",
-    "frobenius": "GR4 Frobenius automorphism, beside add and mul",
+    "GroupVec.convolve": "group-ring product; the traced benchmark patches it by name",
+    "GroupVec.involute": "negation, the other half of the group-ring algebra",
+    "GroupVec.scale": "integer multiple, beside + and -; the S_1 identity oracle uses it",
+    "GroupVec.delta": "constructor of a point mass",
+    "GroupVec.indicator": "constructor of a 0/1 set",
+    "GroupVec.full_group": "constructor of the whole ring",
+    "Partition6.classes": "class vectors, built on demand from the labels",
+    "GF2n.inv": "multiplicative inverse, beside mul; the Moore-determinant oracle uses it",
+    "GF2n.rel_trace": "relative trace of the cubic tower F_{2^3m} / F_{2^m}",
+    "GF2n.rel_norm": "relative norm of the same tower",
+    "GR4.frobenius": "Frobenius automorphism, beside add and mul",
+    "GR4.neg": "negation, beside add and mul; neg_perm is its table",
 }
 
 
@@ -54,14 +62,46 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _where(path: Path, node) -> str:
+    return f"{path.relative_to(ROOT)}:{node.lineno}"
+
+
 def _defined_names() -> dict[str, str]:
-    """name -> "file:line" of one definition, for every def and class."""
+    """name -> "file:line" of one definition, for every def and class that
+    is not a method."""
     out = {}
     for path, tree in _package_trees():
+        methods = {
+            id(node)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not _is_dunder(node.name):
-                    out.setdefault(node.name, f"{path.relative_to(ROOT)}:{node.lineno}")
+                if not _is_dunder(node.name) and id(node) not in methods:
+                    out.setdefault(node.name, _where(path, node))
+    return out
+
+
+def _class_members() -> dict[str, str]:
+    """"Class.name" -> "file:line" for every method of a package class and
+    every name bound in its body."""
+    out = {}
+    for path, tree in _package_trees():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if not _is_dunder(name):
+                        out.setdefault(f"{cls.name}.{name}", _where(path, node))
     return out
 
 
@@ -79,19 +119,41 @@ def _used_names() -> set[str]:
     return used
 
 
+def _attributes_read() -> set[str]:
+    """The attribute names taken (x.name) in every searched file."""
+    return {
+        node.attr
+        for path in _searched_files()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def _unused() -> dict[str, str]:
+    """Every definition and class member that src/ and perfbench/ never use,
+    allowlisted or not."""
+    used, attrs = _used_names(), _attributes_read()
+    out = {n: w for n, w in _defined_names().items() if n not in used}
+    out.update(
+        (key, where) for key, where in _class_members().items()
+        if key.split(".")[1] not in attrs
+    )
+    return out
+
+
 def test_every_definition_is_used():
-    used = _used_names()
     dead = sorted(
-        f"{where} {name}" for name, where in _defined_names().items()
-        if name not in used and name not in ALLOWED_TEST_ONLY
+        f"{where} {name}" for name, where in _unused().items()
+        if name not in ALLOWED_TEST_ONLY
     )
     assert dead == [], "defined but never used:\n" + "\n".join(dead)
 
 
 def test_the_allowlist_names_only_test_only_definitions():
-    defined, used = _defined_names(), _used_names()
+    defined = {**_defined_names(), **_class_members()}
+    unused = _unused()
     stale = sorted(
-        name for name in ALLOWED_TEST_ONLY if name not in defined or name in used
+        name for name in ALLOWED_TEST_ONLY if name not in defined or name not in unused
     )
     assert stale == [], "allowed but defined nowhere or used:\n" + "\n".join(stale)
 

@@ -3,6 +3,9 @@
 import dataclasses
 import itertools
 import json
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,8 +47,15 @@ from pseudoplanar.scheme import (
     spectrum_closed_form,
     spectrum_csv,
 )
+from pseudoplanar.search import SearchSpace
 
-from oracles import class_spectra, s1_identities_hold, verify_schur
+from oracles import (
+    check_pq_gauss,
+    class_spectra,
+    intersection_numbers_gauss,
+    s1_identities_hold,
+    verify_schur,
+)
 
 PP_EXAMPLES = {
     3: "3:1,6:1",
@@ -294,15 +304,28 @@ def test_class_and_dual_sizes_equal_the_bincount_of_the_labels(n):
     assert (0 in part.class_sizes) == (n <= 2)
 
 
+def _slot_sizes(rep):
+    """The class sizes k of P's columns and the dual sizes m of its rows."""
+    k = [rep.partition.class_sizes[i] for i in rep.col_slots]
+    m = [rep.dual.sizes[j] for j in rep.row_slots]
+    return k, m
+
+
+def _assert_algebra_equals_the_gauss_oracles(rep):
+    k, m = _slot_sizes(rep)
+    want = intersection_numbers_gauss(rep.P, k, m, rep.col_slots)
+    assert np.array_equal(rep.p_tensor, want)
+    size = rep.partition.ring.size
+    assert _check_pq(rep.P, rep.Q, size) and check_pq_gauss(rep.P, rep.Q, size)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_intersection_numbers_refuse_a_non_integer_value(n):
     rep = _report(n)
     P = [list(row) for row in rep.P]
     P[2][1] = P[2][1] + GaussInt(1)
     with pytest.raises(SchemeError, match="not a non-negative integer"):
-        _intersection_numbers(
-            rep.partition, rep.dual, P, rep.row_slots, rep.col_slots
-        )
+        _intersection_numbers(P, *_slot_sizes(rep), rep.col_slots)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -387,6 +410,7 @@ def test_every_small_pseudoplanar_f_gives_a_square_p(n, count):
         assert rep.matches_closed_forms()
         p, witness = verify_schur(rep.partition)
         assert witness is None and np.array_equal(rep.p_tensor, p)
+        _assert_algebra_equals_the_gauss_oracles(rep)
     assert found == count
 
 
@@ -577,15 +601,12 @@ def test_report_json_q_decodes_exactly_with_mixed_denominators():
 
 
 def test_check_pq_rejects_a_perturbed_q():
-    from fractions import Fraction
-
-    from pseudoplanar.scheme import _check_pq
-
     rep = _report(4)
     assert _check_pq(rep.P, rep.Q, rep.partition.ring.size)
     Q = [list(row) for row in rep.Q]
     Q[3][2] = Q[3][2] + GaussRat(Fraction(0), Fraction(1, 7))
     assert not _check_pq(rep.P, Q, rep.partition.ring.size)
+    assert not check_pq_gauss(rep.P, Q, rep.partition.ring.size)
 
 
 def _pp_polys(fld):
@@ -737,3 +758,130 @@ def test_the_gaussian_integers_of_norm_2_to_the_n_are_the_dual_slots():
         slots = [v + 1 for v in scheme._dual_signatures(n)]
         assert norm_2n == set(slots) == {u * power for u in units}
         assert len(slots) == 4
+
+
+# -- the exact 6 x 6 algebra against its GaussInt oracles ----------------------
+
+
+def _closed_form_sizes(n):
+    """k and m of the closed forms: row 0 of P holds the class sizes and
+    row 0 of Q the dual class sizes."""
+    P, Q = closed_form_P(n), closed_form_Q(n)
+    return P, Q, [e.re for e in P[0]], [int(e.re) for e in Q[0]]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_intersection_numbers_and_pq_check_equal_the_gauss_oracles(n):
+    ring = GR4(GF2n(n))
+    for f in _pp_polys(ring.field):
+        _assert_algebra_equals_the_gauss_oracles(build_report(build_df(ring, f)))
+
+
+@pytest.mark.parametrize("n", range(11, 17))
+def test_closed_form_algebra_past_int64_equals_the_gauss_oracles(n):
+    P, Q, k, m = _closed_form_sizes(n)
+    assert sum(k) == sum(m) == 1 << (2 * n)
+    slots = list(range(6))
+    p = _intersection_numbers(P, k, m, slots)
+    assert np.array_equal(p, intersection_numbers_gauss(P, k, m, slots))
+    # the largest numerator p_ij^k |R| k_k has 6n - 3 bits: past int64 from
+    # n = 12 on
+    num = max(
+        int(p[i, j, c]) * sum(k) * k[c]
+        for i, j, c in itertools.product(slots, repeat=3)
+    )
+    assert num.bit_length() == 6 * n - 3
+    assert p[1, 2, 0] == k[1]  # S_2 = -S_1
+    assert _check_pq(P, Q, 1 << (2 * n))
+    assert check_pq_gauss(P, Q, 1 << (2 * n))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tolist()
+    except SchemeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [3, 4, 11, 12])
+def test_a_perturbed_p_or_q_is_refused_as_the_gauss_oracles_refuse_it(n):
+    P, Q, k, m = _closed_form_sizes(n)
+    slots = list(range(6))
+    size = 1 << (2 * n)
+    refused = 0
+    for j, i in itertools.product(range(6), repeat=2):
+        for step in (GaussInt(1), GaussInt(0, 1)):
+            bad = [list(row) for row in P]
+            bad[j][i] = bad[j][i] + step
+            want = _outcome(intersection_numbers_gauss, bad, k, m, slots)
+            assert _outcome(_intersection_numbers, bad, k, m, slots) == want
+            refused += isinstance(want, str)
+            assert not _check_pq(bad, Q, size)
+            assert not check_pq_gauss(bad, Q, size)
+        bad = [list(row) for row in Q]
+        bad[i][j] = bad[i][j] + GaussRat(Fraction(0), Fraction(1, 7))
+        assert not _check_pq(P, bad, size)
+        assert not check_pq_gauss(P, bad, size)
+    assert refused == 72
+
+
+# -- Zhou: D_f is a relative difference set exactly when f is pseudo-planar ----
+
+
+def _assert_zhou_and_witness_calls(ring, polys, monkeypatch):
+    """verify_rds(D_f) reads is_pseudoplanar(f) for each f, and
+    fourier_spectrum runs pseudoplanar_witness only for an f that is not
+    pseudo-planar, once, and names its eps."""
+    calls = []
+    witness = scheme.pseudoplanar_witness
+
+    def counted(f):
+        calls.append(f)
+        return witness(f)
+
+    monkeypatch.setattr(scheme, "pseudoplanar_witness", counted)
+    verdicts = []
+    for f in polys:
+        pp = is_pseudoplanar(f)
+        verdicts.append(pp)
+        assert verify_rds(build_df(ring, f))[0] == pp
+        calls.clear()
+        if pp:
+            assert fourier_spectrum(ring, f) == raw_spectrum(ring, f)
+            assert calls == []
+        else:
+            with pytest.raises(SchemeError) as exc:
+                fourier_spectrum(ring, f)
+            assert calls == [f]
+            assert f"(witness eps = {witness(f):#x});" in str(exc.value)
+    return verdicts
+
+
+@pytest.mark.parametrize("n, count", [(1, 4), (2, 256)])
+def test_every_small_d_f_is_an_rds_exactly_when_f_is_pseudoplanar(
+    n, count, monkeypatch
+):
+    ring = GR4(GF2n(n))
+    fld = ring.field
+    polys = [
+        SparsePoly.make(fld, enumerate(coeffs))
+        for coeffs in itertools.product(range(fld.order), repeat=fld.order)
+    ]
+    assert len(polys) == count
+    verdicts = _assert_zhou_and_witness_calls(ring, polys, monkeypatch)
+    # every f on F_2 is pseudo-planar
+    assert set(verdicts) == ({True} if n == 1 else {True, False})
+
+
+def test_the_n6_quad_binomial_hits_are_exactly_the_rds_among_a_sample(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+    ref = json.loads((path / "quad_binomial_hits.json").read_text())["6:43"]
+    space = SearchSpace(GF2n(6, 0x43), "quad_binomial")
+    assert space.total == ref["total"]
+    hits = set(ref["hits"])
+    rng = random.Random(6)
+    misses = [i for i in rng.sample(range(space.total), 2 * len(hits)) if i not in hits]
+    indices = sorted(hits) + misses[: len(hits)]
+    polys = [space.candidate(i) for i in indices]
+    verdicts = _assert_zhou_and_witness_calls(GR4(space.field), polys, monkeypatch)
+    assert verdicts == [i in hits for i in indices]
