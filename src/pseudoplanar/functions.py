@@ -126,9 +126,25 @@ def exhaustive_witness(f: SparsePoly) -> int | None:
 
 
 # Elements of one block of the rank test, over all rows still undecided.  It
-# bounds the working set of _rank_witnesses, and search sizes its chunks of
-# value tables by it.
+# bounds the working set of _rank_witnesses and of the search's orbit kernel,
+# which also sizes its chunks of candidates by it.
 _RANK_BUDGET = 1 << 14
+
+
+def _singular(rows: np.ndarray) -> np.ndarray:
+    """Whether each stack of n vectors along the last axis of rows (GF(2)
+    vectors as ints) is linearly dependent; rows is reduced in place.
+
+    Lowest-set-bit elimination: a pivot row clears its lowest bit from every
+    later row, so the pivots end with distinct lowest bits, and the vectors
+    are dependent exactly when some row reduces to 0.
+    """
+    n = rows.shape[-1]
+    for j in range(n - 1):
+        piv = rows[..., j, None]
+        rest = rows[..., j + 1:]
+        rest ^= piv * ((rest & (piv & -piv)) != 0)
+    return (rows == 0).any(axis=-1)
 
 
 def _rank_witnesses(field: GF2n, tables: np.ndarray) -> np.ndarray:
@@ -137,10 +153,7 @@ def _rank_witnesses(field: GF2n, tables: np.ndarray) -> np.ndarray:
 
     For such f, L(x) = f(x+eps) + f(x) + f(eps) + f(0) + eps*x is GF(2)-linear
     in x, and the difference map at eps is L plus a constant; so it permutes
-    the field exactly when the n images L(2^j) are independent.  They are
-    reduced by lowest-set-bit elimination: a pivot row clears its lowest bit
-    from every later row, so the pivots end with distinct lowest bits, and the
-    images are dependent exactly when some row reduces to 0.
+    the field exactly when the n images L(2^j) are independent (_singular).
 
     eps runs in blocks of 64, 256, 1024, ... values, each cut (to one value at
     least) so that the undecided rows times the block times n stays within
@@ -162,11 +175,7 @@ def _rank_witnesses(field: GF2n, tables: np.ndarray) -> np.ndarray:
         rows ^= T[a, basis][:, None, :]
         rows ^= (T[a, eps] ^ T[alive, :1])[:, :, None]
         rows ^= field.mul_vec(eps[:, None], basis).astype(np.uint16)
-        for j in range(n - 1):
-            piv = rows[..., j, None]
-            rest = rows[..., j + 1:]
-            rest ^= piv * ((rest & (piv & -piv)) != 0)
-        fails = (rows == 0).any(axis=2)
+        fails = _singular(rows)
         hit = fails.any(axis=1)
         out[alive[hit]] = eps[fails[hit].argmax(axis=1)]
         alive = alive[~hit]

@@ -43,7 +43,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -313,8 +313,21 @@ def closed_form_P(n: int) -> list[list[GaussInt]]:
     """The first eigenmatrix predicted for every pseudo-planar f on F_{2^n}.
 
     Rows follow the dual slot order E_0..E_5, columns the class order
-    S_0..S_5 (including empty slots for n < 3).
+    S_0..S_5 (including empty slots for n < 3).  The matrix is computed once
+    per n; each call returns fresh lists of its entries.
     """
+    return [list(row) for row in _closed_form_P(n)]
+
+
+def closed_form_Q(n: int) -> list[list[GaussRat]]:
+    """The second eigenmatrix: rows S_0..S_5, columns E_0..E_5.  Cached and
+    copied like closed_form_P."""
+    return [list(row) for row in _closed_form_Q(n)]
+
+
+# The cached matrices; only copies of them leave the module.
+@lru_cache(maxsize=None)
+def _closed_form_P(n: int) -> list[list[GaussInt]]:
     g = GaussInt
     if n % 2 == 1:
         b = 1 << ((n - 1) // 2)
@@ -346,9 +359,8 @@ def closed_form_P(n: int) -> list[list[GaussInt]]:
     ]
 
 
-def closed_form_Q(n: int) -> list[list[GaussRat]]:
-    """The second eigenmatrix: rows S_0..S_5, columns E_0..E_5."""
-
+@lru_cache(maxsize=None)
+def _closed_form_Q(n: int) -> list[list[GaussRat]]:
     def q(re, im=0):
         return GaussRat(Fraction(re), Fraction(im))
 
@@ -554,14 +566,14 @@ class SchemeReport:
 
     def matches_closed_forms(self) -> bool:
         n = self.partition.ring.n
-        cp = closed_form_P(n)
+        cp = _closed_form_P(n)
         if any(
             self.P[j][i] != cp[rj][ci]
             for j, rj in enumerate(self.row_slots)
             for i, ci in enumerate(self.col_slots)
         ):
             return False
-        cq = closed_form_Q(n)
+        cq = _closed_form_Q(n)
         return all(
             self.Q[i][j] == cq[ci][rj]
             for i, ci in enumerate(self.col_slots)

@@ -6,6 +6,18 @@ Candidate enumeration is a fixed deterministic bijection onto [0, total);
 shard (k, K) owns the indices congruent to k mod K, so shard runs compose
 to exactly the unsharded run.  Checkpoints are digest-protected JSON; every
 reported hit is re-verified in a final single-threaded pass.
+
+Candidates of quadratic type (every binomial, and the monomials whose
+exponent has binary weight <= 2) are decided along their scaling orbit.
+With eps = g^u for the field's generator g,
+
+    D_eps(f)(eps x) = eps^2 D_1(f_u)(x),   f_u(x) = eps^-2 f(eps x),
+
+and a term c x^t of f is c g^(u (t - 2)) x^t in f_u.  So f is pseudo-planar
+exactly when D_1(f_u) permutes the field for every u = 0 .. 2^n - 2, and each
+of those eps = 1 maps is affine, decided by an n x n GF(2) rank test built
+from n-entry tables of the exponents (_orbit_hits).  Every other monomial
+goes through the eps-loop of is_pseudoplanar.
 """
 
 from __future__ import annotations
@@ -24,14 +36,14 @@ from .field import GF2n
 from .functions import (
     _RANK_BUDGET,
     SparsePoly,
-    _rank_witnesses,
+    _singular,
     is_pseudoplanar,
     known_hits_closure,
 )
 
 CHECKPOINT_VERSION = 1
 MONOMIAL_MAX_DEGREE = 12
-BINOMIAL_LONG_RUN_DEGREE = 7
+BINOMIAL_LONG_RUN_DEGREE = 8
 
 
 class CheckpointError(ValueError):
@@ -85,39 +97,40 @@ class SearchSpace:
         return SparsePoly.make(self.field, [(e1, c1 + 1), (e2, c2 + 1)])
 
     @cached_property
-    def _pair_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """log x^e for every quadratic exponent e (one row each), and the rows
-        of the two exponents of each exponent pair."""
+    def _orbit_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The exponents t of binary weight <= 2, in increasing order, and
+        one row for each of them, then one for an absent term: t - 2 mod
+        2^n - 1 and log B_t(2^k) for k < n.  B_t(x) = (x+1)^t + x^t + 1 is the linear
+        part of D_1(x^t): x^{2^i} + x^{2^j} for t = 2^i + 2^j, and 0 for
+        t = 2^i.  log 0 is the field's sentinel, so a term with B_t = 0, or an
+        absent one, adds 0 to every image."""
         fld = self.field
-        exps = quad_exponents(fld.n)
-        logs = fld.log_vec(np.stack([fld.power_table(e) for e in exps]))
-        row = {e: r for r, e in enumerate(exps)}
-        first, second = np.array([[row[e1], row[e2]] for e1, e2 in self.exponent_pairs]).T
-        return logs, first, second
+        n = fld.n
+        exps = np.array(sorted({1 << i for i in range(n)} | set(quad_exponents(n))))
+        basis = np.int64(1) << np.arange(n, dtype=np.int64)
+        images = [fld.pow_vec(basis ^ 1, int(t)) ^ fld.pow_vec(basis, int(t)) ^ 1 for t in exps]
+        logs = fld.log_vec(np.stack(images + [np.zeros(n, dtype=np.int64)]))
+        shifts = np.append((exps - 2) % (fld.order - 1), 0)
+        return exps, shifts, logs
 
-    def _value_tables(self, indices) -> np.ndarray:
-        """Value tables of candidates, one row per index: the bulk form of
-        candidate(i).value_table().  Products are taken as sums of logs in
-        place, so a chunk makes few temporaries."""
+    @cached_property
+    def _pair_rows(self) -> np.ndarray:
+        """The _orbit_tables rows of the two exponents of each exponent pair."""
+        return np.searchsorted(self._orbit_tables[0], np.array(self.exponent_pairs).T)
+
+    def _orbit_terms(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The _orbit_tables rows and the coefficient logs of the two terms of
+        each candidate, as (2, len(indices)) arrays; a monomial's second term
+        is absent.  Every candidate must be of quadratic type."""
         fld = self.field
         nc = self.coeff_count
-        indices = np.asarray(indices, dtype=np.int64)
         if self.kind == "monomial":
             t, c = np.divmod(indices, nc)
-            exps, row = np.unique(t + 1, return_inverse=True)
-            out = fld.log_vec(np.stack([fld.power_table(int(e)) for e in exps]))[row]
-            out += fld.log_vec(c + 1)[:, None]
-            return fld.exp_vec(out)
+            exps = self._orbit_tables[0]
+            rows = np.stack([np.searchsorted(exps, t + 1), np.full_like(t, len(exps))])
+            return rows, np.stack([fld.log_vec(c + 1), np.zeros_like(c)])
         p, rem = np.divmod(indices, nc * nc)
-        c1, c2 = np.divmod(rem, nc)
-        logs, first, second = self._pair_tables
-        out = logs[first[p]]
-        out += fld.log_vec(c1 + 1)[:, None]
-        out = fld.exp_vec(out)
-        second_logs = logs[second[p]]
-        second_logs += fld.log_vec(c2 + 1)[:, None]
-        out ^= fld.exp_vec(second_logs)
-        return out
+        return self._pair_rows[:, p], fld.log_vec(np.stack(np.divmod(rem, nc)) + 1)
 
     def my_indices(self, start: int = 0):
         """Candidate indices owned by this shard, from global index start."""
@@ -212,11 +225,12 @@ def run_search(
     Candidates are tested in intervals of checkpoint_every owned indices,
     with a checkpoint after each interval, so a crash loses at most one.
     quad_binomial candidates are all of quadratic type: they are decoded in
-    bulk and decided by the O(2^n n^2) rank test, in chunks of value tables
-    inside a fixed memory budget.  So are the monomials of quadratic-type
-    exponents (binary weight <= 2), a run of coefficients of one exponent at
-    a time; every other monomial goes through the eps-loop of
-    is_pseudoplanar.  Every hit is re-checked by is_pseudoplanar at the end.
+    bulk and decided by _orbit_hits, the eps = 1 rank test along each
+    candidate's orbit, in chunks of candidates inside a fixed memory budget.
+    So are the monomials of quadratic-type exponents (binary weight <= 2), a
+    run of coefficients of one exponent at a time; every other monomial goes
+    through the eps-loop of is_pseudoplanar.  Every hit is re-checked by
+    is_pseudoplanar at the end.
     """
     n = space.field.n
     if space.kind == "monomial" and n > MONOMIAL_MAX_DEGREE:
@@ -234,7 +248,7 @@ def run_search(
             start, hit_indices = checkpoint_resume(checkpoint_path, space)
         except FileNotFoundError:
             pass
-    test = _rank_hits if space.kind == "quad_binomial" else _monomial_hits
+    test = _orbit_hits if space.kind == "quad_binomial" else _monomial_hits
     owned = space.my_indices()
     pos = len(owned) - len(space.my_indices(start))
     while pos < len(owned):
@@ -260,20 +274,48 @@ def _monomial_hits(space: SearchSpace, indices: range) -> list[int]:
         lo = max(indices.start, t * nc)
         run = range(lo + (indices.start - lo) % K, min(indices.stop, (t + 1) * nc), K)
         if (t + 1).bit_count() <= 2:
-            hits += _rank_hits(space, run)
+            hits += _orbit_hits(space, run)
         else:
             hits += [i for i in run if is_pseudoplanar(space.candidate(i))]
     return hits
 
 
-def _rank_hits(space: SearchSpace, indices: range) -> list[int]:
-    """Hits among candidates of quadratic type, by the rank test in chunks."""
-    chunk = max(1, _RANK_BUDGET // space.field.order)
+def _orbit_hits(space: SearchSpace, indices: range) -> list[int]:
+    """Hits among candidates of quadratic type, each decided by the eps = 1
+    rank test of D_1(f_u) for every u (see the module docstring), in chunks
+    of candidates.
+
+    For f_u = a x^t1 + b x^t2, D_1(f_u) is affine with linear part
+    L(x) = a B1(x) + b B2(x) + x (see SearchSpace._orbit_tables), so each
+    image L(2^k) is two gathers from the exp table and two XORs.  u runs in
+    blocks of 1, 4, 16, ... values, cut so that the undecided candidates
+    times the block times n stays within _RANK_BUDGET; a candidate leaves at
+    the first block where some L is singular.
+    """
+    fld = space.field
+    n, group = fld.n, fld.order - 1
+    _, shifts, logs = space._orbit_tables
+    basis = np.int64(1) << np.arange(n, dtype=np.int64)
+    chunk = max(1, _RANK_BUDGET // n)
     hits = []
     for lo in range(0, len(indices), chunk):
         part = indices[lo:lo + chunk]
-        eps = _rank_witnesses(space.field, space._value_tables(part))
-        hits += [i for i, e in zip(part, eps.tolist()) if e == 0]
+        idx = np.arange(part.start, part.stop, part.step, dtype=np.int64)
+        rows, coeff_logs = space._orbit_terms(idx)
+        alive = np.arange(len(idx))
+        start, size = 0, 1
+        while start < group and alive.size:
+            block = min(size, max(1, _RANK_BUDGET // (alive.size * n)), group - start)
+            u = np.arange(start, start + block, dtype=np.int64)
+            images = basis
+            for r, c in zip(rows[:, alive], coeff_logs[:, alive]):
+                # log a, log b: the term's coefficient in f_u
+                a = (c[:, None] + shifts[r][:, None] * u) % group
+                images = images ^ fld.exp_vec(a[:, :, None] + logs[r][:, None, :])
+            alive = alive[~_singular(images).any(axis=1)]
+            start += block
+            size *= 4
+        hits += idx[alive].tolist()
     return hits
 
 

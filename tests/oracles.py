@@ -13,6 +13,11 @@ no code with the paths they check, and the package itself never calls them.
 - shifted_binomial_obstruction, scaling_orbit and mult_order: scalar
   versions of the shifted-binomial criterion, the scaling closure and the
   multiplicative order.
+- candidate_value_tables and value_table_rank_hits: the search's bulk value
+  tables of candidates and the rank test of each candidate at every eps, for
+  the eps = 1 orbit kernel of search._orbit_hits.  They reach the package's
+  _rank_witnesses, which shares the elimination step with that kernel; the
+  exhaustive eps-loop is the independent check of both.
 - class_spectra, s1_identities_hold and verify_schur: one transform per
   class, the S_1 multiset identities and the pairwise convolutions of the
   classes, for eigen_P, build_partition and the intersection numbers.
@@ -31,10 +36,11 @@ import numpy as np
 
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n, _prime_factors
-from pseudoplanar.functions import _cubic_field
+from pseudoplanar.functions import _RANK_BUDGET, _cubic_field, _rank_witnesses
 from pseudoplanar.galois_ring import GR4, Pair
 from pseudoplanar.groupring import GroupVec
 from pseudoplanar.scheme import Partition6, SchemeError
+from pseudoplanar.search import SearchSpace, quad_exponents
 
 # -- GR(4, n) -----------------------------------------------------------------
 
@@ -282,6 +288,51 @@ def mult_order(field: GF2n, a: int) -> int:
         while t % p == 0 and field.pow(a, t // p) == 1:
             t //= p
     return t
+
+
+# -- searches -----------------------------------------------------------------
+
+
+def candidate_value_tables(space: SearchSpace, indices) -> np.ndarray:
+    """Value tables of candidates, one row per index: the bulk form of
+    space.candidate(i).value_table().  Products are taken as sums of logs in
+    place, so a chunk makes few temporaries."""
+    fld = space.field
+    nc = space.coeff_count
+    indices = np.asarray(indices, dtype=np.int64)
+    if space.kind == "monomial":
+        t, c = np.divmod(indices, nc)
+        exps, row = np.unique(t + 1, return_inverse=True)
+        out = fld.log_vec(np.stack([fld.power_table(int(e)) for e in exps]))[row]
+        out += fld.log_vec(c + 1)[:, None]
+        return fld.exp_vec(out)
+    p, rem = np.divmod(indices, nc * nc)
+    c1, c2 = np.divmod(rem, nc)
+    # log x^e for every quadratic exponent e, and the rows of each pair's two
+    exps = quad_exponents(fld.n)
+    logs = fld.log_vec(np.stack([fld.power_table(e) for e in exps]))
+    row = {e: r for r, e in enumerate(exps)}
+    first, second = np.array([[row[e1], row[e2]] for e1, e2 in space.exponent_pairs]).T
+    out = logs[first[p]]
+    out += fld.log_vec(c1 + 1)[:, None]
+    out = fld.exp_vec(out)
+    second_logs = logs[second[p]]
+    second_logs += fld.log_vec(c2 + 1)[:, None]
+    out ^= fld.exp_vec(second_logs)
+    return out
+
+
+def value_table_rank_hits(space: SearchSpace, indices) -> list[int]:
+    """Hits among candidates of quadratic type: the rank test at every eps on
+    their value tables, in chunks inside _RANK_BUDGET."""
+    indices = list(indices)
+    chunk = max(1, _RANK_BUDGET // space.field.order)
+    hits = []
+    for lo in range(0, len(indices), chunk):
+        part = indices[lo:lo + chunk]
+        eps = _rank_witnesses(space.field, candidate_value_tables(space, part))
+        hits += [i for i, e in zip(part, eps.tolist()) if e == 0]
+    return hits
 
 
 # -- schemes ------------------------------------------------------------------

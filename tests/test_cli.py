@@ -233,7 +233,7 @@ def test_search_binomials_cli_sharded(capsys, tmp_path):
         hits += json.loads(out)["result"]["hits"]
     assert "3:1,6:1" in hits
     # long-run gate propagates as a usage error
-    code, _, err = run(capsys, "search-binomials", "--field", "7:83")
+    code, _, err = run(capsys, "search-binomials", "--field", "8:11b")
     assert code == 2 and "long" in err
 
 

@@ -1,6 +1,8 @@
 """Scheme construction, eigenmatrices, spectra, duals, and fusion."""
 
+import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -93,6 +95,34 @@ def test_full_scheme_matches_closed_forms(n):
             for i in range(6):
                 acc = acc + GaussRat.of(rep.P[j][i]) * rep.Q[i][k]
             assert acc == GaussRat.of(size if j == k else 0)
+
+
+# sha256 of to_json() for the PP_EXAMPLES reports, as written before the
+# closed-form eigenmatrices were cached
+REPORT_JSON_SHA256 = {
+    3: "578b344c6281ee5615efa26710ebbdd9ccdcd1a168c980942bccd0158b5cea45",
+    4: "648aca28cecc3541dc7ccf4a5022d5a373cb8f0cdcb46872ff8bee037cf9daa6",
+    5: "95a5afb32f0bc05a63468cd97e5b7efbbddebfc8fe949794d110c65c9de358ce",
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cached_closed_forms_are_returned_as_fresh_lists(n):
+    rep = _report(n)
+    scheme._closed_form_P.cache_clear()
+    scheme._closed_form_Q.cache_clear()
+    cold = rep.to_json()
+    assert hashlib.sha256(cold.encode()).hexdigest() == REPORT_JSON_SHA256[n]
+    P, Q = closed_form_P(n), closed_form_Q(n)
+    want_P, want_Q = copy.deepcopy(P), copy.deepcopy(Q)
+    P[1][1] = GaussInt(7)
+    P[2].append(GaussInt(0))
+    Q[0][0] = GaussRat.of(5)
+    del Q[3]
+    assert closed_form_P(n) == want_P
+    assert closed_form_Q(n) == want_Q
+    assert rep.matches_closed_forms()
+    assert rep.to_json() == cold
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -4,6 +4,7 @@ import json
 import tracemalloc
 import warnings
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,11 @@ from pseudoplanar.search import (
     run_search,
     search_monomials,
     search_quad_binomials,
+    _orbit_hits,
     unexpected_monomials,
 )
+
+from oracles import candidate_value_tables, value_table_rank_hits
 
 
 def test_quad_exponents():
@@ -127,7 +131,7 @@ def test_binomial_search_small_fields():
 
 def test_long_run_gate():
     with pytest.raises(ValueError, match="long_run"):
-        search_quad_binomials(GF2n(7))
+        search_quad_binomials(GF2n(8))
     with pytest.raises(ValueError, match="capped"):
         run_search(SearchSpace(GF2n(13), "monomial"))
 
@@ -209,11 +213,11 @@ def test_batched_binomial_search_equals_per_candidate_sweep(n, shard):
 @pytest.mark.parametrize("n", [3, 4])
 def test_bulk_decoded_value_tables(n):
     space = SearchSpace(GF2n(n), "quad_binomial")
-    tables = space._value_tables(range(space.total))
+    tables = candidate_value_tables(space, range(space.total))
     want = np.stack([space.candidate(i).value_table() for i in range(space.total)])
     assert np.array_equal(tables, want)
     some = [5, 0, space.total - 1, 77]
-    assert np.array_equal(space._value_tables(some), want[some])
+    assert np.array_equal(candidate_value_tables(space, some), want[some])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -237,13 +241,13 @@ def test_monomial_rank_test_only_for_quadratic_exponents(monkeypatch):
 
     space = SearchSpace(GF2n(4), "monomial")
     seen = []
-    tables = SearchSpace._value_tables
+    kernel = search._orbit_hits
 
-    def spy(self, indices):
+    def spy(space, indices):
         seen.extend(indices)
-        return tables(self, indices)
+        return kernel(space, indices)
 
-    monkeypatch.setattr(SearchSpace, "_value_tables", spy)
+    monkeypatch.setattr(search, "_orbit_hits", spy)
     search._monomial_hits(space, range(space.total))
     nc = space.coeff_count
     assert sorted(seen) == [
@@ -254,11 +258,52 @@ def test_monomial_rank_test_only_for_quadratic_exponents(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4])
 def test_bulk_decoded_monomial_value_tables(n):
     space = SearchSpace(GF2n(n), "monomial")
-    tables = space._value_tables(range(space.total))
+    tables = candidate_value_tables(space, range(space.total))
     want = np.stack([space.candidate(i).value_table() for i in range(space.total)])
     assert np.array_equal(tables, want)
     some = [5, 0, space.total - 1, space.total // 2]
-    assert np.array_equal(space._value_tables(some), want[some])
+    assert np.array_equal(candidate_value_tables(space, some), want[some])
+
+
+@lru_cache(maxsize=None)
+def _rank_sweep(n: int) -> list[int]:
+    space = SearchSpace(GF2n(n), "quad_binomial")
+    return value_table_rank_hits(space, range(space.total))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("shard", [(0, 1), (0, 3), (1, 3), (2, 3)], ids="{0[0]}of{0[1]}".format)
+def test_orbit_kernel_equals_value_table_rank_test(n, shard):
+    k, K = shard
+    space = SearchSpace(GF2n(n), "quad_binomial", k, K)
+    want = [i for i in _rank_sweep(n) if i % K == k]
+    assert _orbit_hits(space, space.my_indices()) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_orbit_kernel_equals_value_table_rank_test_on_monomial_runs(n):
+    space = SearchSpace(GF2n(n), "monomial")
+    nc = space.coeff_count
+    for t in range(1, space.field.order):
+        if t.bit_count() <= 2:
+            run = range((t - 1) * nc, t * nc)
+            assert _orbit_hits(space, run) == value_table_rank_hits(space, run), t
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("k", [0, 1, 2047, 4095])
+def test_orbit_kernel_equals_value_table_rank_test_on_sampled_shards(n, k):
+    space = SearchSpace(GF2n(n), "quad_binomial", k, 4096)
+    owned = space.my_indices()
+    assert _orbit_hits(space, owned) == value_table_rank_hits(space, owned)
+
+
+def test_orbit_kernel_finds_the_stored_n6_binomial_hits():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "quad_binomial_hits.json"
+    ref = json.loads(path.read_text())["6:43"]
+    space = SearchSpace(GF2n(6, 0x43), "quad_binomial")
+    assert space.total == ref["total"]
+    assert _orbit_hits(space, space.my_indices()) == ref["hits"]
 
 
 def test_crash_loses_at_most_one_checkpoint_interval(tmp_path, monkeypatch):
