@@ -102,12 +102,16 @@ class SparsePoly:
 def pseudoplanar_witness(f: SparsePoly) -> int | None:
     """Smallest eps whose difference map is not a permutation, else None.
 
-    Quadratic-type f (see SparsePoly.is_quadratic_type) are decided by an
-    O(2^n n^2) GF(2) rank test per eps; every other f by the O(4^n) eps-loop
-    of exhaustive_witness, which is also the test oracle of the rank test.
+    Quadratic-type f (see SparsePoly.is_quadratic_type) are decided from
+    their terms by a GF(2) rank test per eps (_orbit_witnesses), O(2^n n^2)
+    in all; every other f by the O(4^n) eps-loop of exhaustive_witness, which
+    is also the test oracle of the rank test.
     """
     if f.is_quadratic_type():
-        return int(_rank_witnesses(f.field, f.value_table()[None])[0]) or None
+        exps, coeffs = np.array(f.terms, dtype=np.int64).reshape(-1, 2).T
+        table = _orbit_table(f.field, exps.tolist())
+        rows, coeff_logs = np.arange(len(exps))[:, None], f.field.log_vec(coeffs)[:, None]
+        return int(_orbit_witnesses(f.field, *table, rows, coeff_logs)[0]) or None
     return exhaustive_witness(f)
 
 
@@ -125,9 +129,9 @@ def exhaustive_witness(f: SparsePoly) -> int | None:
     return None
 
 
-# Elements of one block of the rank test, over all rows still undecided.  It
-# bounds the working set of _rank_witnesses and of the search's orbit kernel,
-# which also sizes its chunks of candidates by it.
+# Elements of one block of the rank test, over all candidates still
+# undecided.  It bounds the working set of _orbit_witnesses, and the search
+# sizes its chunks of candidates by it.
 _RANK_BUDGET = 1 << 14
 
 
@@ -147,37 +151,58 @@ def _singular(rows: np.ndarray) -> np.ndarray:
     return (rows == 0).any(axis=-1)
 
 
-def _rank_witnesses(field: GF2n, tables: np.ndarray) -> np.ndarray:
-    """Smallest failing eps of each row of a (k, 2^n) stack of value tables of
-    quadratic-type functions, or 0 where a row has none.
+def _orbit_table(field: GF2n, exps: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """For each exponent t of exps: t - 2 mod 2^n - 1, and the row of
+    log B_t(2^k), k < n.  B_t(x) = (x+1)^t + x^t + 1 is the linear part of
+    D_1(x^t): x^{2^i} + x^{2^j} for t = 2^i + 2^j, 0 for t = 2^i, and B_0 = 0
+    (the + 1 is for t > 0 only); log 0 is the field's sentinel, so such a
+    term adds 0 to every image."""
+    group = field.order - 1
+    t = np.array(exps, dtype=np.int64)[:, None]
+    x = np.int64(1) << np.arange(field.n, dtype=np.int64)
+    x = np.stack([x ^ 1, x])[:, None]  # x + 1 and x at x = 2^k
+    powers = np.where(x == 0, t == 0, field.exp_vec(t * field.log_vec(x) % group))  # 0^0 = 1
+    return (t[:, 0] - 2) % group, field.log_vec(powers[0] ^ powers[1] ^ (t > 0))
 
-    For such f, L(x) = f(x+eps) + f(x) + f(eps) + f(0) + eps*x is GF(2)-linear
-    in x, and the difference map at eps is L plus a constant; so it permutes
-    the field exactly when the n images L(2^j) are independent (_singular).
 
-    eps runs in blocks of 64, 256, 1024, ... values, each cut (to one value at
-    least) so that the undecided rows times the block times n stays within
-    _RANK_BUDGET, which callers keep k * n within; a row leaves at the first
-    block holding its witness.
+def _orbit_witnesses(field: GF2n, shifts, logs, rows, coeff_logs) -> np.ndarray:
+    """Smallest failing eps of each of k quadratic-type f, or 0 where none
+    fails.  f is a sum of terms c x^t: rows (terms, k) index the t in an
+    _orbit_table (shifts, logs), and coeff_logs (terms, k) holds log c.
+
+    With eps = g^u for the field's generator g,
+
+        D_eps(f)(eps x) = eps^2 D_1(f_u)(x),   f_u(x) = eps^-2 f(eps x),
+
+    and a term c x^t of f is c g^(u (t - 2)) x^t in f_u.  D_1(f_u) is affine
+    with linear part L(x) = x + sum of c g^(u (t - 2)) B_t(x), so D_eps(f)
+    permutes the field exactly when the n images L(2^k) are independent.
+
+    eps runs in integer order, in blocks that start at a sixteenth of
+    _RANK_BUDGET over the k f and grow 4-fold, each cut (to one eps at least)
+    to keep the undecided f times the block times n within _RANK_BUDGET
+    (callers keep k * n within it); an f leaves at its first failing block.
     """
-    n, N = field.n, field.order
-    # field elements have n <= field.MAX_DEGREE = 16 bits
-    T = np.asarray(tables).astype(np.uint16)
-    out = np.zeros(len(T), dtype=np.int64)
+    n, group = field.n, field.order - 1
     basis = np.int64(1) << np.arange(n, dtype=np.int64)
-    alive = np.arange(len(T))
-    start, size = 1, 64
-    while start < N and alive.size:
-        block = min(size, max(1, _RANK_BUDGET // (alive.size * n)), N - start)
-        eps = np.arange(start, start + block, dtype=np.int64)
-        a = alive[:, None]
-        rows = T[a[:, :, None], eps[:, None] ^ basis]  # f(2^j + eps): (alive, block, n)
-        rows ^= T[a, basis][:, None, :]
-        rows ^= (T[a, eps] ^ T[alive, :1])[:, :, None]
-        rows ^= field.mul_vec(eps[:, None], basis).astype(np.uint16)
-        fails = _singular(rows)
+    eps_logs = field.log_vec(field.elements())
+    out = np.zeros(rows.shape[1], dtype=np.int64)
+    alive = np.arange(rows.shape[1])
+    start, size = 1, max(1, _RANK_BUDGET // (16 * n * alive.size))
+    while start <= group and alive.size:
+        block = min(size, max(1, _RANK_BUDGET // (alive.size * n)), group + 1 - start)
+        u = eps_logs[start:start + block]
+        images = basis
+        for r, c in zip(rows[:, alive], coeff_logs[:, alive]):
+            a = (c[:, None] + shifts[r][:, None] * u) % group  # log c g^(u (t - 2))
+            images = images ^ field.exp_vec(a[:, :, None] + logs[r][:, None, :])
+        # field elements have n <= MAX_DEGREE = 16 bits, and the elimination
+        # runs faster on the narrow copy; a term-less f broadcasts its basis
+        narrow = np.empty((alive.size, block, n), dtype=np.uint16)
+        narrow[...] = images
+        fails = _singular(narrow)
         hit = fails.any(axis=1)
-        out[alive[hit]] = eps[fails[hit].argmax(axis=1)]
+        out[alive] = np.where(hit, start + fails.argmax(axis=1), 0)
         alive = alive[~hit]
         start += block
         size *= 4

@@ -8,16 +8,10 @@ to exactly the unsharded run.  Checkpoints are digest-protected JSON; every
 reported hit is re-verified in a final single-threaded pass.
 
 Candidates of quadratic type (every binomial, and the monomials whose
-exponent has binary weight <= 2) are decided along their scaling orbit.
-With eps = g^u for the field's generator g,
-
-    D_eps(f)(eps x) = eps^2 D_1(f_u)(x),   f_u(x) = eps^-2 f(eps x),
-
-and a term c x^t of f is c g^(u (t - 2)) x^t in f_u.  So f is pseudo-planar
-exactly when D_1(f_u) permutes the field for every u = 0 .. 2^n - 2, and each
-of those eps = 1 maps is affine, decided by an n x n GF(2) rank test built
-from n-entry tables of the exponents (_orbit_hits).  Every other monomial
-goes through the eps-loop of is_pseudoplanar.
+exponent has binary weight <= 2) are decided in bulk along their scaling
+orbit by functions._orbit_witnesses, from n-entry tables of their exponents
+(_orbit_hits).  Every other monomial goes through the eps-loop of
+is_pseudoplanar.
 """
 
 from __future__ import annotations
@@ -36,7 +30,8 @@ from .field import GF2n
 from .functions import (
     _RANK_BUDGET,
     SparsePoly,
-    _singular,
+    _orbit_table,
+    _orbit_witnesses,
     is_pseudoplanar,
     known_hits_closure,
 )
@@ -98,20 +93,11 @@ class SearchSpace:
 
     @cached_property
     def _orbit_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The exponents t of binary weight <= 2, in increasing order, and
-        one row for each of them, then one for an absent term: t - 2 mod
-        2^n - 1 and log B_t(2^k) for k < n.  B_t(x) = (x+1)^t + x^t + 1 is the linear
-        part of D_1(x^t): x^{2^i} + x^{2^j} for t = 2^i + 2^j, and 0 for
-        t = 2^i.  log 0 is the field's sentinel, so a term with B_t = 0, or an
-        absent one, adds 0 to every image."""
-        fld = self.field
-        n = fld.n
-        exps = np.array(sorted({1 << i for i in range(n)} | set(quad_exponents(n))))
-        basis = np.int64(1) << np.arange(n, dtype=np.int64)
-        images = [fld.pow_vec(basis ^ 1, int(t)) ^ fld.pow_vec(basis, int(t)) ^ 1 for t in exps]
-        logs = fld.log_vec(np.stack(images + [np.zeros(n, dtype=np.int64)]))
-        shifts = np.append((exps - 2) % (fld.order - 1), 0)
-        return exps, shifts, logs
+        """The exponents of binary weight <= 2, in increasing order, and
+        their _orbit_table."""
+        n = self.field.n
+        exps = sorted({1 << i for i in range(n)} | set(quad_exponents(n)))
+        return (np.array(exps), *_orbit_table(self.field, exps))
 
     @cached_property
     def _pair_rows(self) -> np.ndarray:
@@ -119,16 +105,14 @@ class SearchSpace:
         return np.searchsorted(self._orbit_tables[0], np.array(self.exponent_pairs).T)
 
     def _orbit_terms(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The _orbit_tables rows and the coefficient logs of the two terms of
-        each candidate, as (2, len(indices)) arrays; a monomial's second term
-        is absent.  Every candidate must be of quadratic type."""
+        """The _orbit_tables rows and the coefficient logs of the terms of
+        each candidate, as (terms, len(indices)) arrays.  Every candidate
+        must be of quadratic type."""
         fld = self.field
         nc = self.coeff_count
         if self.kind == "monomial":
             t, c = np.divmod(indices, nc)
-            exps = self._orbit_tables[0]
-            rows = np.stack([np.searchsorted(exps, t + 1), np.full_like(t, len(exps))])
-            return rows, np.stack([fld.log_vec(c + 1), np.zeros_like(c)])
+            return np.searchsorted(self._orbit_tables[0], t + 1)[None], fld.log_vec(c + 1)[None]
         p, rem = np.divmod(indices, nc * nc)
         return self._pair_rows[:, p], fld.log_vec(np.stack(np.divmod(rem, nc)) + 1)
 
@@ -194,9 +178,12 @@ def checkpoint_save(path, space: SearchSpace, next_index: int, hit_indices: list
 
 
 def checkpoint_resume(path, space: SearchSpace) -> tuple[int, list[int]]:
-    """Validated (next candidate index, hits so far) from a checkpoint file."""
+    """Validated (next candidate index, hits so far) from a checkpoint file.
+    The digest is unkeyed, so next and hits are range-checked as well."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     stored = payload.pop("digest", None)
     if stored != _digest(payload):
         raise CheckpointError(f"checkpoint {path} is corrupt (digest mismatch)")
@@ -208,7 +195,18 @@ def checkpoint_resume(path, space: SearchSpace) -> tuple[int, list[int]]:
                 f"checkpoint {path} is for {key}={payload.get(key)!r}, "
                 f"this run has {key}={want!r}"
             )
-    return payload["next"], list(payload["hits"])
+    nxt, hits = payload.get("next"), payload.get("hits")
+    if type(nxt) is not int or not 0 <= nxt <= space.total:
+        raise CheckpointError(f"checkpoint {path}: next={nxt!r} is not an int in 0..{space.total}")
+    k, K = space.shard_index, space.shard_total
+    if not isinstance(hits, list) or not all(
+        type(i) is int and prev < i < nxt and i % K == k for prev, i in zip([-1] + hits, hits)
+    ):
+        raise CheckpointError(
+            f"checkpoint {path}: hits are not increasing ints below next={nxt}, "
+            f"each {k} mod {K}"
+        )
+    return nxt, hits
 
 
 # -- drivers ------------------------------------------------------------------
@@ -224,13 +222,9 @@ def run_search(
 
     Candidates are tested in intervals of checkpoint_every owned indices,
     with a checkpoint after each interval, so a crash loses at most one.
-    quad_binomial candidates are all of quadratic type: they are decoded in
-    bulk and decided by _orbit_hits, the eps = 1 rank test along each
-    candidate's orbit, in chunks of candidates inside a fixed memory budget.
-    So are the monomials of quadratic-type exponents (binary weight <= 2), a
-    run of coefficients of one exponent at a time; every other monomial goes
-    through the eps-loop of is_pseudoplanar.  Every hit is re-checked by
-    is_pseudoplanar at the end.
+    Candidates of quadratic type are decided in bulk by _orbit_hits, the
+    monomials one run of coefficients of an exponent at a time (see the
+    module docstring).  Every hit is re-checked by is_pseudoplanar at the end.
     """
     n = space.field.n
     if space.kind == "monomial" and n > MONOMIAL_MAX_DEGREE:
@@ -281,41 +275,16 @@ def _monomial_hits(space: SearchSpace, indices: range) -> list[int]:
 
 
 def _orbit_hits(space: SearchSpace, indices: range) -> list[int]:
-    """Hits among candidates of quadratic type, each decided by the eps = 1
-    rank test of D_1(f_u) for every u (see the module docstring), in chunks
-    of candidates.
-
-    For f_u = a x^t1 + b x^t2, D_1(f_u) is affine with linear part
-    L(x) = a B1(x) + b B2(x) + x (see SearchSpace._orbit_tables), so each
-    image L(2^k) is two gathers from the exp table and two XORs.  u runs in
-    blocks of 1, 4, 16, ... values, cut so that the undecided candidates
-    times the block times n stays within _RANK_BUDGET; a candidate leaves at
-    the first block where some L is singular.
-    """
-    fld = space.field
-    n, group = fld.n, fld.order - 1
+    """Hits among candidates of quadratic type: those with no failing eps
+    under _orbit_witnesses, in chunks of candidates inside _RANK_BUDGET."""
     _, shifts, logs = space._orbit_tables
-    basis = np.int64(1) << np.arange(n, dtype=np.int64)
-    chunk = max(1, _RANK_BUDGET // n)
+    chunk = max(1, _RANK_BUDGET // space.field.n)
     hits = []
     for lo in range(0, len(indices), chunk):
         part = indices[lo:lo + chunk]
         idx = np.arange(part.start, part.stop, part.step, dtype=np.int64)
-        rows, coeff_logs = space._orbit_terms(idx)
-        alive = np.arange(len(idx))
-        start, size = 0, 1
-        while start < group and alive.size:
-            block = min(size, max(1, _RANK_BUDGET // (alive.size * n)), group - start)
-            u = np.arange(start, start + block, dtype=np.int64)
-            images = basis
-            for r, c in zip(rows[:, alive], coeff_logs[:, alive]):
-                # log a, log b: the term's coefficient in f_u
-                a = (c[:, None] + shifts[r][:, None] * u) % group
-                images = images ^ fld.exp_vec(a[:, :, None] + logs[r][:, None, :])
-            alive = alive[~_singular(images).any(axis=1)]
-            start += block
-            size *= 4
-        hits += idx[alive].tolist()
+        eps = _orbit_witnesses(space.field, shifts, logs, *space._orbit_terms(idx))
+        hits += idx[eps == 0].tolist()
     return hits
 
 

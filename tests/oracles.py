@@ -13,11 +13,12 @@ no code with the paths they check, and the package itself never calls them.
 - shifted_binomial_obstruction, scaling_orbit and mult_order: scalar
   versions of the shifted-binomial criterion, the scaling closure and the
   multiplicative order.
-- candidate_value_tables and value_table_rank_hits: the search's bulk value
-  tables of candidates and the rank test of each candidate at every eps, for
-  the eps = 1 orbit kernel of search._orbit_hits.  They reach the package's
-  _rank_witnesses, which shares the elimination step with that kernel; the
-  exhaustive eps-loop is the independent check of both.
+- candidate_value_tables, _rank_witnesses and value_table_rank_hits: bulk
+  value tables of search candidates, the rank test at every eps built from
+  value tables, and the search's hits from the two, for the package's eps = 1
+  orbit kernel functions._orbit_witnesses (pp-test and both searches).  Only
+  the elimination step _singular is shared with that kernel; the exhaustive
+  eps-loop is the independent check of both.
 - class_spectra, s1_identities_hold and verify_schur: one transform per
   class, the S_1 multiset identities and the pairwise convolutions of the
   classes, for eigen_P, build_partition and the intersection numbers.
@@ -36,7 +37,7 @@ import numpy as np
 
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n, _prime_factors
-from pseudoplanar.functions import _RANK_BUDGET, _cubic_field, _rank_witnesses
+from pseudoplanar.functions import _RANK_BUDGET, _cubic_field, _singular
 from pseudoplanar.galois_ring import GR4, Pair
 from pseudoplanar.groupring import GroupVec
 from pseudoplanar.scheme import Partition6, SchemeError
@@ -319,6 +320,43 @@ def candidate_value_tables(space: SearchSpace, indices) -> np.ndarray:
     second_logs = logs[second[p]]
     second_logs += fld.log_vec(c2 + 1)[:, None]
     out ^= fld.exp_vec(second_logs)
+    return out
+
+
+def _rank_witnesses(field: GF2n, tables: np.ndarray) -> np.ndarray:
+    """Smallest failing eps of each row of a (k, 2^n) stack of value tables of
+    quadratic-type functions, or 0 where a row has none.
+
+    For such f, L(x) = f(x+eps) + f(x) + f(eps) + f(0) + eps*x is GF(2)-linear
+    in x, and the difference map at eps is L plus a constant; so it permutes
+    the field exactly when the n images L(2^j) are independent (_singular).
+
+    eps runs in blocks of 64, 256, 1024, ... values, each cut (to one value at
+    least) so that the undecided rows times the block times n stays within
+    _RANK_BUDGET, which callers keep k * n within; a row leaves at the first
+    block holding its witness.
+    """
+    n, N = field.n, field.order
+    # field elements have n <= field.MAX_DEGREE = 16 bits
+    T = np.asarray(tables).astype(np.uint16)
+    out = np.zeros(len(T), dtype=np.int64)
+    basis = np.int64(1) << np.arange(n, dtype=np.int64)
+    alive = np.arange(len(T))
+    start, size = 1, 64
+    while start < N and alive.size:
+        block = min(size, max(1, _RANK_BUDGET // (alive.size * n)), N - start)
+        eps = np.arange(start, start + block, dtype=np.int64)
+        a = alive[:, None]
+        rows = T[a[:, :, None], eps[:, None] ^ basis]  # f(2^j + eps): (alive, block, n)
+        rows ^= T[a, basis][:, None, :]
+        rows ^= (T[a, eps] ^ T[alive, :1])[:, :, None]
+        rows ^= field.mul_vec(eps[:, None], basis).astype(np.uint16)
+        fails = _singular(rows)
+        hit = fails.any(axis=1)
+        out[alive[hit]] = eps[fails[hit].argmax(axis=1)]
+        alive = alive[~hit]
+        start += block
+        size *= 4
     return out
 
 

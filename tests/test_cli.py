@@ -237,6 +237,23 @@ def test_search_binomials_cli_sharded(capsys, tmp_path):
     assert code == 2 and "long" in err
 
 
+@pytest.mark.parametrize("key, value", [("next", 10**9), ("hits", [1]), ("hits", ["x"])])
+def test_search_cli_refuses_a_forged_checkpoint(capsys, tmp_path, key, value):
+    from pseudoplanar import search
+
+    path = tmp_path / "ck.json"
+    argv = ["search-binomials", "--field", "4:13", "--shard", "0/2", "--checkpoint", str(path)]
+    assert run(capsys, *argv)[0] == 0
+    data = json.loads(path.read_text())
+    del data["digest"]
+    data[key] = value
+    data["digest"] = search._digest(data)
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"ck.json: {key}" in err
+
+
 def test_bm_fuse_cli(capsys):
     code, out, _ = run(
         capsys, "bm-fuse", "--field", "3:b", "--f", "0:0",

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from pseudoplanar.field import MAX_DEGREE, GF2n
 from pseudoplanar.functions import (
     SparsePoly,
-    _rank_witnesses,
+    _orbit_table,
+    _orbit_witnesses,
     binomial1_criterion,
     construct_binomial1,
     construct_known_monomial,
@@ -26,6 +27,7 @@ from pseudoplanar.functions import (
 )
 
 from oracles import (
+    _rank_witnesses,
     binomial1_criterion_det,
     linearized_is_bijection,
     moore_det,
@@ -295,14 +297,48 @@ def test_rank_witness_equals_exhaustive_on_every_quadratic_binomial(n):
     want = [exhaustive_witness(f) for f in polys]
     assert [pseudoplanar_witness(f) for f in polys] == want
     assert None in want and (any(want) or n == 1)  # on F_2 every f passes
-    # the same witnesses from one stacked call of the kernel
-    stacked = _rank_witnesses(fld, np.stack([f.value_table() for f in polys]))
-    assert [int(e) or None for e in stacked] == want
+    # the same witnesses from one stacked call of the kernel per term count
+    shifts, logs = _orbit_table(fld, exps)
+    row = {e: r for r, e in enumerate(exps)}
+    stacked = []
+    for k in (1, 2):
+        terms = np.array([f.terms for f in polys if len(f.terms) == k]).transpose(2, 1, 0)
+        rows = np.vectorize(row.get)(terms[0])
+        stacked += _orbit_witnesses(fld, shifts, logs, rows, fld.log_vec(terms[1])).tolist()
+    assert [e or None for e in stacked] == want
+    # and from the value-table oracle
+    oracle = _rank_witnesses(fld, np.stack([f.value_table() for f in polys]))
+    assert [int(e) or None for e in oracle] == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_witness_of_term_less_and_constant_f(n):
+    fld = GF2n(n)
+    for f in (SparsePoly.zero(fld), SparsePoly.make(fld, [(0, fld.order - 1)])):
+        assert f.is_quadratic_type()
+        assert pseudoplanar_witness(f) is exhaustive_witness(f) is None
+    # a constant adds nothing to D_1: B_0 = 0 is the all-sentinel row
+    shifts, logs = _orbit_table(fld, [0])
+    assert (fld.exp_vec(logs) == 0).all()
+    no_terms = np.zeros((0, 3), dtype=np.int64)
+    assert _orbit_witnesses(fld, shifts, logs, no_terms, no_terms).tolist() == [0, 0, 0]
 
 
 def test_uint16_holds_every_field_element():
-    # _rank_witnesses packs value tables into uint16
+    # _orbit_witnesses casts the images L(2^k) to uint16 for the elimination
     assert 2**MAX_DEGREE - 1 <= np.iinfo(np.uint16).max
+
+
+def test_quadratic_f_is_decided_without_a_value_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the rank test built a value table")
+
+    fld = GF2n(12)
+    f = construct_binomial1(fld, 4, 2)
+    monkeypatch.setattr(SparsePoly, "value_table", refuse)
+    assert f.is_quadratic_type()
+    assert pseudoplanar_witness(f) is not None
+    assert pseudoplanar_witness(construct_shifted_binomial(GF2n(6), 2, 3)) is None
 
 
 @st.composite
@@ -353,7 +389,7 @@ def test_non_quadratic_f_takes_the_exhaustive_loop(monkeypatch):
     def refuse(*args):
         raise AssertionError("the rank test ran on a non-quadratic f")
 
-    monkeypatch.setattr(functions, "_rank_witnesses", refuse)
+    monkeypatch.setattr(functions, "_orbit_witnesses", refuse)
     f = SparsePoly.make(GF2n(6), [(7, 1), (20, 1)])
     assert not f.is_quadratic_type()
     assert pseudoplanar_witness(f) == exhaustive_witness(f) is not None

@@ -121,6 +121,56 @@ def test_checkpoint_corruption_and_mismatch(tmp_path):
         checkpoint_resume(path, SearchSpace(fld, "monomial", 1, 2))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("next", 10**9),
+    ("next", -1),
+    ("next", "a"),
+    ("next", 7.0),
+    ("next", True),
+    ("hits", [1]),
+    ("hits", ["x"]),
+    ("hits", [10**9]),
+    ("hits", [-2]),
+    ("hits", [8]),
+    ("hits", [4, 2]),
+    ("hits", [2, 2]),
+    ("hits", {"2": 2}),
+    ("hits", None),
+])
+def test_checkpoint_out_of_range_values_are_refused(tmp_path, key, value):
+    # the digest is unkeyed, so a hand-edited file can carry a valid one
+    import pseudoplanar.search as search
+
+    space = SearchSpace(GF2n(4), "monomial", 0, 2)
+    path = tmp_path / "ck.json"
+    checkpoint_save(path, space, 8, [2, 4])
+    data = json.loads(path.read_text())
+    del data["digest"]
+    data[key] = value
+    data["digest"] = search._digest(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(CheckpointError, match=key):
+        checkpoint_resume(path, space)
+    with pytest.raises(CheckpointError, match=key):
+        run_search(space, checkpoint_path=path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "7", "null"])
+def test_checkpoint_that_is_not_a_json_object_is_refused(tmp_path, text):
+    path = tmp_path / "ck.json"
+    path.write_text(text)
+    with pytest.raises(CheckpointError, match="not a JSON object"):
+        checkpoint_resume(path, SearchSpace(GF2n(4), "monomial"))
+
+
+def test_checkpoint_range_check_accepts_the_bounds(tmp_path):
+    space = SearchSpace(GF2n(4), "monomial", 1, 2)
+    path = tmp_path / "ck.json"
+    for nxt, hits in ((0, []), (space.total, [1, 3, space.total - 2])):
+        checkpoint_save(path, space, nxt, hits)
+        assert checkpoint_resume(path, space) == (nxt, hits)
+
+
 def test_binomial_search_small_fields():
     # n = 3: the binomial x^3 + x^6 and friends exist; n = 4 and 5 are empty
     hits3 = search_quad_binomials(GF2n(3)).hits()
