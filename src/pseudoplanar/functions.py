@@ -2,9 +2,10 @@
 
 A function f is pseudo-planar when x -> f(x+e) + f(x) + e*x is a permutation
 of the field for every nonzero e.  This module carries the direct test (a
-GF(2) rank test for quadratic-type f, an exhaustive eps-loop for the rest), the
-known monomial families, and the three binomial constructions on F_{2^{3m}}
-with their exact trace criteria.  The Moore-determinant criterion for
+GF(2) rank test for quadratic-type f, at one e per class of log e modulo the
+period of f's scaling orbit; an exhaustive eps-loop for the rest), the known
+monomial families, and the three binomial constructions on F_{2^{3m}} with
+their exact trace criteria.  The Moore-determinant criterion for
 linearized polynomials, the test oracle of binomial1_criterion, lives in
 tests/oracles.py with the scalar oracles of the other criteria.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,9 +105,11 @@ def pseudoplanar_witness(f: SparsePoly) -> int | None:
     """Smallest eps whose difference map is not a permutation, else None.
 
     Quadratic-type f (see SparsePoly.is_quadratic_type) are decided from
-    their terms by a GF(2) rank test per eps (_orbit_witnesses), O(2^n n^2)
-    in all; every other f by the O(4^n) eps-loop of exhaustive_witness, which
-    is also the test oracle of the rank test.
+    their terms by a GF(2) rank test per eps (_orbit_witnesses), at most one
+    eps per class of log eps mod the period P of f's scaling orbit, so
+    O(P n^2) for a pseudo-planar f, P | 2^n - 1; every other f by the
+    O(4^n) eps-loop of exhaustive_witness, which is also the test oracle of
+    the rank test.
     """
     if f.is_quadratic_type():
         exps, coeffs = np.array(f.terms, dtype=np.int64).reshape(-1, 2).T
@@ -152,17 +156,29 @@ def _singular(rows: np.ndarray) -> np.ndarray:
 
 
 def _orbit_table(field: GF2n, exps: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """For each exponent t of exps: t - 2 mod 2^n - 1, and the row of
-    log B_t(2^k), k < n.  B_t(x) = (x+1)^t + x^t + 1 is the linear part of
-    D_1(x^t): x^{2^i} + x^{2^j} for t = 2^i + 2^j, 0 for t = 2^i, and B_0 = 0
-    (the + 1 is for t > 0 only); log 0 is the field's sentinel, so such a
-    term adds 0 to every image."""
+    """For each exponent t of exps: its shift, and the row of log B_t(2^k),
+    k < n.  B_t(x) = (x+1)^t + x^t + 1 is the linear part of D_1(x^t):
+    x^{2^i} + x^{2^j} for t = 2^i + 2^j, 0 for t = 2^i, and B_0 = 0 (the + 1
+    is for t > 0 only); log 0 is the field's sentinel, so such a term adds 0
+    to every image.  The shift is t - 2 mod 2^n - 1 where B_t != 0, and 0
+    where B_t = 0: a term that adds nothing for any u must not shorten the
+    period of _orbit_witnesses."""
     group = field.order - 1
     t = np.array(exps, dtype=np.int64)[:, None]
     x = np.int64(1) << np.arange(field.n, dtype=np.int64)
     x = np.stack([x ^ 1, x])[:, None]  # x + 1 and x at x = 2^k
     powers = np.where(x == 0, t == 0, field.exp_vec(t * field.log_vec(x) % group))  # 0^0 = 1
-    return (t[:, 0] - 2) % group, field.log_vec(powers[0] ^ powers[1] ^ (t > 0))
+    b = powers[0] ^ powers[1] ^ (t > 0)
+    return np.where(b.any(axis=1), (t[:, 0] - 2) % group, 0), field.log_vec(b)
+
+
+@lru_cache(maxsize=64)
+def _schedule(field: GF2n, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eps in 1..2^n - 1 that come first, in integer order, in their
+    class of log eps mod period, in increasing order, and their logs."""
+    logs = field.log_vec(np.arange(1, field.order, dtype=np.int64))
+    first = np.sort(np.unique(logs % period, return_index=True)[1])
+    return first + 1, logs[first]
 
 
 def _orbit_witnesses(field: GF2n, shifts, logs, rows, coeff_logs) -> np.ndarray:
@@ -178,23 +194,32 @@ def _orbit_witnesses(field: GF2n, shifts, logs, rows, coeff_logs) -> np.ndarray:
     with linear part L(x) = x + sum of c g^(u (t - 2)) B_t(x), so D_eps(f)
     permutes the field exactly when the n images L(2^k) are independent.
 
-    eps runs in integer order, in blocks that start at a sixteenth of
-    _RANK_BUDGET over the k f and grow 4-fold, each cut (to one eps at least)
-    to keep the undecided f times the block times n within _RANK_BUDGET
-    (callers keep k * n within it); an f leaves at its first failing block.
+    A term with B_t = 0 adds nothing to L, so the verdict of D_eps depends
+    only on u mod P, the period (2^n - 1) / gcd(2^n - 1, the _orbit_table
+    shifts of every term of the k f).  The kernel tests only the _schedule
+    of P: the first eps, in integer order, of each class of u mod P.  The
+    witness is still exact: an f's own period divides P, and every eps of a
+    class mod that period fails with it, so f's smallest failing eps comes
+    first in its class mod P and every scheduled eps before it passes.
+
+    The schedule runs in blocks that start at a sixteenth of _RANK_BUDGET
+    over the k f and grow 4-fold, each cut (to one eps at least) to keep the
+    undecided f times the block times n within _RANK_BUDGET (callers keep
+    k * n within it); an f leaves at its first failing block.
     """
     n, group = field.n, field.order - 1
     basis = np.int64(1) << np.arange(n, dtype=np.int64)
-    eps_logs = field.log_vec(field.elements())
+    period = group // math.gcd(group, int(np.gcd.reduce(shifts[rows], axis=None)))
+    sched, sched_logs = _schedule(field, period)
     out = np.zeros(rows.shape[1], dtype=np.int64)
     alive = np.arange(rows.shape[1])
-    start, size = 1, max(1, _RANK_BUDGET // (16 * n * alive.size))
-    while start <= group and alive.size:
-        block = min(size, max(1, _RANK_BUDGET // (alive.size * n)), group + 1 - start)
-        u = eps_logs[start:start + block]
+    pos, size = 0, max(1, _RANK_BUDGET // (16 * n * alive.size))
+    while pos < sched.size and alive.size:
+        block = min(size, max(1, _RANK_BUDGET // (alive.size * n)), sched.size - pos)
+        u = sched_logs[pos:pos + block]
         images = basis
         for r, c in zip(rows[:, alive], coeff_logs[:, alive]):
-            a = (c[:, None] + shifts[r][:, None] * u) % group  # log c g^(u (t - 2))
+            a = (c[:, None] + shifts[r][:, None] * u) % group  # log c g^(u (t - 2)) if B_t != 0
             images = images ^ field.exp_vec(a[:, :, None] + logs[r][:, None, :])
         # field elements have n <= MAX_DEGREE = 16 bits, and the elimination
         # runs faster on the narrow copy; a term-less f broadcasts its basis
@@ -202,9 +227,9 @@ def _orbit_witnesses(field: GF2n, shifts, logs, rows, coeff_logs) -> np.ndarray:
         narrow[...] = images
         fails = _singular(narrow)
         hit = fails.any(axis=1)
-        out[alive] = np.where(hit, start + fails.argmax(axis=1), 0)
+        out[alive] = np.where(hit, sched[pos + fails.argmax(axis=1)], 0)
         alive = alive[~hit]
-        start += block
+        pos += block
         size *= 4
     return out
 
@@ -316,6 +341,14 @@ def _cubic_field(field: GF2n, m: int) -> None:
         raise ValueError(f"need a field of degree 3m = {3 * m}, got n = {field.n}")
 
 
+def _nonzero_powers(field: GF2n):
+    """k -> eps^k for every nonzero eps = g^u, u = 0..2^n - 2, in that order:
+    exp(k u), with no log gather and no zero mask."""
+    group = field.order - 1
+    u = np.arange(group, dtype=np.int64)
+    return lambda k: field.exp_vec(k * u % group)
+
+
 def construct_binomial1(field: GF2n, m: int, a: int) -> SparsePoly:
     """f = a^(t^2+1) x^(t^2+1) + a^(-(t+1)) x^(t+1) with t = 2^m, m even."""
     _cubic_field(field, m)
@@ -344,15 +377,15 @@ def binomial1_criterion(field: GF2n, m: int, a: int) -> bool:
     c1 = field.pow(a, t * t + t) ^ field.pow(a, -(t * t + t + 2))
     c2 = field.pow(a, t - t * t)
     a_t1 = field.pow(a, t + 1)
-    eps = np.arange(1, field.order, dtype=np.int64)
-    inner = a_t1 ^ field.pow_vec(eps, t - 1)
+    eps = _nonzero_powers(field)
+    inner = a_t1 ^ eps(t - 1)
     # The last summand carries the Frobenius-stable norm exponent 1+t+t^2,
     # so inside Tr3 it contributes N3(eps); with a bare eps instead, the
     # expression stops agreeing with the difference-map determinant.
     expr = (
-        field.mul_vec(field.mul_vec(np.int64(c1), inner), field.pow_vec(eps, t + 2))
-        ^ field.mul_vec(np.int64(c2), field.pow_vec(eps, 3))
-        ^ field.pow_vec(eps, 1 + t + t * t)
+        field.mul_vec(field.mul_vec(np.int64(c1), inner), eps(t + 2))
+        ^ field.mul_vec(np.int64(c2), eps(3))
+        ^ eps(1 + t + t * t)
     )
     tr3 = expr ^ field.pow_vec(expr, t) ^ field.pow_vec(expr, t * t)
     return bool((tr3 != 0).all())
@@ -394,8 +427,8 @@ def shifted_binomial_criterion(field: GF2n, m: int, variant: int) -> bool:
     extra = 1 + 2 * t if variant == 2 else 2 + t
     if variant not in (2, 3):
         raise ValueError(f"variant must be 2 or 3, got {variant}")
-    eps = np.arange(1, field.order, dtype=np.int64)
-    inner = field.pow_vec(eps, 3) ^ field.pow_vec(eps, extra)
+    eps = _nonzero_powers(field)
+    inner = eps(3) ^ eps(extra)
     tr3 = inner ^ field.pow_vec(inner, t) ^ field.pow_vec(inner, t * t)
-    m_eps = field.pow_vec(eps, 1 + t + t * t) ^ tr3
+    m_eps = eps(1 + t + t * t) ^ tr3
     return bool((m_eps != 0).all())

@@ -10,8 +10,10 @@ reported hit is re-verified in a final single-threaded pass.
 Candidates of quadratic type (every binomial, and the monomials whose
 exponent has binary weight <= 2) are decided in bulk along their scaling
 orbit by functions._orbit_witnesses, from n-entry tables of their exponents
-(_orbit_hits).  Every other monomial goes through the eps-loop of
-is_pseudoplanar.
+(_orbit_hits), at one eps per class of log eps mod the period that the
+candidates of one call share: a run of monomial coefficients of a linear
+exponent needs eps = 1 only.  Every other monomial goes through the eps-loop
+of is_pseudoplanar.
 """
 
 from __future__ import annotations
@@ -276,7 +278,10 @@ def _monomial_hits(space: SearchSpace, indices: range) -> list[int]:
 
 def _orbit_hits(space: SearchSpace, indices: range) -> list[int]:
     """Hits among candidates of quadratic type: those with no failing eps
-    under _orbit_witnesses, in chunks of candidates inside _RANK_BUDGET."""
+    under _orbit_witnesses, in chunks of candidates inside _RANK_BUDGET.
+    A chunk is tested at one eps per class of log eps mod the period that
+    its candidates share: the exponent's own period for a run of monomial
+    coefficients, most often all 2^n - 1 eps for a chunk of binomials."""
     _, shifts, logs = space._orbit_tables
     chunk = max(1, _RANK_BUDGET // space.field.n)
     hits = []

@@ -406,3 +406,118 @@ def test_rank_test_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
+
+
+# -- the orbit schedule: one eps per class of log eps mod the period ---------
+
+
+def _rank_tested_eps(monkeypatch, f):
+    """How many eps _orbit_witnesses rank-tests to pass the pseudo-planar f."""
+    import pseudoplanar.functions as functions
+
+    blocks = []
+    singular = functions._singular
+
+    def spy(rows):
+        blocks.append(rows.shape[1])
+        return singular(rows)
+
+    monkeypatch.setattr(functions, "_singular", spy)
+    assert pseudoplanar_witness(f) is None
+    return sum(blocks)
+
+
+def test_a_positive_F4096_binomial_is_rank_tested_at_its_period(monkeypatch):
+    # shifts t^2 + 1 - 2 = 255 and t + 1 - 2 = 15: P = 4095 / 15 = 273
+    fld = GF2n(12)
+    a = next(a for a in range(1, fld.order) if mult_order(fld, a) == 63)
+    assert _rank_tested_eps(monkeypatch, construct_binomial1(fld, 4, a)) == 273
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
+def test_f_without_a_quadratic_term_is_rank_tested_at_eps_1_only(monkeypatch, n):
+    fld = GF2n(n)
+    top = fld.order - 1
+    for terms in ([], [(0, top)], [(1, top)], [(1 << (n - 1), 1), (1, top), (0, 1)]):
+        f = SparsePoly.make(fld, terms)
+        assert _rank_tested_eps(monkeypatch, f) == 1, terms
+
+
+def test_f_with_an_x3_term_is_rank_tested_at_every_eps(monkeypatch):
+    # the shift of x^3 is 1, so the period is the whole group of F_8
+    fld = GF2n(3)
+    for terms in ([(3, 1), (6, 1)], [(3, 2), (6, 6), (1, 5), (0, 7)]):
+        assert _rank_tested_eps(monkeypatch, SparsePoly.make(fld, terms)) == 7
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_orbit_table_of_the_smallest_fields(n):
+    # group = 1 and 3: every exponent of weight <= 2 below 2^n has B_t = 0
+    # except x^3 on F_4, whose shift is 1
+    fld = GF2n(n)
+    exps = _quadratic_exponents(fld)
+    shifts, logs = _orbit_table(fld, exps)
+    b_zero = (fld.exp_vec(logs) == 0).all(axis=1)
+    assert [e for e, z in zip(exps, b_zero) if not z] == ([3] if n == 2 else [])
+    assert shifts.tolist() == [1 if e == 3 else 0 for e in exps]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_stacked_call_of_mixed_periods_equals_one_call_per_candidate(n):
+    fld = GF2n(n)
+    half = (1 << (n // 2)) + 1  # the Gold exponent of gold_half, period 2^(n/2) + 1
+    exps = [0, 1, 2, 3, half, 1 << (n - 1)]
+    shifts, logs = _orbit_table(fld, exps)
+    rng = random.Random(n)
+    gold = sorted(c for c, t in known_hits_closure(fld) if t == half)
+    short = (
+        # a Gold monomial (a pseudo-planar one or any), padded by a constant
+        [((half, c), (0, rng.randrange(1, fld.order))) for c in gold[:6]]
+        + [((half, rng.randrange(1, fld.order)), (0, 1)) for _ in range(6)]
+        # linear terms only: period 1
+        + [((1, rng.randrange(1, fld.order)), (1 << (n - 1), rng.randrange(1, fld.order)))
+           for _ in range(4)]
+    )
+    # an x^3 term: period 2^n - 1
+    cands = short + [
+        ((3, rng.randrange(1, fld.order)), (e, rng.randrange(1, fld.order)))
+        for e in (2, half, 1 << (n - 1))
+        for _ in range(4)
+    ]
+    rows = np.array([[exps.index(e) for e, _ in cand] for cand in cands]).T
+    coeff_logs = fld.log_vec(np.array([[c for _, c in cand] for cand in cands])).T
+    want = [exhaustive_witness(SparsePoly.make(fld, cand)) or 0 for cand in cands]
+    assert 0 in want and any(want)
+    single = [
+        int(_orbit_witnesses(fld, shifts, logs, rows[:, [i]], coeff_logs[:, [i]])[0])
+        for i in range(len(cands))
+    ]
+    assert single == want
+    # the whole stack (shared period 2^n - 1), and the Gold and linear
+    # candidates alone (shared period 2^(n/2) + 1)
+    assert _orbit_witnesses(fld, shifts, logs, rows, coeff_logs).tolist() == want
+    k = len(short)
+    assert _orbit_witnesses(fld, shifts, logs, rows[:, :k], coeff_logs[:, :k]).tolist() == want[:k]
+
+
+def test_rank_test_equals_binomial1_criterion_on_every_a_of_F4096():
+    fld = GF2n(12)
+    verdicts = [
+        (is_pseudoplanar(construct_binomial1(fld, 4, a)), binomial1_criterion(fld, 4, a))
+        for a in range(1, fld.order)
+    ]
+    assert [a for a, (test, crit) in enumerate(verdicts, 1) if test != crit] == []
+    assert sum(test for test, _ in verdicts) == 546
+
+
+@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("variant", [2, 3])
+def test_rank_test_equals_shifted_binomial_criterion(m, variant):
+    fld = GF2n(3 * m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        f = construct_shifted_binomial(fld, m, variant)
+    crit = shifted_binomial_criterion(fld, m, variant)
+    assert is_pseudoplanar(f) == crit
+    # variant 2 fails for m = 2 mod 3, variant 3 for m = 1 mod 3
+    assert crit == (m % 3 != (2 if variant == 2 else 1))
