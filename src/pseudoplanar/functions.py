@@ -5,9 +5,11 @@ of the field for every nonzero e.  This module carries the direct test (a
 GF(2) rank test for quadratic-type f, at one e per class of log e modulo the
 period of f's scaling orbit; an exhaustive eps-loop for the rest), the known
 monomial families, and the three binomial constructions on F_{2^{3m}} with
-their exact trace criteria.  The Moore-determinant criterion for
-linearized polynomials, the test oracle of binomial1_criterion, lives in
-tests/oracles.py with the scalar oracles of the other criteria.
+their exact trace criteria, which are homogeneous of degree 3 under scaling
+by F_{2^m}* and so are evaluated at one eps per coset of F_{2^m}* in
+F_{2^n}*, O(2^(2n/3)).  The Moore-determinant criterion for
+linearized polynomials and the full-eps forms of both criteria, their test
+oracles, live in tests/oracles.py with the scalar per-eps values.
 """
 
 from __future__ import annotations
@@ -341,11 +343,13 @@ def _cubic_field(field: GF2n, m: int) -> None:
         raise ValueError(f"need a field of degree 3m = {3 * m}, got n = {field.n}")
 
 
-def _nonzero_powers(field: GF2n):
-    """k -> eps^k for every nonzero eps = g^u, u = 0..2^n - 2, in that order:
-    exp(k u), with no log gather and no zero mask."""
+def _nonzero_powers(field: GF2n, m: int):
+    """k -> eps^k for one eps = g^u per coset of F_{2^m}* in F_{2^n}*,
+    u = 0..(2^n - 1)/(2^m - 1) - 1, in that order: exp(k u), with no log
+    gather and no zero mask.  F_{2^m}* is the subgroup generated by
+    g^((2^n - 1)/(2^m - 1)), so these u meet every coset once."""
     group = field.order - 1
-    u = np.arange(group, dtype=np.int64)
+    u = np.arange(group // ((1 << m) - 1), dtype=np.int64)
     return lambda k: field.exp_vec(k * u % group)
 
 
@@ -367,7 +371,15 @@ def construct_binomial1(field: GF2n, m: int, a: int) -> SparsePoly:
 
 def binomial1_criterion(field: GF2n, m: int, a: int) -> bool:
     """Exact pseudo-planarity criterion for construct_binomial1: the trace
-    expression must be nonzero for every nonzero eps.  Vectorized over eps.
+    Tr3(expr(eps)), expr(eps) = c1 (a^(t+1) + eps^(t-1)) eps^(t+2)
+    + c2 eps^3 + N3(eps), must be nonzero for every nonzero eps.
+
+    It is tested at one eps per coset of F_{2^m}* (_nonzero_powers), so
+    (2^n - 1)/(2^m - 1) values of eps, O(2^(2n/3)).  That is exact: for
+    zeta in F_{2^m}*, zeta^t = zeta, so eps^(t-1) is fixed under
+    eps -> zeta eps while eps^(t+2), eps^3 and N3(eps) scale by zeta^3;
+    Tr3 is F_{2^m}-linear, so Tr3(expr(zeta eps)) = zeta^3 Tr3(expr(eps)),
+    and its zeros are unions of cosets.
     """
     _cubic_field(field, m)
     if m % 2 != 0:
@@ -377,7 +389,7 @@ def binomial1_criterion(field: GF2n, m: int, a: int) -> bool:
     c1 = field.pow(a, t * t + t) ^ field.pow(a, -(t * t + t + 2))
     c2 = field.pow(a, t - t * t)
     a_t1 = field.pow(a, t + 1)
-    eps = _nonzero_powers(field)
+    eps = _nonzero_powers(field, m)
     inner = a_t1 ^ eps(t - 1)
     # The last summand carries the Frobenius-stable norm exponent 1+t+t^2,
     # so inside Tr3 it contributes N3(eps); with a bare eps instead, the
@@ -421,13 +433,20 @@ def shifted_binomial_criterion(field: GF2n, m: int, variant: int) -> bool:
     """Exact pseudo-planarity criterion for construct_shifted_binomial: the
     obstruction N3(e) + Tr3(e^3 + e^(1+2t)) (variant 2) or
     N3(e) + Tr3(e^3 + e^(2+t)) (variant 3) must be nonzero for every
-    nonzero e.  Vectorized over e."""
+    nonzero e.
+
+    Both are homogeneous of degree 3 under e -> zeta e for zeta in
+    F_{2^m}* (zeta^t = zeta makes e^(1+2t), e^(2+t) and N3(e) scale by
+    zeta^3 like e^3, and Tr3 is F_{2^m}-linear), so the obstruction at
+    zeta e is zeta^3 times that at e.  It is tested at one e per coset of
+    F_{2^m}* (_nonzero_powers): (2^n - 1)/(2^m - 1) values, O(2^(2n/3)).
+    """
     _cubic_field(field, m)
     t = 1 << m
     extra = 1 + 2 * t if variant == 2 else 2 + t
     if variant not in (2, 3):
         raise ValueError(f"variant must be 2 or 3, got {variant}")
-    eps = _nonzero_powers(field)
+    eps = _nonzero_powers(field, m)
     inner = eps(3) ^ eps(extra)
     tr3 = inner ^ field.pow_vec(inner, t) ^ field.pow_vec(inner, t * t)
     m_eps = eps(1 + t + t * t) ^ tr3

@@ -10,9 +10,12 @@ no code with the paths they check, and the package itself never calls them.
   GroupVec.square_of_set.
 - moore_det, linearized_is_bijection and binomial1_criterion_det: the
   Moore-determinant criterion, for binomial1_criterion.
-- shifted_binomial_obstruction, scaling_orbit and mult_order: scalar
-  versions of the shifted-binomial criterion, the scaling closure and the
-  multiplicative order.
+- binomial1_criterion_full and shifted_binomial_criterion_full: both trace
+  criteria vectorized over every nonzero eps, for the package's criteria,
+  which test one eps per coset of F_{2^m}*.
+- binomial1_trace_value, shifted_binomial_obstruction, scaling_orbit and
+  mult_order: scalar versions of the two criteria's per-eps values, the
+  scaling closure and the multiplicative order.
 - candidate_value_tables, _rank_witnesses and value_table_rank_hits: bulk
   value tables of search candidates, the rank test at every eps built from
   value tables, and the search's hits from the two, for the package's eps = 1
@@ -266,6 +269,64 @@ def shifted_binomial_obstruction(field: GF2n, m: int, variant: int, e: int) -> i
         raise ValueError(f"variant must be 2 or 3, got {variant}")
     inner = field.pow(e, 3) ^ field.pow(e, extra)
     return field.rel_norm(e, m) ^ field.rel_trace(inner, m)
+
+
+def _every_nonzero_power(field: GF2n):
+    """k -> eps^k for every nonzero eps = g^u, u = 0..2^n - 2, in that order."""
+    group = field.order - 1
+    u = np.arange(group, dtype=np.int64)
+    return lambda k: field.exp_vec(k * u % group)
+
+
+def binomial1_criterion_full(field: GF2n, m: int, a: int) -> bool:
+    """binomial1_criterion with the trace expression evaluated at every
+    nonzero eps, vectorized over eps."""
+    _cubic_field(field, m)
+    t = 1 << m
+    c1 = field.pow(a, t * t + t) ^ field.pow(a, -(t * t + t + 2))
+    c2 = field.pow(a, t - t * t)
+    a_t1 = field.pow(a, t + 1)
+    eps = _every_nonzero_power(field)
+    inner = a_t1 ^ eps(t - 1)
+    expr = (
+        field.mul_vec(field.mul_vec(np.int64(c1), inner), eps(t + 2))
+        ^ field.mul_vec(np.int64(c2), eps(3))
+        ^ eps(1 + t + t * t)
+    )
+    tr3 = expr ^ field.pow_vec(expr, t) ^ field.pow_vec(expr, t * t)
+    return bool((tr3 != 0).all())
+
+
+def binomial1_trace_value(field: GF2n, m: int, a: int, e: int) -> int:
+    """The per-eps value of binomial1_criterion at eps = e:
+    Tr3(c1 (a^(t+1) + e^(t-1)) e^(t+2) + c2 e^3 + N3(e)), with
+    c1 = a^(t^2+t) + a^-(t^2+t+2) and c2 = a^(t-t^2).  Scalar."""
+    _cubic_field(field, m)
+    t = 1 << m
+    c1 = field.pow(a, t * t + t) ^ field.pow(a, -(t * t + t + 2))
+    c2 = field.pow(a, t - t * t)
+    inner = field.pow(a, t + 1) ^ field.pow(e, t - 1)
+    expr = (
+        field.mul(field.mul(c1, inner), field.pow(e, t + 2))
+        ^ field.mul(c2, field.pow(e, 3))
+        ^ field.rel_norm(e, m)
+    )
+    return field.rel_trace(expr, m)
+
+
+def shifted_binomial_criterion_full(field: GF2n, m: int, variant: int) -> bool:
+    """shifted_binomial_criterion with the obstruction evaluated at every
+    nonzero e, vectorized over e."""
+    _cubic_field(field, m)
+    t = 1 << m
+    if variant not in (2, 3):
+        raise ValueError(f"variant must be 2 or 3, got {variant}")
+    extra = 1 + 2 * t if variant == 2 else 2 + t
+    eps = _every_nonzero_power(field)
+    inner = eps(3) ^ eps(extra)
+    tr3 = inner ^ field.pow_vec(inner, t) ^ field.pow_vec(inner, t * t)
+    m_eps = eps(1 + t + t * t) ^ tr3
+    return bool((m_eps != 0).all())
 
 
 def scaling_orbit(field: GF2n, c: int, t: int) -> set[tuple[int, int]]:

@@ -29,10 +29,13 @@ from pseudoplanar.functions import (
 from oracles import (
     _rank_witnesses,
     binomial1_criterion_det,
+    binomial1_criterion_full,
+    binomial1_trace_value,
     linearized_is_bijection,
     moore_det,
     mult_order,
     scaling_orbit,
+    shifted_binomial_criterion_full,
     shifted_binomial_obstruction,
 )
 
@@ -521,3 +524,85 @@ def test_rank_test_equals_shifted_binomial_criterion(m, variant):
     assert is_pseudoplanar(f) == crit
     # variant 2 fails for m = 2 mod 3, variant 3 for m = 1 mod 3
     assert crit == (m % 3 != (2 if variant == 2 else 1))
+
+
+# -- the trace criteria: one eps per coset of F_{2^m}* ------------------------
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_binomial1_criterion_equals_the_full_eps_oracle_on_every_a(n):
+    fld = GF2n(n)
+    m = n // 3
+    diff = [
+        a for a in range(1, fld.order)
+        if binomial1_criterion(fld, m, a) != binomial1_criterion_full(fld, m, a)
+    ]
+    assert diff == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("variant", [2, 3])
+def test_shifted_binomial_criterion_equals_the_full_eps_oracle(m, variant):
+    fld = GF2n(3 * m)
+    assert shifted_binomial_criterion(fld, m, variant) == shifted_binomial_criterion_full(
+        fld, m, variant
+    )
+
+
+def test_binomial1_trace_value_has_a_zero_exactly_where_the_full_oracle_fails():
+    fld = GF2n(6)
+    for a in range(1, fld.order):
+        values = [binomial1_trace_value(fld, 2, a, e) for e in range(1, fld.order)]
+        assert all(values) == binomial1_criterion_full(fld, 2, a), a
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_criterion_values_scale_by_the_cube_of_a_subfield_factor(m):
+    fld = GF2n(3 * m)
+    subfield = [z for z in range(1, fld.order) if fld.in_subfield(z, m)]
+    assert len(subfield) == (1 << m) - 1
+    rng = random.Random(m)
+    eps = rng.sample(range(1, fld.order), 12)
+    coeffs = rng.sample(range(1, fld.order), 3)
+    for z, e in itertools.product(subfield, eps):
+        ze, z3 = fld.mul(z, e), fld.pow(z, 3)
+        for variant in (2, 3):
+            assert shifted_binomial_obstruction(fld, m, variant, ze) == fld.mul(
+                z3, shifted_binomial_obstruction(fld, m, variant, e)
+            )
+        for a in coeffs:
+            assert binomial1_trace_value(fld, m, a, ze) == fld.mul(
+                z3, binomial1_trace_value(fld, m, a, e)
+            )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_criteria_evaluate_one_eps_per_coset_of_the_subfield(monkeypatch, m):
+    import pseudoplanar.functions as functions
+
+    lengths, cosets_met = [], []
+    nonzero_powers = functions._nonzero_powers
+
+    def spy(field, sub):
+        power = nonzero_powers(field, sub)
+        u = field.log_vec(power(1))
+        cosets_met.append(np.unique(u % u.size).size)
+
+        def recorded(k):
+            out = power(k)
+            lengths.append(out.size)
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(functions, "_nonzero_powers", spy)
+    fld = GF2n(3 * m)
+    cosets = {1: 7, 2: 21, 3: 73, 4: 273}[m]
+    assert cosets == (fld.order - 1) // ((1 << m) - 1)
+    for variant in (2, 3):
+        shifted_binomial_criterion(fld, m, variant)
+    if m % 2 == 0:
+        binomial1_criterion(fld, m, fld.generator())
+    assert lengths and set(lengths) == {cosets}
+    # the eps are g^u for u in distinct classes mod (2^n - 1)/(2^m - 1)
+    assert set(cosets_met) == {cosets}

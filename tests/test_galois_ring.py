@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n
-from pseudoplanar.galois_ring import GR4
+from pseudoplanar.galois_ring import GR4, MAX_RING_DEGREE
 from pseudoplanar.groupring import GroupVec
 
 from oracles import Z4Model, character, trace
@@ -232,5 +232,5 @@ def test_elem_literals():
 
 
 def test_capacity_guard():
-    with pytest.raises(ValueError):
-        GR4(GF2n(11))
+    with pytest.raises(ValueError, match=f"capped at n <= {MAX_RING_DEGREE}"):
+        GR4(GF2n(MAX_RING_DEGREE + 1))
