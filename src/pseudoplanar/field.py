@@ -178,9 +178,6 @@ class GF2n:
 
     # -- scalar operations ---------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

@@ -19,9 +19,11 @@ and is the oracle for the stored transform.  build_df keeps the last D_f it
 built, so one (ring, f) gives one D_f and one transform.
 The relative-difference-set identity is tested on chi(D); only when it
 fails is |chi(D)|^2 inverted to name the elements where it fails.
-The square of a 0/1 vector needs no transform: square_of_set counts its
-pair sums, taken digit by digit on the packed Z4^n coordinates, in
-O(|D|^2), which for a difference set D_f is 4^n.
+_coord_sums takes the pair sums of a set digit by digit on the packed
+Z4^n coordinates, as one uint32 table, for D_f 4^n sums.  square_of_set
+counts them into the square of a 0/1 vector with no transform; it is the
+test oracle of scheme.build_partition, which decides the square of D_f
+from the same table without counting it.
 """
 
 from __future__ import annotations
@@ -168,10 +170,11 @@ class SpectrumVec:
     re and im keep any signed integer dtype they are given (others become
     int64), and char_transform gives the narrowest exact one, often int16.
     Arithmetic on re and im must widen them first, as pointwise_mul does:
-    the product of two int16 spectra wraps around.
+    the product of two int16 spectra wraps around.  _window holds the
+    small value-count table that scheme keeps on the stored chi(D).
     """
 
-    __slots__ = ("ring", "re", "im")
+    __slots__ = ("ring", "re", "im", "_window")
 
     def __init__(self, ring: GR4, re: np.ndarray, im: np.ndarray):
         self.ring = ring
@@ -181,6 +184,7 @@ class SpectrumVec:
         )
         if self.re.shape != (ring.size,) or self.im.shape != (ring.size,):
             raise ValueError("spectrum vector has wrong length")
+        self._window = None
 
     def value(self, a_idx: int) -> GaussInt:
         return GaussInt(int(self.re[a_idx]), int(self.im[a_idx]))
@@ -241,7 +245,7 @@ class SpectrumVec:
 # below 2^15, in int32 when it is below 2^31, and in int64 otherwise, and the
 # result comes back in that dtype: chi(D) (norm 2^n) is int16, and the
 # inverse of |chi(D)|^2 that names RDS violations (norm 4^n |D| = 8^n for
-# D_f, by Parseval) runs in int32 for every n <= MAX_RING_DEGREE.  Only
+# D_f, by Parseval) runs in int32 while 8^n < 2^31, i.e. n <= 10.  Only
 # GroupVec is int64 at the interface; whatever multiplies or shifts a result
 # widens it first.
 #

@@ -5,15 +5,21 @@ the ring (identity, D_f minus 0, its negative, the nonzero 2-torsion, the
 support of D_f^2 outside those, and the rest), held as one int8 class label
 per element.  The scheme is built from one transform X = chi(D): X gives the
 relative-difference-set identity, and once that holds every class spectrum
-and every dual class is a pointwise function of X.  D^2 is counted pair by
-pair instead of transformed, and checked to be the combination
-S_0 + 2 S_1 + S_3 + 2 S_4 (+ 2 S_2 for n even) of the classes, so chi(S_4)
-follows from X^2.  By Zhou's theorem every relative difference set here is
-a D_f with f pseudo-planar, so once D passes the RDS check and contains 0,
-that check fails only on a wrong count.  The dual partition of the
-character group is one table lookup of X per character, and the first
-eigenmatrix P is evaluated at one member of each dual class; the spectra
-are constant on the dual classes by construction.  P is square: for n >= 3
+and every dual class is a pointwise function of X.  D^2 is neither
+transformed nor counted: once D passes the RDS check and contains 0, it is
+a transversal of Z, so D^2 = 1_Z + 2 (sums of its unordered pairs), and it
+is the combination S_0 + 2 S_1 + S_3 + 2 S_4 (+ 2 S_2 for n even) of the
+classes exactly when the doubles are Z, the pair sums are distinct, off Z,
+and cover S_1 (and S_2 for n even, and miss it for n odd).  One bool mark
+of the pair sums decides that, and chi(S_4) follows from X^2.  By Zhou's
+theorem every relative difference set here is a D_f with f pseudo-planar,
+so that check never fails on a D that reaches it; when it does fail, the
+pairs are counted to name the first wrong element.  The dual partition of
+the character group is one table lookup of X per character, in the pass
+over X's window keys that also counts X's values on a small table, kept on
+the stored X for raw_spectrum; the first eigenmatrix P is evaluated at the
+least member of each dual class; the spectra are constant on the dual
+classes by construction.  P is square: for n >= 3
 there are six classes and dual_partition refuses fewer than six dual
 classes, and for n <= 2 every pseudo-planar f with f(0) = 0 gives the 4 x 4
 or 5 x 5 P of the closed forms.  So the classes span a Schur ring
@@ -29,8 +35,9 @@ propagates unchanged.  The tests check the steps against the oracles in
 tests/oracles.py: class_spectra (one transform per class) for eigen_P,
 verify_schur (every pair of classes convolved) and
 intersection_numbers_gauss (the GaussInt loops) for the intersection
-numbers, check_pq_gauss for the P Q check, and s1_identities_hold for the
-D^2 combination.  The module also evaluates the Fourier spectrum, which
+numbers, check_pq_gauss for the P Q check, and partition_by_counted_square
+(D^2 counted by GroupVec.square_of_set) and s1_identities_hold for the D^2
+combination.  The module also evaluates the Fourier spectrum, which
 takes the pseudo-planarity of f from the RDS verdict on D_f (Zhou), and
 fuses classes via the constant-block-row-sum criterion.
 """
@@ -50,12 +57,24 @@ import numpy as np
 from .exact import GaussInt, GaussRat
 from .functions import SparsePoly, pseudoplanar_witness
 from .galois_ring import GR4
-from .groupring import GroupVec, SpectrumVec, _spectrum, build_df, verify_rds
+from .groupring import (
+    GroupVec,
+    SpectrumVec,
+    _coord_sums,
+    _spectrum,
+    build_df,
+    verify_rds,
+)
 
 SCHEMA_VERSION = 1
 
 # why the scheme commands, and spectrum's closed-form check, refuse f(0) != 0
 NEEDS_ZERO = "D must contain 0, which for D_f means f(0) = 0"
+
+
+# how many indices a scatter or bincount casts to intp at a time: such a
+# block stays far below a 4^n intp copy
+_BLOCK = 1 << 15
 
 
 class SchemeError(ValueError):
@@ -125,6 +144,45 @@ def _square_coefficients(n: int) -> tuple[int, ...]:
     return (1, 2, 2 * (n % 2 == 0), 1, 2, 0)
 
 
+def _pair_sum_marks(ring: GR4, in_d: np.ndarray, sums: np.ndarray):
+    """(labels, ok) from the sums of D = in_d, with 0 = in_d[0].
+
+    sums is the symmetric _coord_sums table of D, rows in the order of
+    in_d: the doubles 2u on its diagonal and every unordered pair sum twice
+    off it.  labels is an int8 vector over the elements: 0 at a pair sum,
+    1 elsewhere.  ok tells whether D^2 = 1_Z + 2 (sum of the pair sums) is
+    sum_k a_k S_k of _square_coefficients, which holds exactly when
+    - the doubles are Z, once each;
+    - the pair sums are distinct and lie off Z;
+    - they cover S_1 = D - {0}, and cover S_2 = -S_1 for n even and miss it
+      for n odd,
+    provided the classes are disjoint.  The sums outside Z, D and -D are
+    then S_4.  sums comes back as it came.
+    """
+    n, t = ring.n, 1 << ring.n
+    doubles = sums.diagonal().copy()
+    # with a pair sum on the diagonal, the marks are the pair sums alone
+    np.fill_diagonal(sums, sums[0, -1])
+    unmarked = np.ones(ring.size, dtype=bool)  # by Z4^n coordinate
+    # a scatter casts its indices to intp: a block of them at a time
+    rows = max(1, _BLOCK // len(in_d))
+    for i in range(0, len(in_d), rows):
+        unmarked[sums[i : i + rows].astype(np.intp)] = False
+    np.fill_diagonal(sums, doubles)
+    pairs = len(in_d) * (len(in_d) - 1) // 2
+    labels = unmarked[ring.coord_of].view(np.int8)
+    s1 = in_d[1:]
+    s2 = labels[ring.neg_perm[s1]]
+    ok = (
+        np.array_equal(np.sort(doubles), np.sort(ring.coord_of[:t]))
+        and ring.size - np.count_nonzero(unmarked) == pairs
+        and bool(labels[:t].all())  # Z is the index prefix [0, 2^n)
+        and not labels[s1].any()
+        and bool(not s2.any() if n % 2 == 0 else s2.all())
+    )
+    return labels, ok
+
+
 def build_partition(D: GroupVec) -> Partition6:
     """Partition the ring by the difference-set structure of D.
 
@@ -132,9 +190,11 @@ def build_partition(D: GroupVec) -> Partition6:
     subgroup (i.e. come from a pseudo-planar function); otherwise the class
     sizes would not be well defined and a SchemeError is raised.  D must also
     contain 0, or S_1 = D - {0} is not a set; for D = D_f that is f(0) = 0,
-    and a D without 0 raises a plain ValueError.  The count of D^2 must be
-    the class combination sum_k a_k S_k of _square_coefficients; a
-    SchemeError names the first element where it is not.  The RDS check is
+    and a D without 0 raises a plain ValueError.  D^2 must be the class
+    combination sum_k a_k S_k of _square_coefficients, which is decided
+    from the pair sums of D (see _pair_sum_marks) without counting them;
+    only when it fails are they counted, and a SchemeError names the first
+    element where D^2 is not that combination.  The RDS check is
     verify_rds, whose verdict is kept on D.
     """
     ring = D.ring
@@ -148,14 +208,17 @@ def build_partition(D: GroupVec) -> Partition6:
     if D.counts[zero] != 1:
         raise ValueError(NEEDS_ZERO)
     # D is now a 0/1 vector: the RDS identity at 0 gives sum D_g^2 = 2^n =
-    # |sum D_g|, so every D_g is 0 or 1, or every one 0 or -1.  Each class
-    # is written over the ones before it: S_4 / S_5 by D^2, then the
-    # 2-torsion Z, -D, D and 0, which leaves S_1 = D - {0} and S_2 = -S_1.
-    dsq = D.square_of_set().counts
-    labels = (dsq == 0).view(np.int8)
+    # |sum D_g|, so every D_g is 0 or 1, or every one 0 or -1.  It is 0 on
+    # Z - {0}, so D is a transversal of Z, and
+    # D^2 = sum_u 2u + 2 (the sums u + v of its unordered pairs).  Each
+    # class is written over the ones before it: S_4 / S_5 by the pair sums,
+    # then the 2-torsion Z, -D, D and 0, which leaves S_1 = D - {0} and
+    # S_2 = -S_1.
+    in_d = D.support()
+    sums = _coord_sums(ring.coord_of[in_d], ring.n)
+    labels, square_ok = _pair_sum_marks(ring, in_d, sums)
     labels += 4
     labels[: 1 << ring.n] = 3  # Z is the index prefix [0, 2^n)
-    in_d = D.support()
     labels[ring.neg_perm[in_d]] = 2
     labels[in_d] = 1
     labels[zero] = 0
@@ -163,9 +226,10 @@ def build_partition(D: GroupVec) -> Partition6:
     # a later class hides an earlier one where they meet
     if part.class_sizes[1:4] != [(1 << ring.n) - 1] * 3:
         raise SchemeError("partition classes are not disjoint")
-    a = _square_coefficients(ring.n)
-    want = np.take(np.array(a, dtype=np.int8), labels)
-    if not np.array_equal(dsq, want):
+    if not square_ok:
+        a = _square_coefficients(ring.n)
+        dsq = np.bincount(sums.ravel(), minlength=ring.size)[ring.coord_of]
+        want = np.take(np.array(a, dtype=np.int8), labels)
         g = int(np.argmax(dsq != want))
         raise SchemeError(
             f"D^2 is not sum_k a_k S_k with a = {a}: element {g} has "
@@ -193,25 +257,53 @@ def _dual_signatures(n: int) -> list[GaussInt]:
     ]
 
 
-def _window_keys(X: SpectrumVec) -> tuple[np.ndarray, int, int]:
-    """(key, B, W): key = (re + B + 1) W + (im + B + 1) for each value
-    re + im i of X, with B = 2^floor(n/2) and W = 2B + 3, so that key
-    indexes a W x W table over [-B-1, B+1]^2.  re and im are clipped into
-    that square, so every value outside [-B, B]^2 lands on its border.
+def _window(n: int) -> tuple[int, int]:
+    """(B, W): B = 2^floor(n/2) and W = 2B + 3, the side of the window
+    [-B-1, B+1]^2 of _window_keys."""
+    B = 1 << (n // 2)
+    return B, 2 * B + 3
+
+
+def _window_keys(X: SpectrumVec) -> np.ndarray:
+    """key = (re + B + 1) W + (im + B + 1) for each value re + im i of X,
+    with (B, W) = _window(n), so that key indexes a W x W table over
+    [-B-1, B+1]^2.  re and im are clipped into that square, so every value
+    outside [-B, B]^2 lands on its border.
 
     The clip runs in X's own dtype, where it cannot wrap, and the key stays
     in it, or in int16 if X is narrower: every key is below W^2, and W^2 is
     below 2^15 for n <= 13.
     """
-    B = 1 << (X.ring.n // 2)
-    W = 2 * B + 3
+    B, W = _window(X.ring.n)
     key = np.clip(X.re, -(B + 1), B + 1)
     key = key.astype(np.promote_types(key.dtype, np.int16), copy=False)
     key += B + 1
     key *= W
     key += np.clip(X.im, -(B + 1), B + 1)
     key += B + 1
-    return key, B, W
+    return key
+
+
+def _count_window(X: SpectrumVec, table: np.ndarray | None = None):
+    """Count the values of X on the window of _window_keys, and keep the
+    (W, W) table of counts on X: the one pass over the stored chi(D) that
+    dual_partition makes also serves raw_spectrum.  With an int8 table of
+    W^2 entries given, return it looked up at every key as well.
+
+    bincount and take cast their keys to intp, so both run on one cast
+    block of keys at a time, and no 4^n intp copy is made.
+    """
+    key = _window_keys(X)
+    W = _window(X.ring.n)[1]
+    counts = np.zeros(W * W, dtype=np.int64)
+    out = None if table is None else np.empty(key.size, dtype=np.int8)
+    for i in range(0, key.size, _BLOCK):
+        block = key[i : i + _BLOCK].astype(np.intp)
+        counts += np.bincount(block, minlength=W * W)
+        if out is not None:
+            np.take(table, block, out=out[i : i + _BLOCK])
+    X._window = counts.reshape(W, W)
+    return out
 
 
 def dual_partition(X: SpectrumVec) -> DualPartition:
@@ -230,19 +322,26 @@ def dual_partition(X: SpectrumVec) -> DualPartition:
     # Every slot value v has |v.re + 1|, |v.im| <= B.  A table over the
     # window of _window_keys, at (v.re + 1, v.im) = (X.re, X.im), holds the
     # slot of each value, and -1 on its border.
-    key, B, W = _window_keys(X)
-    table = np.full((W, W), -1, dtype=np.int8)
-    for slot, v in enumerate([GaussInt(-1, 0)] + _dual_signatures(n), start=1):
-        table[v.re + 1 + B + 1, v.im + B + 1] = slot
-    labels = np.take(table.ravel(), key)
+    # The class sizes are read off the counts on that window, with
+    # character 0 moved to E_0.
+    B, W = _window(n)
+    cells = [
+        (v.re + 1 + B + 1) * W + v.im + B + 1
+        for v in [GaussInt(-1, 0)] + _dual_signatures(n)
+    ]
+    table = np.full(W * W, -1, dtype=np.int8)
+    table[cells] = range(1, 6)
+    labels = _count_window(X, table)
+    counts = X._window.ravel()
+    first = int(labels[0])  # the slot of character 0's value, or -1
     labels[0] = 0
-    a = int(np.argmin(labels))
-    if labels[a] == -1:
+    sizes = (1, *(int(counts[c]) - (first == k) for k, c in enumerate(cells, 1)))
+    if sum(sizes) < ring.size:
+        a = int(np.argmin(labels))
         raise SchemeError(
             f"character {a} has unexpected class sum "
             f"chi(S1) = {X.value(a) - 1}"
         )
-    sizes = tuple(_label_counts(labels))
     if n >= 3 and min(sizes) == 0:
         raise SchemeError(f"expected 6 dual classes for n={n}, sizes {sizes}")
     if sizes[1] != (1 << n) - 1:
@@ -253,6 +352,25 @@ def dual_partition(X: SpectrumVec) -> DualPartition:
         if sizes[4] != sizes[5]:
             raise SchemeError("m_4 != m_5")
     return DualPartition(ring, labels, sizes)
+
+
+def _least_members(labels: np.ndarray, slots: list[int]) -> list[int]:
+    """The least g with labels[g] = j, for each j in slots, or 0 where there
+    is none (as np.argmax(labels == j) gives).
+
+    Prefixes of labels are searched, each twice as long as the one before,
+    from 2^(n+1) on: E_1 = Z - {0} is the prefix [1, 2^n), and the other
+    dual classes of a D_f have met their least members before 2^(n+1) at
+    every n tried.
+    """
+    least: dict[int, int] = {}
+    start, end = 0, 2 * math.isqrt(labels.size)
+    while start < labels.size and not least.keys() >= set(slots):
+        values, first = np.unique(labels[start:end], return_index=True)
+        for j, g in zip(values.tolist(), first.tolist()):
+            least.setdefault(j, start + g)
+        start, end = end, 2 * end
+    return [least.get(j, 0) for j in slots]
 
 
 def eigen_P(part: Partition6, dual: DualPartition, X: SpectrumVec):
@@ -272,8 +390,7 @@ def eigen_P(part: Partition6, dual: DualPartition, X: SpectrumVec):
     row_slots = dual.nonempty_slots()
     col_slots = part.nonempty_slots()
     P = []
-    for j in row_slots:
-        g = int(np.argmax(dual.labels == j))
+    for g in _least_members(dual.labels, row_slots):
         x = X.value(g)
         chi = [
             GaussInt(1),
@@ -465,9 +582,12 @@ def raw_spectrum(ring: GR4, f: SparsePoly) -> list[tuple[GaussInt, int]]:
     sp = _spectrum(build_df(ring, f))
     # The values in the window of _window_keys, which holds every value but
     # chi_0(D_f) = 2^n of a pseudo-planar f, are counted in its table, in
-    # (re, im) order; the few on its border are sorted out exactly.
-    key, B, W = _window_keys(sp)
-    freq = np.bincount(key, minlength=W * W).reshape(W, W)
+    # (re, im) order; the few on its border are sorted out exactly.  The
+    # table of a D_f that build_report has partitioned is counted already.
+    if sp._window is None:
+        _count_window(sp)
+    freq = sp._window
+    B = _window(ring.n)[0]
     inner = freq[1:-1, 1:-1]
     rows = [
         (GaussInt(int(r) - B, int(m) - B), int(inner[r, m]))

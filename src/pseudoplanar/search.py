@@ -179,6 +179,16 @@ def checkpoint_save(path, space: SearchSpace, next_index: int, hit_indices: list
     os.replace(tmp, path)
 
 
+def _checkpoint_directory(path) -> None:
+    """Refuse a checkpoint path whose directory cannot take the file, so a
+    search fails before its first candidate, not at its first save."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
+        raise CheckpointError(
+            f"checkpoint {os.fspath(path)}: {directory} is not a writable directory"
+        )
+
+
 def checkpoint_resume(path, space: SearchSpace) -> tuple[int, list[int]]:
     """Validated (next candidate index, hits so far) from a checkpoint file.
     The digest is unkeyed, so next and hits are range-checked as well."""
@@ -223,7 +233,9 @@ def run_search(
     """Exhaust the shard, re-verify every hit, and return the result.
 
     Candidates are tested in intervals of checkpoint_every owned indices,
-    with a checkpoint after each interval, so a crash loses at most one.
+    with a checkpoint after each interval, so a crash loses at most one.  A
+    checkpoint path outside a writable directory is refused (CheckpointError)
+    before the first candidate.
     Candidates of quadratic type are decided in bulk by _orbit_hits, the
     monomials one run of coefficients of an exponent at a time (see the
     module docstring).  Every hit is re-checked by is_pseudoplanar at the end.
@@ -240,6 +252,7 @@ def run_search(
         )
     start, hit_indices = 0, []
     if checkpoint_path is not None:
+        _checkpoint_directory(checkpoint_path)
         try:
             start, hit_indices = checkpoint_resume(checkpoint_path, space)
         except FileNotFoundError:

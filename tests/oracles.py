@@ -8,6 +8,10 @@ no code with the paths they check, and the package itself never calls them.
   character transform.
 - convolve_naive: the O(16^n) convolution, for GroupVec.convolve and
   GroupVec.square_of_set.
+- partition_by_counted_square: build_partition with D^2 counted by
+  GroupVec.square_of_set and compared with the class combination element by
+  element, for the pair-sum check of build_partition, which decides the
+  same identity without counting.
 - moore_det, linearized_is_bijection and binomial1_criterion_det: the
   Moore-determinant criterion, for binomial1_criterion.
 - binomial1_criterion_full and shifted_binomial_criterion_full: both trace
@@ -42,8 +46,8 @@ from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n, _prime_factors
 from pseudoplanar.functions import _RANK_BUDGET, _cubic_field, _singular
 from pseudoplanar.galois_ring import GR4, Pair
-from pseudoplanar.groupring import GroupVec
-from pseudoplanar.scheme import Partition6, SchemeError
+from pseudoplanar.groupring import GroupVec, verify_rds
+from pseudoplanar.scheme import NEEDS_ZERO, Partition6, SchemeError
 from pseudoplanar.search import SearchSpace, quad_exponents
 
 # -- GR(4, n) -----------------------------------------------------------------
@@ -470,6 +474,41 @@ def verify_schur(part: Partition6):
                     return None, (i, j, k, g, g2)
                 p[i, j, k] = p[j, i, k] = vmin
     return p, None
+
+
+def partition_by_counted_square(D: GroupVec) -> Partition6:
+    """build_partition(D), with D^2 counted pair by pair by
+    GroupVec.square_of_set and compared with sum_k a_k S_k at every element;
+    the same checks in the same order, and the same errors."""
+    ring = D.ring
+    ok, violations = verify_rds(D)
+    if not ok:
+        raise SchemeError(
+            f"input is not a relative difference set; first violations "
+            f"(idx, got, want): {violations}"
+        )
+    zero = ring.idx(ring.zero)
+    if D.counts[zero] != 1:
+        raise ValueError(NEEDS_ZERO)
+    dsq = D.square_of_set().counts
+    labels = np.where(dsq == 0, 5, 4).astype(np.int8)
+    labels[: 1 << ring.n] = 3
+    in_d = D.support()
+    labels[ring.neg_perm[in_d]] = 2
+    labels[in_d] = 1
+    labels[zero] = 0
+    part = Partition6(ring, labels)
+    if part.class_sizes[1:4] != [(1 << ring.n) - 1] * 3:
+        raise SchemeError("partition classes are not disjoint")
+    a = (1, 2, 2 * (ring.n % 2 == 0), 1, 2, 0)
+    want = np.array(a)[labels]
+    if not np.array_equal(dsq, want):
+        g = int(np.argmax(dsq != want))
+        raise SchemeError(
+            f"D^2 is not sum_k a_k S_k with a = {a}: element {g} has "
+            f"multiplicity {dsq[g]}, expected {want[g]}"
+        )
+    return part
 
 
 def s1_identities_hold(part: Partition6) -> bool:

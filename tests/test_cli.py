@@ -254,6 +254,24 @@ def test_search_cli_refuses_a_forged_checkpoint(capsys, tmp_path, key, value):
     assert f"ck.json: {key}" in err
 
 
+@pytest.mark.parametrize("command", ["search-binomials", "search-monomials"])
+def test_search_cli_refuses_a_checkpoint_outside_a_directory_first(
+    capsys, monkeypatch, tmp_path, command
+):
+    from pseudoplanar import search
+
+    def no_candidate(*args):
+        raise AssertionError("a candidate was tested")
+
+    monkeypatch.setattr(search, "_orbit_hits", no_candidate)
+    monkeypatch.setattr(search, "_monomial_hits", no_candidate)
+    path = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, command, "--field", "4:13", "--checkpoint", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: checkpoint {path}: {path.parent} is not a writable directory\n"
+    assert not path.parent.exists()
+
+
 def test_bm_fuse_cli(capsys):
     code, out, _ = run(
         capsys, "bm-fuse", "--field", "3:b", "--f", "0:0",

@@ -9,9 +9,17 @@ in src/ or perfbench/: a bare NAME that happens to share its name, such as
 a local variable, does not count.  Either may instead be named in
 ALLOWED_TEST_ONLY, methods as "Class.name", with the reason it stays.  A
 use in tests/ does not count: a definition that only the tests reach is a
-test oracle, and belongs in tests/oracles.py.  The match is by name, not by
-type, so a method counts as used when any object's attribute of that name
-is read.
+test oracle, and belongs in tests/oracles.py.
+
+An attribute read R.name counts for a member Class.name by what R is:
+- R names a package class (SparsePoly, api.SparsePoly), or is self or cls
+  in a class body: that class's member only;
+- R is a name an import binds (np, sch): no member, for np.add is numpy's;
+- R is anything else, an instance: every class with a member of that name,
+  except classmethods and staticmethods, which are read on their class,
+  and names that a builtin type's method shares (seen.add is a set's).
+So GroupVec.zero is not used through SparsePoly.zero or ring.zero, nor
+GR4.add through np.add or seen.add.
 
 A non-dunder name bound by a module-level assignment in a package module
 must be read (a Name load or an attribute) in src/ or perfbench/.
@@ -33,6 +41,9 @@ SEARCHED = ("src", "perfbench")
 # Public algebra of exported classes that neither the package nor the
 # benchmark calls; the tests reach it.
 ALLOWED_TEST_ONLY = {
+    "GroupVec.square_of_set": "D^2 counted pair by pair, the oracle of build_partition's pair-sum check",
+    "GroupVec.zero": "constructor of the empty multiset, beside delta and indicator",
+    "GR4.add": "Teichmuller-pair addition, the formula the coordinate tables rest on; Z4Model checks it",
     "GroupVec.convolve": "group-ring product; the traced benchmark patches it by name",
     "GroupVec.involute": "negation, the other half of the group-ring algebra",
     "GroupVec.scale": "integer multiple, beside + and -; the S_1 identity oracle uses it",
@@ -119,25 +130,84 @@ def _used_names() -> set[str]:
     return used
 
 
-def _attributes_read() -> set[str]:
-    """The attribute names taken (x.name) in every searched file."""
-    return {
-        node.attr
-        for path in _searched_files()
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Attribute)
-    }
+_BUILTIN_METHODS = {
+    name
+    for typ in (set, frozenset, list, tuple, dict, str, bytes, int, float, complex)
+    for name in dir(typ)
+    if not name.startswith("_")
+}
+
+
+def _class_info() -> tuple[set[str], set[str]]:
+    """The package's class names, and its classmethods and staticmethods
+    as "Class.name"."""
+    classes, on_class = set(), set()
+    for _, tree in _package_trees():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                classes.add(cls.name)
+                on_class.update(
+                    f"{cls.name}.{node.name}"
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(
+                        isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+                        for d in node.decorator_list
+                    )
+                )
+    return classes, on_class
+
+
+def _attribute_reads(classes: set[str]) -> tuple[set[str], set[str]]:
+    """The attribute reads (x.name) in every searched file, by receiver:
+    "Class.name" for a receiver that names a package class, or is self or
+    cls in its body, and a bare name for an instance receiver.  Reads on a
+    name bound by an import are left out."""
+    typed, untyped = set(), set()
+
+    def visit(node, owner, imported):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Attribute):
+            recv = node.value
+            name = recv.id if isinstance(recv, ast.Name) else (
+                recv.attr if isinstance(recv, ast.Attribute) else None
+            )
+            if name in classes:
+                typed.add(f"{name}.{node.attr}")
+            elif owner and isinstance(recv, ast.Name) and name in ("self", "cls"):
+                typed.add(f"{owner}.{node.attr}")
+            elif not (isinstance(recv, ast.Name) and name in imported):
+                untyped.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, imported)
+
+    for path in _searched_files():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        visit(tree, None, imported)
+    return typed, untyped
 
 
 def _unused() -> dict[str, str]:
     """Every definition and class member that src/ and perfbench/ never use,
     allowlisted or not."""
-    used, attrs = _used_names(), _attributes_read()
+    used = _used_names()
+    classes, on_class = _class_info()
+    typed, untyped = _attribute_reads(classes)
     out = {n: w for n, w in _defined_names().items() if n not in used}
-    out.update(
-        (key, where) for key, where in _class_members().items()
-        if key.split(".")[1] not in attrs
-    )
+    for key, where in _class_members().items():
+        name = key.split(".")[1]
+        instance_read = (
+            name in untyped and key not in on_class and name not in _BUILTIN_METHODS
+        )
+        if key not in typed and not instance_read:
+            out[key] = where
     return out
 
 

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from pseudoplanar.functions import (
     construct_binomial1,
     construct_shifted_binomial,
     is_pseudoplanar,
+    known_family_hits,
 )
 from pseudoplanar.galois_ring import GR4
 from pseudoplanar.groupring import (
@@ -55,6 +57,7 @@ from oracles import (
     check_pq_gauss,
     class_spectra,
     intersection_numbers_gauss,
+    partition_by_counted_square,
     s1_identities_hold,
     verify_schur,
 )
@@ -694,28 +697,248 @@ def test_p_from_chi_d_equals_the_class_spectra_oracle(n):
         assert P == _constant_P(re, im, dual, col_slots)
 
 
-def test_a_d_squared_off_the_class_combination_is_refused(monkeypatch):
-    ring = GR4(GF2n(5))
+def _pair_sums_by_class(D, part):
+    """(sums, classes): the true _coord_sums table of D, and the class of
+    the element at each entry."""
+    ring = D.ring
+    sums = groupring._coord_sums(ring.coord_of[D.support()], ring.n)
+    element = np.argsort(ring.coord_of)  # coordinate -> element index
+    return sums, part.labels[element[sums]]
+
+
+def _pairs_in(classes, k, count):
+    """The first count unordered pairs (i < j) whose sum lies in S_k."""
+    i, j = np.nonzero(np.triu(classes == k, 1))
+    return list(zip(i.tolist(), j.tolist()))[:count]
+
+
+def _move_pair_sums(monkeypatch, ring, moves):
+    """build_partition reads each unordered pair (i, j) of moves, rows in
+    the order of D.support(), as summing to element g, on both sides of the
+    diagonal; a pair (i, i) moves the double of row i."""
+    true_sums = groupring._coord_sums
+
+    def perturbed(c, n):
+        sums = true_sums(c, n)
+        for (i, j), g in moves:
+            sums[i, j] = sums[j, i] = ring.coord_of[g]
+        return sums
+
+    monkeypatch.setattr(scheme, "_coord_sums", perturbed)
+
+
+def _square_error(ring, g, got, want):
+    a = (1, 2, 2 * (ring.n % 2 == 0), 1, 2, 0)
+    return (
+        f"D^2 is not sum_k a_k S_k with a = {a}: element {g} has "
+        f"multiplicity {got}, expected {want}"
+    )
+
+
+def _zero_partition(n):
+    ring = GR4(GF2n(n))
     D = build_df(ring, SparsePoly.zero(ring.field))
     part = build_partition(D)
-    s1, s5 = part.classes[1].support(), part.classes[5].support()
-    true_square = GroupVec.square_of_set
+    sums, classes = _pair_sums_by_class(D, part)
+    return ring, D, part, sums, classes
 
-    def perturbed(self):
-        counts = true_square(self).counts.copy()
-        counts[s5[3]] += 2  # moves an element from S_5 to S_4: no error
-        counts[s5[7]] += 1  # an S_4 element with D^2 = 1
-        counts[s1[-1]] -= 2  # an S_1 element with D^2 = 0
-        return GroupVec(self.ring, counts)
 
-    monkeypatch.setattr(GroupVec, "square_of_set", perturbed)
-    g, got = min((int(s5[7]), 1), (int(s1[-1]), 0))
+def test_a_d_squared_off_the_class_combination_is_refused(monkeypatch):
+    ring, D, part, sums, classes = _zero_partition(5)
+    s5 = part.classes[5].support()
+    element = np.argsort(ring.coord_of)
+    p, q, r = _pairs_in(classes, 4, 3)
+    s1_pair = _pairs_in(classes, 1, 1)[0]
+    collided = int(element[sums[q]])
+    unmarked = int(element[sums[s1_pair]])
+    _move_pair_sums(monkeypatch, ring, [
+        (p, int(s5[3])),  # moves an element from S_5 to S_4: no error
+        (r, collided),  # two pairs with one sum: D^2 = 4 there
+        (s1_pair, int(s5[7])),  # an S_1 element with D^2 = 0
+    ])
+    g, got, want = min((collided, 4, 2), (unmarked, 0, 2))
     with pytest.raises(SchemeError) as exc:
         build_partition(D)
-    assert str(exc.value) == (
-        f"D^2 is not sum_k a_k S_k with a = (1, 2, 0, 1, 2, 0): element {g} "
-        f"has multiplicity {got}, expected 2"
-    )
+    assert str(exc.value) == _square_error(ring, g, got, want)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize(
+    "case", ["collision", "into Z", "unmarked S_1", "marked S_2", "double twice"]
+)
+def test_each_pair_sum_fault_is_named(monkeypatch, n, case):
+    ring, D, part, sums, classes = _zero_partition(n)
+    element = np.argsort(ring.coord_of)
+    p, q = _pairs_in(classes, 4, 2)
+    if case == "collision":
+        g = int(element[sums[q]])
+        moves, got, want = [(p, g)], 4, 2
+    elif case == "into Z":
+        g = (1 << n) - 1  # a nonzero 2-torsion element, in S_3
+        moves, got, want = [(p, g)], 3, 1
+    elif case == "double twice":
+        # rows 1 and 2 have one double: D^2 is 2 at it, 0 at row 1's
+        once, twice = (int(element[sums[i, i]]) for i in (1, 2))
+        moves = [((1, 1), twice)]
+        g, got, want = min((once, 0, 1), (twice, 2, 1))
+    elif case == "unmarked S_1":
+        pair = _pairs_in(classes, 1, 1)[0]
+        g = int(element[sums[pair]])
+        moves, got, want = [(pair, int(part.classes[5].support()[0]))], 0, 2
+    else:
+        g = int(part.classes[2].support()[0])
+        if n % 2 == 0:
+            # every S_2 element is a pair sum at even n: move one away
+            pair = next(
+                pair for pair in _pairs_in(classes, 2, ring.size)
+                if element[sums[pair]] == g
+            )
+            moves, got, want = [(pair, int(part.classes[5].support()[0]))], 0, 2
+        else:
+            moves, got, want = [(p, g)], 2, 0
+    _move_pair_sums(monkeypatch, ring, moves)
+    with pytest.raises(SchemeError) as exc:
+        build_partition(D)
+    assert str(exc.value) == _square_error(ring, g, got, want)
+
+
+def _partition_outcome(build, D):
+    """The labels build(D) gives, or the type and text of what it raises."""
+    try:
+        return build(D).labels.tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _pp_sample(fld, rng, count):
+    """count seeded pseudo-planar f on fld: known-family monomials and, for
+    n = 3m, the shifted binomials, some with a linear term c x^(2^k) added,
+    some with a constant term, some with both."""
+    n = fld.n
+    bases = [
+        SparsePoly.monomial(fld, a, t) for a, t in sorted(known_family_hits(fld))
+    ]
+    if n % 3 == 0:
+        m = n // 3
+        # variant 2 fails when m = 2 mod 3, variant 3 when m = 1 mod 3
+        bases += [
+            construct_shifted_binomial(fld, m, v)
+            for v, bad in ((2, 2), (3, 1))
+            if m % 3 != bad
+        ]
+    out = [SparsePoly.zero(fld)]
+    for _ in range(count):
+        f = rng.choice(bases)
+        terms = list(f.terms)
+        if rng.random() < 0.5:
+            terms.append((1 << rng.randrange(n), rng.randrange(1, fld.order)))
+        if rng.random() < 0.3:
+            terms.append((0, rng.randrange(1, fld.order)))
+        out.append(SparsePoly.make(fld, terms))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pair_sum_check_agrees_with_the_counted_square(n):
+    ring = GR4(GF2n(n))
+    rng = random.Random(20 + n)
+    sample = _pp_sample(ring.field, rng, 12)
+    assert any(f.eval(0) for f in sample) and any(len(f.terms) > 1 for f in sample)
+    for f in sample:
+        assert is_pseudoplanar(f)
+        D = build_df(ring, f)
+        assert _partition_outcome(build_partition, D) == _partition_outcome(
+            partition_by_counted_square, D
+        )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_perturbed_pair_sums_give_the_counted_verdict(monkeypatch, n):
+    # both paths read the same moved pair sums: the oracle through
+    # square_of_set, build_partition through its own lookup
+    ring, D, part, sums, classes = _zero_partition(n)
+    rng = random.Random(n)
+    k = len(D.support())
+    refused = 0
+    for _ in range(30):
+        moves = []
+        for _ in range(rng.randrange(1, 4)):
+            i, j = sorted(rng.sample(range(k), 2))
+            if rng.random() < 0.2:
+                j = i  # a double
+            moves.append(((i, j), rng.randrange(ring.size)))
+        with monkeypatch.context() as mp:
+            _move_pair_sums(mp, ring, moves)
+            mp.setattr(groupring, "_coord_sums", scheme._coord_sums)
+            got = _partition_outcome(build_partition, D)
+            assert got == _partition_outcome(partition_by_counted_square, D)
+        refused += isinstance(got, tuple)
+    assert 0 < refused < 30
+
+
+def test_build_partition_memory_n9():
+    # no 4^n int64 temporaries: the pair sums are uint32 and the marks bool
+    ring = GR4(GF2n(9))
+    D = build_df(ring, SparsePoly.zero(ring.field))
+    assert verify_rds(D)[0]  # the transform is made and kept before tracing
+    for table in ("coord_of", "neg_perm"):
+        getattr(ring, table)
+    D.support()
+    tracemalloc.start()
+    try:
+        build_partition(D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * ring.size
+
+
+def test_one_window_pass_serves_the_dual_classes_and_the_spectrum(monkeypatch):
+    ring = GR4(GF2n(6))
+    f = construct_shifted_binomial(ring.field, 2, 3)
+    calls = []
+    true_keys = scheme._window_keys
+    monkeypatch.setattr(scheme, "_window_keys", lambda X: calls.append(X) or true_keys(X))
+    D = build_df(ring, f)
+    assert verify_rds(D)[0]
+    build_report(D)
+    rows = fourier_spectrum(ring, f)
+    assert len(calls) == 1 and calls[0] is groupring._spectrum(D)
+    assert rows == spectrum_closed_form(6)
+    # the kept table is the count of the stored transform's keys
+    W = 2 * (1 << 3) + 3
+    X = calls[0]
+    assert X._window.shape == (W, W)
+    assert np.array_equal(X._window.ravel(), np.bincount(true_keys(X), minlength=W * W))
+    # without build_report, raw_spectrum counts the keys itself
+    g = SparsePoly.parse(ring.field, "5:1,20:1")
+    assert raw_spectrum(ring, g) == raw_spectrum(ring, g)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dual_sizes_are_the_label_counts(n):
+    ring = GR4(GF2n(n))
+    for f in _pp_polys(ring.field):
+        X = build_df(ring, f).char_transform()
+        dual = dual_partition(X)
+        assert dual.sizes == tuple(int(np.count_nonzero(dual.labels == k)) for k in range(6))
+        # character 0 is E_0 also where its value is a slot value
+        moved = dual_partition(_with_x(X, 0, re=int(X.re[1]), im=int(X.im[1])))
+        assert moved.sizes == dual.sizes
+        assert np.array_equal(moved.labels, dual.labels)
+
+
+def test_least_members_equal_the_first_match():
+    rng = np.random.default_rng(3)
+    for size, late in ((16, 15), (64, 40), (1024, 1000), (4096, 700)):
+        labels = rng.integers(1, 4, size=size).astype(np.int8)
+        labels[0] = 0
+        labels[late] = 5  # found only in a later prefix
+        slots = [0, 1, 2, 3, 4, 5]  # slot 4 is missing: 0, as argmax gives
+        want = [int(np.argmax(labels == j)) for j in slots]
+        assert scheme._least_members(labels, slots) == want
+        assert want[4] == 0 and want[5] == late
 
 
 def test_an_inexact_s4_spectrum_is_refused():
