@@ -204,15 +204,6 @@ class GF2n:
         """The unique square root: a^(2^(n-1))."""
         return self.pow(a, 1 << (self.n - 1)) if a else 0
 
-    def trace(self, a: int) -> int:
-        """Absolute trace to F_2."""
-        t = 0
-        v = a
-        for _ in range(self.n):
-            t ^= v
-            v = self.square(v)
-        return t
-
     def subfield_trace(self, a: int, d: int) -> int:
         """Trace of F_{2^d} to F_2, for a lying in that subfield."""
         if self.n % d != 0:

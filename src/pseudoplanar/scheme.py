@@ -239,22 +239,9 @@ def build_partition(D: GroupVec) -> Partition6:
 
 
 def _dual_signatures(n: int) -> list[GaussInt]:
-    """Expected chi(S_1) value for dual classes E_2..E_5, in slot order."""
-    if n % 2 == 1:
-        b = 1 << ((n - 1) // 2)
-        return [
-            GaussInt(-1 + b, b),
-            GaussInt(-1 + b, -b),
-            GaussInt(-1 - b, b),
-            GaussInt(-1 - b, -b),
-        ]
-    c = 1 << (n // 2)
-    return [
-        GaussInt(-1 + c, 0),
-        GaussInt(-1 - c, 0),
-        GaussInt(-1, c),
-        GaussInt(-1, -c),
-    ]
+    """Expected chi(S_1) value for dual classes E_2..E_5, in slot order:
+    column 1 of the closed-form P."""
+    return [row[1] for row in _closed_form_P(n)[2:]]
 
 
 def _window(n: int) -> tuple[int, int]:
@@ -525,31 +512,12 @@ def _closed_form_Q(n: int) -> list[list[GaussRat]]:
 
 def spectrum_closed_form(n: int) -> list[tuple[GaussInt, int]]:
     """Predicted Fourier spectrum of any pseudo-planar f on F_{2^n} with
-    f(0) = 0, sorted by (re, im).  A constant term c translates D_f by the
-    2-torsion element 2*sqrt(c), which flips the sign of some values."""
-    if n % 2 == 1:
-        b = 1 << ((n - 1) // 2)
-        hi = (b * (2 * b**3 + 2 * b * b - b - 1)) // 2
-        lo = (b * (2 * b**3 - 2 * b * b - b + 1)) // 2
-        rows = [
-            (GaussInt(2 * b * b), 1),
-            (GaussInt(0), 2 * b * b - 1),
-            (GaussInt(b, b), hi),
-            (GaussInt(b, -b), hi),
-            (GaussInt(-b, b), lo),
-            (GaussInt(-b, -b), lo),
-        ]
-    else:
-        b = 1 << ((n - 2) // 2)
-        rows = [
-            (GaussInt(4 * b * b), 1),
-            (GaussInt(0), 4 * b * b - 1),
-            (GaussInt(2 * b), b * (4 * b**3 + 4 * b * b - b - 1)),
-            (GaussInt(-2 * b), b * (4 * b**3 - 4 * b * b - b + 1)),
-            (GaussInt(0, 2 * b), b * b * (4 * b * b - 1)),
-            (GaussInt(0, -2 * b), b * b * (4 * b * b - 1)),
-        ]
-    rows = [(v, f) for v, f in rows if f > 0]
+    f(0) = 0, sorted by (re, im): chi(D) = chi(S_1) + 1 = P_j1 + 1 on the
+    m_j = Q_0j characters of each nonempty dual class E_j.  A constant term
+    c translates D_f by the 2-torsion element 2*sqrt(c), which flips the
+    sign of some values."""
+    P, Q = _closed_form_P(n), _closed_form_Q(n)
+    rows = [(P[j][1] + 1, int(Q[0][j].re)) for j in range(6) if Q[0][j].re > 0]
     return sorted(rows, key=lambda vf: vf[0].sort_key())
 
 

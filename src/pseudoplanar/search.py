@@ -7,23 +7,26 @@ shard (k, K) owns the indices congruent to k mod K, so shard runs compose
 to exactly the unsharded run.  Checkpoints are digest-protected JSON; every
 reported hit is re-verified in a final single-threaded pass.
 
-Candidates of quadratic type (every binomial, and the monomials whose
-exponent has binary weight <= 2) are decided in bulk along their scaling
+Binomials are of quadratic type and are decided in bulk along their scaling
 orbit by functions._orbit_witnesses, from n-entry tables of their exponents
 (_orbit_hits), at one eps per class of log eps mod the period that the
-candidates of one call share: a run of monomial coefficients of a linear
-exponent needs eps = 1 only.  Every other monomial goes through the eps-loop
-of is_pseudoplanar.
+candidates of one call share.  Monomials are decided a whole exponent at a
+time by the coset kernel _good_cosets: with eps = g^u,
+D_eps(c x^t)(eps x) = eps^2 (a Delta_t(x) + x) for a = c g^(u (t - 2)) and
+Delta_t(x) = (x + 1)^t + x^t, so c x^t is pseudo-planar exactly when
+a Delta_t + id permutes the field for every a in the coset c <g^d>,
+d = gcd(t - 2, 2^n - 1).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -39,7 +42,7 @@ from .functions import (
 )
 
 CHECKPOINT_VERSION = 1
-MONOMIAL_MAX_DEGREE = 12
+MONOMIAL_MAX_DEGREE = 14
 BINOMIAL_LONG_RUN_DEGREE = 8
 
 
@@ -94,29 +97,22 @@ class SearchSpace:
         return SparsePoly.make(self.field, [(e1, c1 + 1), (e2, c2 + 1)])
 
     @cached_property
-    def _orbit_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The exponents of binary weight <= 2, in increasing order, and
-        their _orbit_table."""
-        n = self.field.n
-        exps = sorted({1 << i for i in range(n)} | set(quad_exponents(n)))
-        return (np.array(exps), *_orbit_table(self.field, exps))
+    def _orbit_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The _orbit_table of quad_exponents(n), the binomial exponents."""
+        return _orbit_table(self.field, quad_exponents(self.field.n))
 
     @cached_property
     def _pair_rows(self) -> np.ndarray:
         """The _orbit_tables rows of the two exponents of each exponent pair."""
-        return np.searchsorted(self._orbit_tables[0], np.array(self.exponent_pairs).T)
+        rows = combinations(range(len(quad_exponents(self.field.n))), 2)
+        return np.array(list(rows), dtype=np.int64).reshape(-1, 2).T
 
     def _orbit_terms(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The _orbit_tables rows and the coefficient logs of the terms of
-        each candidate, as (terms, len(indices)) arrays.  Every candidate
-        must be of quadratic type."""
-        fld = self.field
+        """The _orbit_tables rows and the coefficient logs of the two terms
+        of each binomial candidate, as (2, len(indices)) arrays."""
         nc = self.coeff_count
-        if self.kind == "monomial":
-            t, c = np.divmod(indices, nc)
-            return np.searchsorted(self._orbit_tables[0], t + 1)[None], fld.log_vec(c + 1)[None]
         p, rem = np.divmod(indices, nc * nc)
-        return self._pair_rows[:, p], fld.log_vec(np.stack(np.divmod(rem, nc)) + 1)
+        return self._pair_rows[:, p], self.field.log_vec(np.stack(np.divmod(rem, nc)) + 1)
 
     def my_indices(self, start: int = 0):
         """Candidate indices owned by this shard, from global index start."""
@@ -236,9 +232,9 @@ def run_search(
     with a checkpoint after each interval, so a crash loses at most one.  A
     checkpoint path outside a writable directory is refused (CheckpointError)
     before the first candidate.
-    Candidates of quadratic type are decided in bulk by _orbit_hits, the
-    monomials one run of coefficients of an exponent at a time (see the
-    module docstring).  Every hit is re-checked by is_pseudoplanar at the end.
+    Binomials are decided in bulk by _orbit_hits, monomials a whole
+    exponent at a time by _monomial_hits (see the module docstring).  Every
+    hit is re-checked by is_pseudoplanar at the end.
     """
     n = space.field.n
     if space.kind == "monomial" and n > MONOMIAL_MAX_DEGREE:
@@ -275,27 +271,67 @@ def run_search(
 
 
 def _monomial_hits(space: SearchSpace, indices: range) -> list[int]:
-    """Hits among monomial candidates, split into runs of one exponent each."""
-    nc, K = space.coeff_count, indices.step
+    """Hits among monomial candidates: _good_cosets decides every coefficient
+    of each exponent that indices meet, and the owned indices are kept."""
+    fld, nc, K = space.field, space.coeff_count, indices.step
     hits = []
-    for t in range(indices.start // nc, (indices.stop + nc - 1) // nc):
-        # the owned indices in [t * nc, (t + 1) * nc)
+    for t in range(indices[0] // nc, indices[-1] // nc + 1):
+        # the owned indices in [t * nc, (t + 1) * nc), of coefficients c = i - t * nc + 1
         lo = max(indices.start, t * nc)
-        run = range(lo + (indices.start - lo) % K, min(indices.stop, (t + 1) * nc), K)
-        if (t + 1).bit_count() <= 2:
-            hits += _orbit_hits(space, run)
-        else:
-            hits += [i for i in run if is_pseudoplanar(space.candidate(i))]
+        run = np.arange(lo + (indices.start - lo) % K, min(indices.stop, (t + 1) * nc), K)
+        if run.size:
+            good = _good_cosets(fld, t + 1)
+            hits += run[good[fld.log_vec(run - t * nc + 1) % good.size]].tolist()
     return hits
 
 
+# Elements of one block of _good_cosets: it bounds the kernel's working set
+# over cosets as well as over members, for t = 2 has 2^n - 1 cosets.
+_COSET_BUDGET = 1 << 18
+
+
+@lru_cache(maxsize=1)
+def _good_cosets(field: GF2n, t: int) -> np.ndarray:
+    """Whether c x^t is pseudo-planar, for each r = log c mod d: whether
+    a Delta_t + id permutes the field for every member a = g^(r + j d),
+    j < (2^n - 1)/d, of the coset c <g^d> (see the module docstring).
+
+    rows = _COSET_BUDGET / 2^n cosets at a time have their members tested in
+    blocks of j that start at one and grow 4-fold, cut so that the undecided
+    cosets times the block stay within rows; a coset leaves at its first
+    failing block.  Cached for the last t, which the next interval of a
+    search meets again when it cuts the run of t.
+    """
+    N, group = field.order, field.order - 1
+    d = math.gcd(t - 2, group)
+    xs = field.elements()
+    power = field.power_table(t)
+    delta = field.log_vec(power[xs ^ 1] ^ power)  # the sentinel where Delta_t(x) = 0
+    rows = _COSET_BUDGET // N  # at least 4, for n <= MAX_DEGREE = 16
+    good = np.zeros(d, dtype=bool)
+    for lo in range(0, d, rows):
+        alive, j, size = np.arange(lo, min(lo + rows, d)), 0, 1
+        while alive.size and j < group // d:
+            block = min(size, rows // alive.size, group // d - j)
+            log_a = alive[:, None] + d * np.arange(j, j + block)
+            image = field.exp_vec(log_a[..., None] + delta)
+            image ^= xs
+            image += N * np.arange(log_a.size).reshape(log_a.shape)[..., None]  # a slot range per row
+            marks = np.zeros(image.size, dtype=bool)
+            marks[image.ravel()] = True  # a row permutes the field when it marks all its slots
+            alive = alive[marks.reshape(image.shape).all(axis=(1, 2))]
+            j += block
+            size *= 4
+        good[alive] = True
+    return good
+
+
 def _orbit_hits(space: SearchSpace, indices: range) -> list[int]:
-    """Hits among candidates of quadratic type: those with no failing eps
-    under _orbit_witnesses, in chunks of candidates inside _RANK_BUDGET.
-    A chunk is tested at one eps per class of log eps mod the period that
-    its candidates share: the exponent's own period for a run of monomial
-    coefficients, most often all 2^n - 1 eps for a chunk of binomials."""
-    _, shifts, logs = space._orbit_tables
+    """Hits among binomial candidates: those with no failing eps under
+    _orbit_witnesses, in chunks of candidates inside _RANK_BUDGET.  A chunk
+    is tested at one eps per class of log eps mod the period that its
+    candidates share, most often all 2^n - 1 eps."""
+    shifts, logs = space._orbit_tables
     chunk = max(1, _RANK_BUDGET // space.field.n)
     hits = []
     for lo in range(0, len(indices), chunk):

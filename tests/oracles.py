@@ -17,15 +17,20 @@ no code with the paths they check, and the package itself never calls them.
 - binomial1_criterion_full and shifted_binomial_criterion_full: both trace
   criteria vectorized over every nonzero eps, for the package's criteria,
   which test one eps per coset of F_{2^m}*.
-- binomial1_trace_value, shifted_binomial_obstruction, scaling_orbit and
-  mult_order: scalar versions of the two criteria's per-eps values, the
-  scaling closure and the multiplicative order.
+- binomial1_trace_value, shifted_binomial_obstruction, scaling_orbit,
+  mult_order and field_trace: scalar versions of the two criteria's per-eps
+  values, the scaling closure, the multiplicative order and the absolute
+  trace of F_{2^n}.
 - candidate_value_tables, _rank_witnesses and value_table_rank_hits: bulk
   value tables of search candidates, the rank test at every eps built from
   value tables, and the search's hits from the two, for the package's eps = 1
-  orbit kernel functions._orbit_witnesses (pp-test and both searches).  Only
-  the elimination step _singular is shared with that kernel; the exhaustive
-  eps-loop is the independent check of both.
+  orbit kernel functions._orbit_witnesses (pp-test and the binomial search)
+  and for the monomial search's coset kernel on quadratic exponents.  Only
+  the elimination step _singular is shared with the orbit kernel; the
+  exhaustive eps-loop is the independent check of both.
+- split_monomial_hits: the monomial hits by the rank test for exponents of
+  binary weight <= 2 and the eps-loop for the rest, the path the coset
+  kernel search._good_cosets replaced, for that kernel.
 - class_spectra, s1_identities_hold and verify_schur: one transform per
   class, the S_1 multiset identities and the pairwise convolutions of the
   classes, for eigen_P, build_partition and the intersection numbers.
@@ -44,7 +49,7 @@ import numpy as np
 
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n, _prime_factors
-from pseudoplanar.functions import _RANK_BUDGET, _cubic_field, _singular
+from pseudoplanar.functions import _RANK_BUDGET, _cubic_field, _singular, exhaustive_witness
 from pseudoplanar.galois_ring import GR4, Pair
 from pseudoplanar.groupring import GroupVec, verify_rds
 from pseudoplanar.scheme import NEEDS_ZERO, Partition6, SchemeError
@@ -356,6 +361,15 @@ def mult_order(field: GF2n, a: int) -> int:
     return t
 
 
+def field_trace(field: GF2n, a: int) -> int:
+    """Absolute trace of a to F_2: the sum of its n Frobenius iterates."""
+    t = 0
+    for _ in range(field.n):
+        t ^= a
+        a = field.square(a)
+    return t
+
+
 # -- searches -----------------------------------------------------------------
 
 
@@ -436,6 +450,18 @@ def value_table_rank_hits(space: SearchSpace, indices) -> list[int]:
         eps = _rank_witnesses(space.field, candidate_value_tables(space, part))
         hits += [i for i, e in zip(part, eps.tolist()) if e == 0]
     return hits
+
+
+def split_monomial_hits(space: SearchSpace, indices) -> list[int]:
+    """Hits among monomial candidates by the split the search made before
+    its coset kernel: the value-table rank test for the exponents of binary
+    weight <= 2, and the eps-loop of exhaustive_witness, one candidate at a
+    time, for every other exponent."""
+    nc = space.coeff_count
+    quad = [i for i in indices if (i // nc + 1).bit_count() <= 2]
+    rest = [i for i in indices if (i // nc + 1).bit_count() > 2]
+    pp = [i for i in rest if exhaustive_witness(space.candidate(i)) is None]
+    return sorted(value_table_rank_hits(space, quad) + pp)
 
 
 # -- schemes ------------------------------------------------------------------

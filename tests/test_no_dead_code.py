@@ -15,11 +15,13 @@ An attribute read R.name counts for a member Class.name by what R is:
 - R names a package class (SparsePoly, api.SparsePoly), or is self or cls
   in a class body: that class's member only;
 - R is a name an import binds (np, sch): no member, for np.add is numpy's;
+- R is args, the argparse Namespace of the CLI and the benchmark: no
+  member, for args.trace is a command-line option;
 - R is anything else, an instance: every class with a member of that name,
   except classmethods and staticmethods, which are read on their class,
   and names that a builtin type's method shares (seen.add is a set's).
 So GroupVec.zero is not used through SparsePoly.zero or ring.zero, nor
-GR4.add through np.add or seen.add.
+GR4.add through np.add or seen.add, nor a trace method through args.trace.
 
 A non-dunder name bound by a module-level assignment in a package module
 must be read (a Name load or an attribute) in src/ or perfbench/.
@@ -162,7 +164,7 @@ def _attribute_reads(classes: set[str]) -> tuple[set[str], set[str]]:
     """The attribute reads (x.name) in every searched file, by receiver:
     "Class.name" for a receiver that names a package class, or is self or
     cls in its body, and a bare name for an instance receiver.  Reads on a
-    name bound by an import are left out."""
+    name bound by an import, and on args, are left out."""
     typed, untyped = set(), set()
 
     def visit(node, owner, imported):
@@ -177,7 +179,7 @@ def _attribute_reads(classes: set[str]) -> tuple[set[str], set[str]]:
                 typed.add(f"{name}.{node.attr}")
             elif owner and isinstance(recv, ast.Name) and name in ("self", "cls"):
                 typed.add(f"{owner}.{node.attr}")
-            elif not (isinstance(recv, ast.Name) and name in imported):
+            elif not (isinstance(recv, ast.Name) and (name in imported or name == "args")):
                 untyped.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, owner, imported)

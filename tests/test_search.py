@@ -1,6 +1,7 @@
 """Exhaustive searches: enumeration, sharding, checkpoints, conjecture flags."""
 
 import json
+import math
 import tracemalloc
 import warnings
 from functools import lru_cache
@@ -13,6 +14,7 @@ from pseudoplanar.field import GF2n
 from pseudoplanar.functions import exhaustive_witness, known_hits_closure
 from pseudoplanar.search import (
     CheckpointError,
+    MONOMIAL_MAX_DEGREE,
     SearchResult,
     SearchSpace,
     checkpoint_resume,
@@ -22,11 +24,13 @@ from pseudoplanar.search import (
     run_search,
     search_monomials,
     search_quad_binomials,
+    _good_cosets,
+    _monomial_hits,
     _orbit_hits,
     unexpected_monomials,
 )
 
-from oracles import candidate_value_tables, value_table_rank_hits
+from oracles import candidate_value_tables, split_monomial_hits, value_table_rank_hits
 
 
 def test_quad_exponents():
@@ -182,8 +186,8 @@ def test_binomial_search_small_fields():
 def test_long_run_gate():
     with pytest.raises(ValueError, match="long_run"):
         search_quad_binomials(GF2n(8))
-    with pytest.raises(ValueError, match="capped"):
-        run_search(SearchSpace(GF2n(13), "monomial"))
+    with pytest.raises(ValueError, match=f"capped at n <= {MONOMIAL_MAX_DEGREE}"):
+        run_search(SearchSpace(GF2n(MONOMIAL_MAX_DEGREE + 1), "monomial"))
 
 
 def test_conjecture_flagging_fires_on_planted_hit():
@@ -270,7 +274,7 @@ def test_bulk_decoded_value_tables(n):
     assert np.array_equal(candidate_value_tables(space, some), want[some])
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("shard", [(0, 1), (0, 3), (1, 3), (2, 3)], ids="{0[0]}of{0[1]}".format)
 def test_batched_monomial_search_equals_per_candidate_sweep(n, shard):
     k, K = shard
@@ -286,23 +290,42 @@ def test_monomial_intervals_cut_exponent_runs(every):
     assert run_search(space, checkpoint_every=every).hit_indices == want
 
 
-def test_monomial_rank_test_only_for_quadratic_exponents(monkeypatch):
+def test_monomial_search_tests_no_candidate_outside_reverify(monkeypatch):
+    # the coset kernel decides every exponent: no candidate goes through a
+    # per-candidate test, the eps-loop or the orbit rank kernel, except in
+    # the final re-verification of the hits
+    import pseudoplanar.functions as functions
     import pseudoplanar.search as search
 
-    space = SearchSpace(GF2n(4), "monomial")
-    seen = []
-    kernel = search._orbit_hits
+    calls, reverifying = {"outside": 0, "inside": 0}, []
 
-    def spy(space, indices):
-        seen.extend(indices)
-        return kernel(space, indices)
+    def spy(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(search, "_orbit_hits", spy)
-    search._monomial_hits(space, range(space.total))
-    nc = space.coeff_count
-    assert sorted(seen) == [
-        i for i in range(space.total) if (i // nc + 1).bit_count() <= 2
-    ]
+        def wrapper(*args):
+            calls["inside" if reverifying else "outside"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (functions, search):
+        for name in ("is_pseudoplanar", "exhaustive_witness", "_orbit_witnesses"):
+            if hasattr(module, name):
+                spy(module, name)
+    reverify = search._reverify
+
+    def reverify_spy(result):
+        reverifying.append(True)
+        try:
+            reverify(result)
+        finally:
+            reverifying.pop()
+
+    monkeypatch.setattr(search, "_reverify", reverify_spy)
+    for n in (3, 4, 5, 6):
+        search_monomials(GF2n(n), shard=(n % 2, 2))
+    assert calls["outside"] == 0
+    assert calls["inside"] > 0
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -332,12 +355,59 @@ def test_orbit_kernel_equals_value_table_rank_test(n, shard):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_orbit_kernel_equals_value_table_rank_test_on_monomial_runs(n):
+    # the coset kernel decides each scaling orbit c <g^d> of c x^t at once;
+    # on quadratic exponents it must agree with the rank test at every eps
     space = SearchSpace(GF2n(n), "monomial")
     nc = space.coeff_count
     for t in range(1, space.field.order):
         if t.bit_count() <= 2:
             run = range((t - 1) * nc, t * nc)
-            assert _orbit_hits(space, run) == value_table_rank_hits(space, run), t
+            assert _monomial_hits(space, run) == value_table_rank_hits(space, run), t
+
+
+@lru_cache(maxsize=None)
+def _split_sweep(n: int) -> list[int]:
+    space = SearchSpace(GF2n(n), "monomial")
+    return split_monomial_hits(space, range(space.total))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("shard", [(0, 1), (0, 3), (1, 3), (2, 3)], ids="{0[0]}of{0[1]}".format)
+@pytest.mark.parametrize("every", [50000, 100])
+def test_coset_kernel_equals_the_split_search(n, shard, every):
+    # intervals of 100 owned indices start and end inside exponent runs of
+    # 127 and 255 coefficients
+    k, K = shard
+    space = SearchSpace(GF2n(n), "monomial", k, K)
+    want = [i for i in _split_sweep(n) if i % K == k]
+    assert run_search(space, checkpoint_every=every).hit_indices == want
+
+
+def test_coset_kernel_finds_the_known_closure_at_n10():
+    fld = GF2n(10)
+    space = SearchSpace(fld, "monomial")
+    nc = space.coeff_count
+    hits = _monomial_hits(space, space.my_indices())
+    assert {(i % nc + 1, i // nc + 1) for i in hits} == known_hits_closure(fld)
+    assert len(hits) == 10725
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_coset_kernel_memory_stays_bounded(t):
+    # t = 2 has 2^n - 1 cosets of one member each, t = 1 one coset of
+    # 2^n - 1 members, and x^t is pseudo-planar: testing every member at
+    # once would make two arrays of (2^n - 1) 2^n int64 values, 16 MiB at
+    # n = 10
+    fld = GF2n(10)
+    _good_cosets(fld, 3)  # warm-up, and evict t from the cache
+    tracemalloc.start()
+    try:
+        good = _good_cosets(fld, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert good.size == math.gcd(t - 2, fld.order - 1) and good.all()
+    assert peak <= 8 << 20
 
 
 @pytest.mark.parametrize("n", [7, 8])
