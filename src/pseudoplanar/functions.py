@@ -3,7 +3,8 @@
 A function f is pseudo-planar when x -> f(x+e) + f(x) + e*x is a permutation
 of the field for every nonzero e.  This module carries the direct test (a
 GF(2) rank test for quadratic-type f, at one e per class of log e modulo the
-period of f's scaling orbit; an exhaustive eps-loop for the rest), the known
+period of f's scaling orbit, eliminating on stacks that keep the n basis
+images on their first axis; an exhaustive eps-loop for the rest), the known
 monomial families, and the three binomial constructions on F_{2^{3m}} with
 their exact trace criteria, which are homogeneous of degree 3 under scaling
 by F_{2^m}* and so are evaluated at one eps per coset of F_{2^m}* in
@@ -142,19 +143,24 @@ _RANK_BUDGET = 1 << 14
 
 
 def _singular(rows: np.ndarray) -> np.ndarray:
-    """Whether each stack of n vectors along the last axis of rows (GF(2)
+    """Whether each stack of n vectors along the first axis of rows (GF(2)
     vectors as ints) is linearly dependent; rows is reduced in place.
 
     Lowest-set-bit elimination: a pivot row clears its lowest bit from every
     later row, so the pivots end with distinct lowest bits, and the vectors
     are dependent exactly when some row reduces to 0.
+
+    The basis axis comes first so that each step is a few numpy passes over
+    the contiguous rows j and j+1.. of every stack at once; with the basis
+    on the last axis, each pass would run an inner loop of n - j - 1
+    elements per stack.
     """
-    n = rows.shape[-1]
+    n = rows.shape[0]
     for j in range(n - 1):
-        piv = rows[..., j, None]
-        rest = rows[..., j + 1:]
+        piv = rows[j]
+        rest = rows[j + 1:]
         rest ^= piv * ((rest & (piv & -piv)) != 0)
-    return (rows == 0).any(axis=-1)
+    return (rows == 0).any(axis=0)
 
 
 def _orbit_table(field: GF2n, exps: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +213,11 @@ def _orbit_witnesses(field: GF2n, shifts, logs, rows, coeff_logs) -> np.ndarray:
     The schedule runs in blocks that start at a sixteenth of _RANK_BUDGET
     over the k f and grow 4-fold, each cut (to one eps at least) to keep the
     undecided f times the block times n within _RANK_BUDGET (callers keep
-    k * n within it); an f leaves at its first failing block.
+    k * n within it); an f leaves at its first failing block.  A block is a
+    uint16 stack (n, eps, f) of the images, the basis axis first for
+    _singular and the f axis last: a search block holds thousands of f and
+    few eps, so the broadcasts of each term's logs over the eps of a block
+    and the reductions of the verdicts over them run along the long axis.
     """
     n, group = field.n, field.order - 1
     basis = np.int64(1) << np.arange(n, dtype=np.int64)
@@ -215,21 +225,22 @@ def _orbit_witnesses(field: GF2n, shifts, logs, rows, coeff_logs) -> np.ndarray:
     sched, sched_logs = _schedule(field, period)
     out = np.zeros(rows.shape[1], dtype=np.int64)
     alive = np.arange(rows.shape[1])
+    logs_t = np.ascontiguousarray(logs.T)  # (n, t), so a term's logs gather contiguous over f
     pos, size = 0, max(1, _RANK_BUDGET // (16 * n * alive.size))
     while pos < sched.size and alive.size:
         block = min(size, max(1, _RANK_BUDGET // (alive.size * n)), sched.size - pos)
-        u = sched_logs[pos:pos + block]
-        images = basis
-        for r, c in zip(rows[:, alive], coeff_logs[:, alive]):
-            a = (c[:, None] + shifts[r][:, None] * u) % group  # log c g^(u (t - 2)) if B_t != 0
-            images = images ^ field.exp_vec(a[:, :, None] + logs[r][:, None, :])
-        # field elements have n <= MAX_DEGREE = 16 bits, and the elimination
-        # runs faster on the narrow copy; a term-less f broadcasts its basis
-        narrow = np.empty((alive.size, block, n), dtype=np.uint16)
-        narrow[...] = images
-        fails = _singular(narrow)
-        hit = fails.any(axis=1)
-        out[alive] = np.where(hit, sched[pos + fails.argmax(axis=1)], 0)
+        u = sched_logs[pos:pos + block, None]
+        # the images L(2^k) as (n, eps, f): field elements have
+        # n <= MAX_DEGREE = 16 bits, and a term-less f keeps the basis
+        images = np.empty((n, block, alive.size), dtype=np.uint16)
+        images[...] = basis[:, None, None]
+        for r, c in zip(rows.take(alive, axis=1), coeff_logs.take(alive, axis=1)):
+            a = (c + shifts[r] * u) % group  # log c g^(u (t - 2)) if B_t != 0
+            term = field.exp_vec(logs_t.take(r, axis=1)[:, None] + a)
+            np.bitwise_xor(images, term, out=images, casting="unsafe")
+        fails = _singular(images)
+        hit = fails.any(axis=0)
+        out[alive] = np.where(hit, sched[pos + fails.argmax(axis=0)], 0)
         alive = alive[~hit]
         pos += block
         size *= 4

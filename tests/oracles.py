@@ -25,8 +25,9 @@ no code with the paths they check, and the package itself never calls them.
   value tables of search candidates, the rank test at every eps built from
   value tables, and the search's hits from the two, for the package's eps = 1
   orbit kernel functions._orbit_witnesses (pp-test and the binomial search)
-  and for the monomial search's coset kernel on quadratic exponents.  Only
-  the elimination step _singular is shared with the orbit kernel; the
+  and for the monomial search's coset kernel on quadratic exponents.  The
+  rank test eliminates with last_axis_singular, the basis-last form of
+  functions._singular, so it shares no step with the orbit kernel; the
   exhaustive eps-loop is the independent check of both.
 - split_monomial_hits: the monomial hits by the rank test for exponents of
   binary weight <= 2 and the eps-loop for the rest, the path the coset
@@ -49,7 +50,7 @@ import numpy as np
 
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n, _prime_factors
-from pseudoplanar.functions import _RANK_BUDGET, _cubic_field, _singular, exhaustive_witness
+from pseudoplanar.functions import _RANK_BUDGET, _cubic_field, exhaustive_witness
 from pseudoplanar.galois_ring import GR4, Pair
 from pseudoplanar.groupring import GroupVec, verify_rds
 from pseudoplanar.scheme import NEEDS_ZERO, Partition6, SchemeError
@@ -402,13 +403,30 @@ def candidate_value_tables(space: SearchSpace, indices) -> np.ndarray:
     return out
 
 
+def last_axis_singular(rows: np.ndarray) -> np.ndarray:
+    """Whether each stack of n vectors along the last axis of rows (GF(2)
+    vectors as ints) is linearly dependent; rows is reduced in place.
+
+    The lowest-set-bit elimination of functions._singular with the basis on
+    the last axis: the value-table oracle keeps its own copy, so that it
+    shares no step with the kernel it checks.
+    """
+    n = rows.shape[-1]
+    for j in range(n - 1):
+        piv = rows[..., j, None]
+        rest = rows[..., j + 1:]
+        rest ^= piv * ((rest & (piv & -piv)) != 0)
+    return (rows == 0).any(axis=-1)
+
+
 def _rank_witnesses(field: GF2n, tables: np.ndarray) -> np.ndarray:
     """Smallest failing eps of each row of a (k, 2^n) stack of value tables of
     quadratic-type functions, or 0 where a row has none.
 
     For such f, L(x) = f(x+eps) + f(x) + f(eps) + f(0) + eps*x is GF(2)-linear
     in x, and the difference map at eps is L plus a constant; so it permutes
-    the field exactly when the n images L(2^j) are independent (_singular).
+    the field exactly when the n images L(2^j) are independent
+    (last_axis_singular).
 
     eps runs in blocks of 64, 256, 1024, ... values, each cut (to one value at
     least) so that the undecided rows times the block times n stays within
@@ -430,7 +448,7 @@ def _rank_witnesses(field: GF2n, tables: np.ndarray) -> np.ndarray:
         rows ^= T[a, basis][:, None, :]
         rows ^= (T[a, eps] ^ T[alive, :1])[:, :, None]
         rows ^= field.mul_vec(eps[:, None], basis).astype(np.uint16)
-        fails = _singular(rows)
+        fails = last_axis_singular(rows)
         hit = fails.any(axis=1)
         out[alive[hit]] = eps[fails[hit].argmax(axis=1)]
         alive = alive[~hit]

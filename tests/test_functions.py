@@ -14,6 +14,7 @@ from pseudoplanar.functions import (
     SparsePoly,
     _orbit_table,
     _orbit_witnesses,
+    _singular,
     binomial1_criterion,
     construct_binomial1,
     construct_known_monomial,
@@ -31,6 +32,7 @@ from oracles import (
     binomial1_criterion_det,
     binomial1_criterion_full,
     binomial1_trace_value,
+    last_axis_singular,
     linearized_is_bijection,
     moore_det,
     mult_order,
@@ -327,6 +329,36 @@ def test_rank_witness_of_term_less_and_constant_f(n):
     assert _orbit_witnesses(fld, shifts, logs, no_terms, no_terms).tolist() == [0, 0, 0]
 
 
+def _dependent_by_span(rows):
+    """Whether some nonzero subset of the n vectors on the first axis of rows
+    XORs to 0, from the XOR of every subset."""
+    n = rows.shape[0]
+    sums = np.zeros((1 << n,) + rows.shape[1:], dtype=np.int64)
+    for s in range(1, 1 << n):
+        sums[s] = sums[s & (s - 1)] ^ rows[(s & -s).bit_length() - 1]
+    return (sums[1:] == 0).any(axis=0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_singular_equals_the_oracle_elimination_and_the_span_count(n):
+    rng = np.random.default_rng(n)
+    stacks = rng.integers(0, 1 << n, size=(n, 5, 7), dtype=np.uint16)
+    stacks[:, 0, 1] = 1 << np.arange(n)  # the basis
+    stacks[-1, 1, :3] = 0  # a zero vector
+    stacks[:, 2, 0] = 0  # all vectors zero
+    if n > 1:
+        stacks[-1, 3, :3] = stacks[0, 3, :3]  # a repeated vector
+    want = _dependent_by_span(stacks)
+    assert not want[0, 1] and want[1, :3].all() and want[2, 0]
+    assert want.any() and (not want.all())
+    oracle = last_axis_singular(np.moveaxis(stacks, 0, -1).copy())
+    assert (oracle == want).all()
+    assert (_singular(stacks.copy()) == want).all()
+    # a single stack
+    for k in range(stacks.shape[2]):
+        assert _singular(stacks[:, :1, k:k + 1].copy()).tolist() == [[want[0, k]]]
+
+
 def test_uint16_holds_every_field_element():
     # _orbit_witnesses casts the images L(2^k) to uint16 for the elimination
     assert 2**MAX_DEGREE - 1 <= np.iinfo(np.uint16).max
@@ -422,6 +454,7 @@ def _rank_tested_eps(monkeypatch, f):
     singular = functions._singular
 
     def spy(rows):
+        assert rows.shape[0] == f.field.n  # rows is (n, eps, f)
         blocks.append(rows.shape[1])
         return singular(rows)
 

@@ -410,6 +410,33 @@ def test_coset_kernel_memory_stays_bounded(t):
     assert peak <= 8 << 20
 
 
+def test_coset_kernel_tests_the_last_member_of_every_coset(monkeypatch):
+    # Delta_33 = x^32 + x + 1 (the Gold exponent 2^5 + 1) is planted under
+    # t = 343, whose cosets c <g^341> have three members each at n = 10.
+    # a Delta_33 + id fails for only 32 of the 1023 a, so most of a block
+    # of cosets stays undecided, the kernel tests them one member at a time,
+    # and some coset fails at its last member only.
+    fld = GF2n(10)
+    t, d = 343, 341
+    xs = fld.elements()
+    delta = np.array([fld.pow(x, 32) ^ x ^ 1 for x in range(fld.order)])
+    ok = np.array([
+        [
+            np.unique(fld.mul_vec(fld.exp_vec(np.int64(r + j * d)), delta) ^ xs).size == fld.order
+            for j in range((fld.order - 1) // d)
+        ]
+        for r in range(d)
+    ])
+    assert (ok[:, :-1].all(axis=1) & ~ok[:, -1]).any()
+    power_table = GF2n.power_table
+    monkeypatch.setattr(GF2n, "power_table", lambda self, k: power_table(self, 33 if k == t else k))
+    _good_cosets.cache_clear()
+    try:
+        assert _good_cosets(fld, t).tolist() == ok.all(axis=1).tolist()
+    finally:
+        _good_cosets.cache_clear()
+
+
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("k", [0, 1, 2047, 4095])
 def test_orbit_kernel_equals_value_table_rank_test_on_sampled_shards(n, k):
