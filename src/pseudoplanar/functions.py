@@ -157,7 +157,9 @@ def _singular(rows: np.ndarray) -> np.ndarray:
     """
     n = rows.shape[0]
     for j in range(n - 1):
-        piv = rows[j]
+        # a slice, so that a 1-D stack's pivot is an array, not a scalar,
+        # whose unsigned negation would warn
+        piv = rows[j:j + 1]
         rest = rows[j + 1:]
         rest ^= piv * ((rest & (piv & -piv)) != 0)
     return (rows == 0).any(axis=0)

@@ -6,28 +6,30 @@ The pair formulas
 
     (a, b) + (c, d) = (a ^ c, b ^ d ^ sqrt(a*c))
     (a, b) * (c, d) = (a*c, a*d ^ b*c)
+    -(a, b) = (a, a ^ b)
 
 are derived from the Teichmuller addition x (+) y = x + y + 2 sqrt(xy).  The
 tests cross-check them, the trace and the characters against Z4Model in
 tests/oracles.py, an independent brute-force model of the ring as
-Z4[y]/(h(y)) with h a coefficient lift of the field modulus.  GR4 also
-builds the additive Z4^n coordinate and character-label tables used by the
-fast character transform in groupring, as outer XORs of 2^n-entry tables.
+Z4[y]/(h(y)) with h a coefficient lift of the field modulus.
 
 Indexing convention for dense vectors: idx = enc(a) * 2^n + enc(b).  The
 2-torsion ideal Z = 2R is the pairs (0, b), so its elements are exactly the
-indices below 2^n.
+indices below 2^n.  Sums and negatives of element indices are bit
+operations on them (pair_sums, neg_idx); no 4^n table is held.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
 from .field import GF2n
 
 MAX_RING_DEGREE = 10
+
+# how many int64 or intp entries a blocked step holds at a time: such a
+# block stays far below a 4^n copy
+_BLOCK = 1 << 15
 
 Pair = tuple[int, int]
 
@@ -79,6 +81,32 @@ class GR4:
     def neg(self, x: Pair) -> Pair:
         return self.mul(x, self.three)
 
+    def neg_idx(self, idx):
+        """idx(-x) for the element index idx(x) of each x, elementwise:
+        -(a, b) = (a, a ^ b)."""
+        return idx ^ (idx >> self.n)
+
+    def pair_sums(self, idx: np.ndarray) -> np.ndarray:
+        """idx(u + v) for every pair of element indices u, v in idx, as a
+        (len(idx), len(idx)) uint32 array.
+
+        By add, idx(u + v) = idx(u) ^ idx(v) ^ sqrt(a c) for u = (a, b) and
+        v = (c, d): sqrt(a c) = sqrt(a) sqrt(c) lands in the low n bits.  The
+        products are taken one block of rows at a time, so that their int64
+        temporaries stay small beside the table.
+        """
+        f = self.field
+        logs = f.log_vec(f.pow_vec(idx >> self.n, f.order >> 1))  # of sqrt(a)
+        u = idx.astype(np.uint32)
+        out = np.empty((len(u), len(u)), dtype=np.uint32)
+        rows = max(1, _BLOCK // max(1, len(u)))
+        for i in range(0, len(u), rows):
+            block = out[i : i + rows]
+            block[...] = f.exp_vec(logs[i : i + rows, None] + logs)
+            block ^= u[i : i + rows, None]
+            block ^= u
+        return out
+
     def mul(self, x: Pair, y: Pair) -> Pair:
         f = self.field
         a, b = x
@@ -88,59 +116,3 @@ class GR4:
     def frobenius(self, x: Pair) -> Pair:
         f = self.field
         return (f.square(x[0]), f.square(x[1]))
-
-    # -- dense tables --------------------------------------------------------
-
-    def _outer_xor(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The 4^n vector whose entry at idx(a, b) is rows[a] ^ cols[b]."""
-        return (rows[:, None] ^ cols[None, :]).reshape(self.size)
-
-    @cached_property
-    def neg_perm(self) -> np.ndarray:
-        """Permutation of indices sending idx(x) to idx(-x): -(a,b) = (a, a^b)."""
-        a = self.field.elements()
-        return self._outer_xor((a << self.n) | a, a)
-
-    @cached_property
-    def coord_of(self) -> np.ndarray:
-        """Z4^n coordinates per element index, as a base-4 integer.
-
-        The basis is e_j = T(x^j) = (x^j, 0).  The sum of e_j over the bits
-        of a is (a, h(a)), and (a, b) = (a, h(a)) + 2*T(b ^ h(a)), so digit
-        j of (a, b) is a_j + 2*(b ^ h(a))_j.
-        """
-        f = self.field
-        a = f.elements()
-        sqrt = f.pow_vec(a, f.order >> 1)
-        h = np.zeros(1, dtype=np.int64)
-        spread = np.zeros_like(a)  # bit j of a moved to bit 2j
-        for j in range(self.n):
-            # (a', h(a')) + (x^j, 0) = (a' ^ x^j, h(a') ^ sqrt(a' x^j))
-            h = np.concatenate([h, h ^ sqrt[f.mul_vec(a[: 1 << j], 1 << j)]])
-            spread |= ((a >> j) & 1) << (2 * j)
-        return self._outer_xor(spread | (spread[h] << 1), spread << 1)
-
-    @cached_property
-    def dual_perm(self) -> np.ndarray:
-        """u(a) as a coordinate index, per element index a.
-
-        u(a) is the Z4^n label of chi_a with respect to coord_of:
-        Tr(a x) = u(a) . v(x) mod 4 for all x.  Digit k of u(y) is
-        Tr(y e_k), and u(a, b) = u(T(a)) + 2 u(T(b)) with
-        Tr(T(a) e_k) = Tr(T(a x^k)).
-        """
-        f = self.field
-        a = f.elements()
-        sqrt = f.pow_vec(a, f.order >> 1)
-        # Tr(T(c)) for every c: the ring sum of the pairs (c^(2^i), 0)
-        ta, tb, v = np.zeros_like(a), np.zeros_like(a), a
-        for _ in range(self.n):
-            tb ^= sqrt[f.mul_vec(ta, v)]
-            ta ^= v
-            v = f.mul_vec(v, v)
-        trace = ta | (tb << 1)
-        u = np.zeros_like(a)
-        for k in range(self.n):
-            u |= trace[f.mul_vec(a, 1 << k)] << (2 * k)
-        low_bits = (self.size - 1) // 3  # bit 0 of every base-4 digit
-        return self._outer_xor(u, (u & low_bits) << 1)

@@ -7,7 +7,9 @@ additive character transform and its inverse are all exact.  A GroupVec is
 int64; a SpectrumVec keeps the integer dtype it is given, and the transform
 returns its values in the narrowest of int16, int32 and int64 that the l1
 norm of its input allows, so chi(D) of a set is int16.  The fast transform is
-an n-dimensional radix-4 butterfly over the additive Z4^n coordinates.  It
+an n-dimensional radix-4 butterfly over the additive Z4^n coordinates, which
+only the transform sees: everything else works in element indices.  It runs
+in one direction; the inverse is the forward transform read at -g.  It
 scatters only the support of a GroupVec, and runs its last digits on a
 transposed copy so that every stage works on long contiguous runs.  The
 tests anchor it, convolve and square_of_set against the naive character sums
@@ -19,10 +21,9 @@ and is the oracle for the stored transform.  build_df keeps the last D_f it
 built, so one (ring, f) gives one D_f and one transform.
 The relative-difference-set identity is tested on chi(D); only when it
 fails is |chi(D)|^2 inverted to name the elements where it fails.
-_coord_sums takes the pair sums of a set digit by digit on the packed
-Z4^n coordinates, as one uint32 table, for D_f 4^n sums.  square_of_set
-counts them into the square of a 0/1 vector with no transform; it is the
-test oracle of scheme.build_partition, which decides the square of D_f
+square_of_set counts the pair sums of a 0/1 vector (GR4.pair_sums, one
+uint32 table of element indices) into its square with no transform; it is
+the test oracle of scheme.build_partition, which decides the square of D_f
 from the same table without counting it.
 """
 
@@ -123,9 +124,8 @@ class GroupVec:
 
     def involute(self) -> "GroupVec":
         """Re-index by negation: the multiset {-g : g in A}."""
-        out = np.empty_like(self.counts)
-        out[self.ring.neg_perm] = self.counts
-        return GroupVec(self.ring, out)
+        neg = self.ring.neg_idx(np.arange(self.ring.size))
+        return GroupVec(self.ring, self.counts[neg])
 
     def __repr__(self) -> str:
         nz = self.support()
@@ -142,13 +142,11 @@ class GroupVec:
         """self * self for a 0/1 vector, counted over its |self|^2 pairs.
 
         O(|self|^2) instead of the O(n 4^n) of convolve: for a difference
-        set D_f that is 4^n pair sums.  Each sum is taken digit by digit in
-        the Z4^n coordinates (see _coord_sums) and counted per coordinate.
+        set D_f that is 4^n pair sums, taken by GR4.pair_sums and counted
+        per element.
         """
-        ring = self.ring
-        sums = _coord_sums(ring.coord_of[self.support()], ring.n)
-        by_coord = np.bincount(sums.ravel(), minlength=ring.size)
-        return GroupVec(ring, by_coord[ring.coord_of])
+        sums = self.ring.pair_sums(self.support())
+        return GroupVec(self.ring, np.bincount(sums.ravel(), minlength=self.ring.size))
 
     # -- character transform -------------------------------------------------
 
@@ -160,7 +158,7 @@ class GroupVec:
         on every call; _spectrum keeps one."""
         sup = self.support()
         return SpectrumVec(
-            self.ring, *_transform(self.ring, self.counts[sup], None, +1, at=sup)
+            self.ring, *_transform(self.ring, self.counts[sup], None, at=sup)
         )
 
 
@@ -215,10 +213,12 @@ class SpectrumVec:
         """Recover the multiset: A_g = (1/4^n) sum_a chi_a(A) i^-Tr(ag).
 
         Raises if the input is not the transform of an integer vector.
+        The sum at g is the forward transform of the labels at -g.
         """
         ring = self.ring
-        re, im = _transform(ring, self.re, self.im, -1)
-        re = re.astype(np.int64, copy=False)
+        re, im = _transform(ring, self.re, self.im)
+        neg = ring.neg_idx(np.arange(ring.size))
+        re, im = re[neg].astype(np.int64, copy=False), im[neg]
         # ring.size is 4^n: re is a multiple of it when its low 2n bits are 0
         rem = re & (ring.size - 1)
         if im.any() or rem.any():
@@ -234,71 +234,51 @@ class SpectrumVec:
 #
 # The additive group of GR(4,n) is Z4^n in the coordinates with basis
 # e_j = T(x^j); for the character chi_a the pairing satisfies
-# Tr(a x) = u(a) . v(x) mod 4 where v = ring.coord_of maps elements to
-# coordinates and u = ring.dual_perm maps chi-labels to coordinates.  The
-# transform over Z4^n factorizes into n radix-4 stages with kernel
-# i^{u_j v_j}, on a pair of integer vectors (re, im) with i * (r, s) = (-s, r).
+# Tr(a x) = u(a) . v(x) mod 4 where v(x) is the coordinate of element x and
+# u(a) the label of chi_a (see _coordinates and _labels).  Both are outer
+# XORs of 2^n-entry parts, v(a, b) = rows[a] ^ cols[b], and nothing outside
+# this transform sees them.  The transform over Z4^n factorizes into n
+# radix-4 stages with kernel i^{u_j v_j}, on a pair of integer vectors
+# (re, im) with i * (r, s) = (-s, r).  It runs in one direction only: the
+# labels are ring elements too and Tr(a g) = Tr(g a), so the inverse sum
+# with i^-Tr(a g) at g is the forward sum at -g.
 #
-# Every value a stage computes, forward or inverse, is a sum of input entries
-# times +-1 or +-i, so its |re| + |im| never exceeds the l1 norm
-# sum(|re| + |im|) of the input.  The pair runs in int16 when that norm is
-# below 2^15, in int32 when it is below 2^31, and in int64 otherwise, and the
-# result comes back in that dtype: chi(D) (norm 2^n) is int16, and the
-# inverse of |chi(D)|^2 that names RDS violations (norm 4^n |D| = 8^n for
-# D_f, by Parseval) runs in int32 while 8^n < 2^31, i.e. n <= 10.  Only
-# GroupVec is int64 at the interface; whatever multiplies or shifts a result
-# widens it first.
+# Every value a stage computes is a sum of input entries times +-1 or +-i,
+# so its |re| + |im| never exceeds the l1 norm sum(|re| + |im|) of the
+# input.  The pair runs in int16 when that norm is below 2^15, in int32 when
+# it is below 2^31, and in int64 otherwise, and the result comes back in
+# that dtype: chi(D) (norm 2^n) is int16, and the inverse of |chi(D)|^2 that
+# names RDS violations (norm 4^n |D| = 8^n for D_f, by Parseval) runs in
+# int32 while 8^n < 2^31, i.e. n <= 10.  Only GroupVec is int64 at the
+# interface; whatever multiplies or shifts a result widens it first.
 #
 # Stage j works on digit j of the base-4 coordinate, whose contiguous runs
 # are 4^j long.  The high digits run in place; the last _tail_digits(n) run
 # on a transposed copy, where they are the high digits.  That leaves the
 # result with its base-4 digits rotated, and the gather that reorders the
-# result by element or label reads through the rotated table instead.
+# result by label reads through the rotated labels instead.
 
 
-def _coord_sums(c: np.ndarray, n: int) -> np.ndarray:
-    """u + v for every pair of packed Z4^n coordinates u, v in c: a
-    (len(c), len(c)) uint32 array.
+def _transform(ring: GR4, re, im, at=None) -> tuple[np.ndarray, np.ndarray]:
+    """sum_x A_x i^Tr(a x) for every a, exactly, as (re, im) in the work
+    dtype of A (see _work_dtype).
 
-    Digit j of a coordinate is bits 2j (low) and 2j + 1 (high), so the sum
-    mod 4 is u ^ v plus the carry of the low bits into the high ones.
+    im None means 0.  With at given, re and im are the entries of A at the
+    element indices at, and A is 0 elsewhere; without it, they are all of A.
     """
-    c = c.astype(np.uint32)
-    low_bits = ((1 << 2 * n) - 1) // 3  # bit 0 of every base-4 digit
-    out = np.bitwise_and(c[:, None], c[None, :])
-    out &= low_bits
-    out <<= 1
-    out ^= c[:, None]
-    out ^= c[None, :]
-    return out
-
-
-def _transform(
-    ring: GR4, re, im, sign: int, at=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """sum_x A_x i^(sign Tr(a x)) for every a, exactly, as (re, im) in the
-    work dtype of A (see _work_dtype).
-
-    sign = +1 is the character transform of the element-indexed vector A
-    (im None means 0); sign = -1 is the unnormalized inverse of a
-    label-indexed spectrum, which comes back element-indexed.  With at
-    given, re and im are the entries of A at the indices at, and A is 0
-    elsewhere.
-    """
-    forward_gather, inverse_gather = _gathers(ring)
-    if sign > 0:
-        scatter, gather = ring.coord_of, forward_gather
+    rows, cols = _coordinates(ring)
+    if at is None:
+        scatter = _outer_xor(rows, cols)
     else:
-        scatter, gather = ring.dual_perm, inverse_gather
-    if at is not None:
-        scatter = scatter[at]
+        scatter = rows[at >> ring.n] ^ cols[at & (len(cols) - 1)]
     parts = (re,) if im is None else (re, im)
     fre = np.zeros(ring.size, dtype=_work_dtype(parts))
     fre[scatter] = re
     fim = np.zeros_like(fre)
     if im is not None:
         fim[scatter] = im
-    fre, fim = _radix4(fre, fim, sign)
+    fre, fim = _radix4(fre, fim)
+    gather = _gather(ring)
     return fre[gather], fim[gather]
 
 
@@ -325,18 +305,69 @@ def _rotate(c: np.ndarray, n: int) -> np.ndarray:
     return ((c & ((1 << 2 * k) - 1)) << (2 * (n - k))) | (c >> (2 * k))
 
 
+def _outer_xor(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The 4^n vector whose entry at idx(a, b) is rows[a] ^ cols[b]."""
+    return (rows[:, None] ^ cols).ravel()
+
+
 @functools.lru_cache(maxsize=1)
-def _gathers(ring: GR4) -> tuple[np.ndarray, np.ndarray]:
-    """dual_perm and coord_of in _rotate order: the gathers that reorder the
-    output of a forward and of an inverse _radix4.  Kept for the last ring
-    used, as intp, the index type a gather needs without a cast."""
-    return _rotate(ring.dual_perm, ring.n), _rotate(ring.coord_of, ring.n)
+def _coordinates(ring: GR4) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the Z4^n coordinate of element (a, b), as a base-4
+    integer, is rows[a] ^ cols[b].  Kept for the last ring used.
+
+    The basis is e_j = T(x^j) = (x^j, 0).  The sum of e_j over the bits of
+    a is (a, h(a)), and (a, b) = (a, h(a)) + 2*T(b ^ h(a)), so digit j of
+    (a, b) is a_j + 2*(b ^ h(a))_j.
+    """
+    f = ring.field
+    a = f.elements()
+    sqrt = f.pow_vec(a, f.order >> 1)
+    h = np.zeros(1, dtype=np.int64)
+    spread = np.zeros_like(a)  # bit j of a moved to bit 2j
+    for j in range(ring.n):
+        # (a', h(a')) + (x^j, 0) = (a' ^ x^j, h(a') ^ sqrt(a' x^j))
+        h = np.concatenate([h, h ^ sqrt[f.mul_vec(a[: 1 << j], 1 << j)]])
+        spread |= ((a >> j) & 1) << (2 * j)
+    return spread | (spread[h] << 1), spread << 1
 
 
-def _radix4(
-    re: np.ndarray, im: np.ndarray, sign: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the kernel i^{sign * u v} along every Z4 digit of flat (re, im).
+def _labels(ring: GR4) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the Z4^n label u(a, b) of chi_(a, b) with respect to
+    _coordinates, Tr(a x) = u(a) . v(x) mod 4 for all x, is
+    rows[a] ^ cols[b].
+
+    Digit k of u(y) is Tr(y e_k), and u(a, b) = u(T(a)) + 2 u(T(b)) with
+    Tr(T(a) e_k) = Tr(T(a x^k)).
+    """
+    f = ring.field
+    a = f.elements()
+    sqrt = f.pow_vec(a, f.order >> 1)
+    # Tr(T(c)) for every c: the ring sum of the pairs (c^(2^i), 0)
+    ta, tb, v = np.zeros_like(a), np.zeros_like(a), a
+    for _ in range(ring.n):
+        tb ^= sqrt[f.mul_vec(ta, v)]
+        ta ^= v
+        v = f.mul_vec(v, v)
+    trace = ta | (tb << 1)
+    u = np.zeros_like(a)
+    for k in range(ring.n):
+        u |= trace[f.mul_vec(a, 1 << k)] << (2 * k)
+    low_bits = (ring.size - 1) // 3  # bit 0 of every base-4 digit
+    return u, (u & low_bits) << 1
+
+
+@functools.lru_cache(maxsize=1)
+def _gather(ring: GR4) -> np.ndarray:
+    """The labels in _rotate order: the gather that reorders the output of
+    _radix4 by label.  _rotate permutes bits, so it distributes over the
+    XOR of the label parts.  Kept for the last ring used, as intp, the
+    index type a gather needs without a cast."""
+    rows, cols = _labels(ring)
+    return _outer_xor(_rotate(rows, ring.n), _rotate(cols, ring.n))
+
+
+def _radix4(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the kernel i^{u v} along every Z4 digit of flat (re, im).
 
     Consumes two owned, contiguous 4^n vectors of one integer dtype and
     returns the pair that holds the result, in _rotate order.  It allocates
@@ -348,16 +379,16 @@ def _radix4(
     k = _tail_digits(n)
     sre = np.empty_like(re)
     sim = np.empty_like(im)
-    _stages(re, im, sre, sim, n - k, sign)
+    _stages(re, im, sre, sim, n - k)
     if not k:
         return re, im
     for v, t in ((re, sre), (im, sim)):
         t.reshape(4**k, 4 ** (n - k))[...] = v.reshape(4 ** (n - k), 4**k).T
-    _stages(sre, sim, re, im, k, sign)
+    _stages(sre, sim, re, im, k)
     return sre, sim
 
 
-def _stages(re, im, sre, sim, count: int, sign: int) -> None:
+def _stages(re, im, sre, sim, count: int) -> None:
     """The first count stages (highest digits first) of the butterfly on
     (re, im), in place, with (sre, sim) as scratch.
 
@@ -365,8 +396,6 @@ def _stages(re, im, sre, sim, count: int, sign: int) -> None:
     scratch and writes the four outputs back through strided views.
     """
     size = re.size
-    # d02 - sign*i*d13 and d02 + sign*i*d13, as ufuncs on the (re, im) parts
-    minus, plus = (np.subtract, np.add) if sign > 0 else (np.add, np.subtract)
     outer = 1
     for _ in range(count):
         inner = size // (4 * outer)
@@ -382,11 +411,11 @@ def _stages(re, im, sre, sim, count: int, sign: int) -> None:
             # rows of the kernel: u=0 -> sum; u=2 -> alternating sum
             np.add(t[0], t[2], out=v[:, 0])
             np.subtract(t[0], t[2], out=v[:, 2])
-        # u=1,3 -> d02 -+ sign*i*d13, with i * (r, s) = (-s, r)
-        minus(tr[1], tm[3], out=vr[:, 1])
-        plus(tr[1], tm[3], out=vr[:, 3])
-        plus(tm[1], tr[3], out=vm[:, 1])
-        minus(tm[1], tr[3], out=vm[:, 3])
+        # u=1,3 -> d02 + i*d13 and d02 - i*d13, with i * (r, s) = (-s, r)
+        np.subtract(tr[1], tm[3], out=vr[:, 1])
+        np.add(tr[1], tm[3], out=vr[:, 3])
+        np.add(tm[1], tr[3], out=vm[:, 1])
+        np.subtract(tm[1], tr[3], out=vm[:, 3])
         outer *= 4
 
 

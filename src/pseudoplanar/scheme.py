@@ -6,40 +6,39 @@ support of D_f^2 outside those, and the rest), held as one int8 class label
 per element.  The scheme is built from one transform X = chi(D): X gives the
 relative-difference-set identity, and once that holds every class spectrum
 and every dual class is a pointwise function of X.  D^2 is neither
-transformed nor counted: once D passes the RDS check and contains 0, it is
-a transversal of Z, so D^2 = 1_Z + 2 (sums of its unordered pairs), and it
-is the combination S_0 + 2 S_1 + S_3 + 2 S_4 (+ 2 S_2 for n even) of the
+transformed nor counted: once D passes the RDS check and contains 0, it is a
+transversal of Z, so D^2 = 1_Z + 2 (sums of its unordered pairs), and it is
+the combination S_0 + 2 S_1 + S_3 + 2 S_4 (+ 2 S_2 for n even) of the
 classes exactly when the doubles are Z, the pair sums are distinct, off Z,
-and cover S_1 (and S_2 for n even, and miss it for n odd).  One bool mark
-of the pair sums decides that, and chi(S_4) follows from X^2.  By Zhou's
-theorem every relative difference set here is a D_f with f pseudo-planar,
-so that check never fails on a D that reaches it; when it does fail, the
-pairs are counted to name the first wrong element.  The dual partition of
-the character group is one table lookup of X per character, in the pass
-over X's window keys that also counts X's values on a small table, kept on
-the stored X for raw_spectrum; the first eigenmatrix P is evaluated at the
-least member of each dual class; the spectra are constant on the dual
-classes by construction.  P is square: for n >= 3
-there are six classes and dual_partition refuses fewer than six dual
+and cover S_1 (and S_2 for n even, and miss it for n odd).  One bool mark of
+the pair sums, taken as element indices by GR4.pair_sums, decides that, and
+chi(S_4) follows from X^2.  By Zhou's theorem every relative difference set
+here is a D_f with f pseudo-planar, so that check never fails on a D that
+reaches it; when it does fail, the pairs are counted to name the first wrong
+element.  The dual partition of the character group is one table lookup of X
+per character, in the pass over X's window keys that also counts X's values
+on a small table, kept on the stored X for raw_spectrum; the first
+eigenmatrix P is evaluated at the least member of each dual class; the
+spectra are constant on the dual classes by construction.  P is square: for
+n >= 3 there are six classes and dual_partition refuses fewer than six dual
 classes, and for n <= 2 every pseudo-planar f with f(0) = 0 gives the 4 x 4
 or 5 x 5 P of the closed forms.  So the classes span a Schur ring
 (Bridges-Mena), and the intersection numbers follow from P exactly, as
 tensor contractions over the real and imaginary parts of P held as Python
 ints in object arrays: their numerators pass 2^63 from n = 12 on.  The
-second eigenmatrix follows from P by the orthogonality relation
-Q_ij = m_j conj(P_ji) / k_i (m the dual class sizes, k the class sizes),
-and P Q = |R| I is checked exactly over the Gaussian integers, on Q scaled
-by its least common denominator, as one product of such matrices.
-build_report runs these steps on one path, and the SchemeError of any step
-propagates unchanged.  The tests check the steps against the oracles in
-tests/oracles.py: class_spectra (one transform per class) for eigen_P,
-verify_schur (every pair of classes convolved) and
-intersection_numbers_gauss (the GaussInt loops) for the intersection
-numbers, check_pq_gauss for the P Q check, and partition_by_counted_square
-(D^2 counted by GroupVec.square_of_set) and s1_identities_hold for the D^2
-combination.  The module also evaluates the Fourier spectrum, which
-takes the pseudo-planarity of f from the RDS verdict on D_f (Zhou), and
-fuses classes via the constant-block-row-sum criterion.
+second eigenmatrix follows from P by the orthogonality relation Q_ij = m_j
+conj(P_ji) / k_i (m the dual class sizes, k the class sizes), and P Q = |R|
+I is checked exactly over the Gaussian integers, on Q scaled by its least
+common denominator, as one product of such matrices. build_report runs these
+steps on one path, and the SchemeError of any step propagates unchanged.
+The tests check the steps against the oracles in tests/oracles.py:
+class_spectra (one transform per class) for eigen_P, verify_schur (every
+pair of classes convolved) and intersection_numbers_gauss (the GaussInt
+loops) for the intersection numbers, check_pq_gauss for the P Q check, and
+partition_by_counted_square (D^2 counted by GroupVec.square_of_set) and
+s1_identities_hold for the D^2 combination.  The module also evaluates the
+Fourier spectrum, which takes the pseudo-planarity of f from the RDS verdict
+on D_f (Zhou), and fuses classes via the constant-block-row-sum criterion.
 """
 
 from __future__ import annotations
@@ -56,25 +55,13 @@ import numpy as np
 
 from .exact import GaussInt, GaussRat
 from .functions import SparsePoly, pseudoplanar_witness
-from .galois_ring import GR4
-from .groupring import (
-    GroupVec,
-    SpectrumVec,
-    _coord_sums,
-    _spectrum,
-    build_df,
-    verify_rds,
-)
+from .galois_ring import _BLOCK, GR4
+from .groupring import GroupVec, SpectrumVec, _spectrum, build_df, verify_rds
 
 SCHEMA_VERSION = 1
 
 # why the scheme commands, and spectrum's closed-form check, refuse f(0) != 0
 NEEDS_ZERO = "D must contain 0, which for D_f means f(0) = 0"
-
-
-# how many indices a scatter or bincount casts to intp at a time: such a
-# block stays far below a 4^n intp copy
-_BLOCK = 1 << 15
 
 
 class SchemeError(ValueError):
@@ -147,7 +134,7 @@ def _square_coefficients(n: int) -> tuple[int, ...]:
 def _pair_sum_marks(ring: GR4, in_d: np.ndarray, sums: np.ndarray):
     """(labels, ok) from the sums of D = in_d, with 0 = in_d[0].
 
-    sums is the symmetric _coord_sums table of D, rows in the order of
+    sums is the symmetric GR4.pair_sums table of D, rows in the order of
     in_d: the doubles 2u on its diagonal and every unordered pair sum twice
     off it.  labels is an int8 vector over the elements: 0 at a pair sum,
     1 elsewhere.  ok tells whether D^2 = 1_Z + 2 (sum of the pair sums) is
@@ -163,18 +150,18 @@ def _pair_sum_marks(ring: GR4, in_d: np.ndarray, sums: np.ndarray):
     doubles = sums.diagonal().copy()
     # with a pair sum on the diagonal, the marks are the pair sums alone
     np.fill_diagonal(sums, sums[0, -1])
-    unmarked = np.ones(ring.size, dtype=bool)  # by Z4^n coordinate
+    unmarked = np.ones(ring.size, dtype=bool)
     # a scatter casts its indices to intp: a block of them at a time
     rows = max(1, _BLOCK // len(in_d))
     for i in range(0, len(in_d), rows):
         unmarked[sums[i : i + rows].astype(np.intp)] = False
     np.fill_diagonal(sums, doubles)
     pairs = len(in_d) * (len(in_d) - 1) // 2
-    labels = unmarked[ring.coord_of].view(np.int8)
+    labels = unmarked.view(np.int8)
     s1 = in_d[1:]
-    s2 = labels[ring.neg_perm[s1]]
+    s2 = labels[ring.neg_idx(s1)]
     ok = (
-        np.array_equal(np.sort(doubles), np.sort(ring.coord_of[:t]))
+        np.array_equal(np.sort(doubles), np.arange(t))
         and ring.size - np.count_nonzero(unmarked) == pairs
         and bool(labels[:t].all())  # Z is the index prefix [0, 2^n)
         and not labels[s1].any()
@@ -215,11 +202,11 @@ def build_partition(D: GroupVec) -> Partition6:
     # then the 2-torsion Z, -D, D and 0, which leaves S_1 = D - {0} and
     # S_2 = -S_1.
     in_d = D.support()
-    sums = _coord_sums(ring.coord_of[in_d], ring.n)
+    sums = ring.pair_sums(in_d)
     labels, square_ok = _pair_sum_marks(ring, in_d, sums)
     labels += 4
     labels[: 1 << ring.n] = 3  # Z is the index prefix [0, 2^n)
-    labels[ring.neg_perm[in_d]] = 2
+    labels[ring.neg_idx(in_d)] = 2
     labels[in_d] = 1
     labels[zero] = 0
     part = Partition6(ring, labels)
@@ -228,7 +215,7 @@ def build_partition(D: GroupVec) -> Partition6:
         raise SchemeError("partition classes are not disjoint")
     if not square_ok:
         a = _square_coefficients(ring.n)
-        dsq = np.bincount(sums.ravel(), minlength=ring.size)[ring.coord_of]
+        dsq = np.bincount(sums.ravel(), minlength=ring.size)
         want = np.take(np.array(a, dtype=np.int8), labels)
         g = int(np.argmax(dsq != want))
         raise SchemeError(

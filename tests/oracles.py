@@ -4,14 +4,17 @@ Each fast path of the package is checked against one of these.  They share
 no code with the paths they check, and the package itself never calls them.
 
 - Z4Model, trace and character: GR(4, n) as Z4[y]/(h(y)), and the naive
-  additive characters, for the Teichmuller-pair arithmetic and the radix-4
-  character transform.
+  additive characters, for the Teichmuller-pair arithmetic (the scalar
+  add, neg and mul, and their index forms GR4.pair_sums and GR4.neg_idx),
+  the coordinate and label parts of the transform, and the one-direction
+  radix-4 character transform and its inverse read at -g.
 - convolve_naive: the O(16^n) convolution, for GroupVec.convolve and
   GroupVec.square_of_set.
 - partition_by_counted_square: build_partition with D^2 counted by
-  GroupVec.square_of_set and compared with the class combination element by
-  element, for the pair-sum check of build_partition, which decides the
-  same identity without counting.
+  GroupVec.square_of_set from GR4.pair_sums and compared with the class
+  combination element by element, for the pair-sum check of
+  build_partition, which decides the same identity from the same table
+  without counting.
 - moore_det, linearized_is_bijection and binomial1_criterion_det: the
   Moore-determinant criterion, for binomial1_criterion.
 - binomial1_criterion_full and shifted_binomial_criterion_full: both trace
@@ -62,8 +65,9 @@ from pseudoplanar.search import SearchSpace, quad_exponents
 class Z4Model:
     """Brute-force model of GR(4, n): Z4-coefficient vectors modulo h(y).
 
-    Test oracle for the Teichmuller-pair formulas of GR4 and for its
-    coordinate tables: y^j is the basis element e_j = T(x^j) of coord_of.
+    Test oracle for the Teichmuller-pair formulas of GR4 and for the Z4^n
+    coordinates of the transform: y^j is the basis element e_j = T(x^j) of
+    groupring._coordinates.
 
     h is the unique monic lift of the field modulus to Z4 that divides
     y^(2^n - 1) - 1, found by scanning all 2^n coefficient lifts.  When the
@@ -538,7 +542,7 @@ def partition_by_counted_square(D: GroupVec) -> Partition6:
     labels = np.where(dsq == 0, 5, 4).astype(np.int8)
     labels[: 1 << ring.n] = 3
     in_d = D.support()
-    labels[ring.neg_perm[in_d]] = 2
+    labels[ring.neg_idx(in_d)] = 2
     labels[in_d] = 1
     labels[zero] = 0
     part = Partition6(ring, labels)

@@ -354,9 +354,12 @@ def test_singular_equals_the_oracle_elimination_and_the_span_count(n):
     oracle = last_axis_singular(np.moveaxis(stacks, 0, -1).copy())
     assert (oracle == want).all()
     assert (_singular(stacks.copy()) == want).all()
-    # a single stack
+    # a single stack, as (n, 1, 1) and as a 1-D (n,) array
     for k in range(stacks.shape[2]):
         assert _singular(stacks[:, :1, k:k + 1].copy()).tolist() == [[want[0, k]]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bool(_singular(stacks[:, 0, k].copy())) == want[0, k]
 
 
 def test_uint16_holds_every_field_element():

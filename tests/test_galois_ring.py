@@ -11,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n
 from pseudoplanar.galois_ring import GR4, MAX_RING_DEGREE
-from pseudoplanar.groupring import GroupVec
+from pseudoplanar.groupring import (
+    GroupVec,
+    _coordinates,
+    _gather,
+    _labels,
+    _outer_xor,
+)
 
 from oracles import Z4Model, character, trace
 
@@ -25,9 +31,13 @@ def test_oracle_agreement_exhaustive(n):
     for x in elems:
         assert model.to_pair(vecs[x]) == x
         assert vecs[ring.neg(x)] == model.neg(vecs[x])
+        assert vecs[ring.pair(ring.neg_idx(ring.idx(x)))] == model.neg(vecs[x])
+    sums = ring.pair_sums(np.arange(ring.size))
     for x in elems:
         for y in elems:
             assert vecs[ring.add(x, y)] == model.add(vecs[x], vecs[y])
+            s = int(sums[ring.idx(x), ring.idx(y)])
+            assert vecs[ring.pair(s)] == model.add(vecs[x], vecs[y])
             assert vecs[ring.mul(x, y)] == model.mul(vecs[x], vecs[y])
 
 
@@ -142,6 +152,21 @@ def test_negation_and_two_torsion():
         assert ring.add(x, ring.neg(x)) == ring.zero
         # 2x lies in Z = 2R, the pairs (0, b)
         assert ring.add(x, x)[0] == 0
+    neg = [ring.idx(ring.neg(ring.pair(i))) for i in range(ring.size)]
+    assert ring.neg_idx(np.arange(ring.size)).tolist() == neg
+
+
+@given(st.sampled_from([1, 2, 3, 5, 8, 10]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pair_sums_are_ring_addition(n, data):
+    ring = GR4(GF2n(n))
+    idx = data.draw(st.lists(st.integers(0, ring.size - 1), min_size=1, max_size=6))
+    sums = ring.pair_sums(np.array(idx))
+    assert sums.dtype == np.uint32
+    for i, g in enumerate(idx):
+        for j, h in enumerate(idx):
+            total = ring.idx(ring.add(ring.pair(g), ring.pair(h)))
+            assert int(sums[i, j]) == total
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -158,8 +183,8 @@ def test_the_two_torsion_is_the_index_prefix(n):
 def test_dual_pairing():
     for n in (2, 3):
         ring = GR4(GF2n(n))
-        coord = ring.coord_of
-        dual = ring.dual_perm
+        coord = _outer_xor(*_coordinates(ring))
+        dual = _outer_xor(*_labels(ring))
         for a_idx in range(ring.size):
             u = int(dual[a_idx])
             a = ring.pair(a_idx)
@@ -173,7 +198,8 @@ def test_dual_pairing():
 
 
 def _oracle_tables(ring):
-    """coord_of and dual_perm rebuilt from Z4Model digits and the trace pairing.
+    """The Z4^n coordinates and labels rebuilt from Z4Model digits and the
+    trace pairing, as 4^n tables.
 
     Coordinate digit j of x is the coefficient of y^j in the model; digit k
     of the label of chi_a is Tr(a e_k), with e_k the element whose model
@@ -198,8 +224,8 @@ def _oracle_tables(ring):
 def test_tables_match_z4model_oracle(n):
     ring = GR4(GF2n(n))
     coord, dual = _oracle_tables(ring)
-    assert np.array_equal(ring.coord_of, coord)
-    assert np.array_equal(ring.dual_perm, dual)
+    assert np.array_equal(_outer_xor(*_coordinates(ring)), coord)
+    assert np.array_equal(_outer_xor(*_labels(ring)), dual)
 
 
 def test_tables_build_without_z4model(monkeypatch):
@@ -207,23 +233,37 @@ def test_tables_build_without_z4model(monkeypatch):
         raise AssertionError("GR4 built its tables through Z4Model")
 
     monkeypatch.setattr(Z4Model, "__init__", refuse)
+    _coordinates.cache_clear()
+    _gather.cache_clear()
     ring = GR4(GF2n(5))
-    for table in (ring.coord_of, ring.dual_perm, ring.neg_perm):
+    tables = [_outer_xor(*_coordinates(ring)), _outer_xor(*_labels(ring))]
+    tables += [_gather(ring), ring.neg_idx(np.arange(ring.size))]
+    for table in tables:
         assert sorted(table) == list(range(ring.size))
     sp = GroupVec.delta(ring, ring.zero).char_transform()
     assert np.all(sp.re == 1) and np.all(sp.im == 0)
 
 
 def test_table_build_memory_n10():
-    ring = GR4(GF2n(10))
+    # GR4 and the 2^n-entry parts of the coordinates and labels stay small;
+    # the one 4^n table is the transform's intp gather
+    field = GF2n(10)
+    _coordinates.cache_clear()
+    _gather.cache_clear()
     tracemalloc.start()
     try:
-        for table in ("coord_of", "dual_perm", "neg_perm"):
-            getattr(ring, table)
-        _, peak = tracemalloc.get_traced_memory()
+        ring = GR4(field)
+        _coordinates(ring)
+        _labels(ring)
+        _, parts_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        gather = _gather(ring)
+        _, gather_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2**20
+    assert parts_peak < 2**20
+    assert gather.dtype == np.intp and gather.nbytes == 8 * 2**20
+    assert gather_peak < 9 * 2**20
 
 
 def test_elem_literals():

@@ -45,7 +45,7 @@ SEARCHED = ("src", "perfbench")
 ALLOWED_TEST_ONLY = {
     "GroupVec.square_of_set": "D^2 counted pair by pair, the oracle of build_partition's pair-sum check",
     "GroupVec.zero": "constructor of the empty multiset, beside delta and indicator",
-    "GR4.add": "Teichmuller-pair addition, the formula the coordinate tables rest on; Z4Model checks it",
+    "GR4.add": "Teichmuller-pair addition, the scalar form of pair_sums; Z4Model checks both",
     "GroupVec.convolve": "group-ring product; the traced benchmark patches it by name",
     "GroupVec.involute": "negation, the other half of the group-ring algebra",
     "GroupVec.scale": "integer multiple, beside + and -; the S_1 identity oracle uses it",
@@ -57,7 +57,7 @@ ALLOWED_TEST_ONLY = {
     "GF2n.rel_trace": "relative trace of the cubic tower F_{2^3m} / F_{2^m}",
     "GF2n.rel_norm": "relative norm of the same tower",
     "GR4.frobenius": "Frobenius automorphism, beside add and mul",
-    "GR4.neg": "negation, beside add and mul; neg_perm is its table",
+    "GR4.neg": "negation, beside add and mul; neg_idx is its form on element indices",
 }
 
 

@@ -214,7 +214,7 @@ def test_partition_classes_must_be_disjoint_and_cover_the_ring(monkeypatch):
     assert zero == 0
     counts = D.counts.copy()
     counts[d] = 0
-    counts[ring.neg_perm[g]] = 1
+    counts[ring.neg_idx(g)] = 1
     monkeypatch.setattr(scheme, "verify_rds", lambda D: (True, []))
     with pytest.raises(SchemeError, match="^partition classes are not disjoint$"):
         build_partition(GroupVec(ring, counts))
@@ -698,12 +698,10 @@ def test_p_from_chi_d_equals_the_class_spectra_oracle(n):
 
 
 def _pair_sums_by_class(D, part):
-    """(sums, classes): the true _coord_sums table of D, and the class of
+    """(sums, classes): the true GR4.pair_sums table of D, and the class of
     the element at each entry."""
-    ring = D.ring
-    sums = groupring._coord_sums(ring.coord_of[D.support()], ring.n)
-    element = np.argsort(ring.coord_of)  # coordinate -> element index
-    return sums, part.labels[element[sums]]
+    sums = D.ring.pair_sums(D.support())
+    return sums, part.labels[sums]
 
 
 def _pairs_in(classes, k, count):
@@ -716,15 +714,15 @@ def _move_pair_sums(monkeypatch, ring, moves):
     """build_partition reads each unordered pair (i, j) of moves, rows in
     the order of D.support(), as summing to element g, on both sides of the
     diagonal; a pair (i, i) moves the double of row i."""
-    true_sums = groupring._coord_sums
+    true_sums = GR4.pair_sums
 
-    def perturbed(c, n):
-        sums = true_sums(c, n)
+    def perturbed(self, idx):
+        sums = true_sums(self, idx)
         for (i, j), g in moves:
-            sums[i, j] = sums[j, i] = ring.coord_of[g]
+            sums[i, j] = sums[j, i] = g
         return sums
 
-    monkeypatch.setattr(scheme, "_coord_sums", perturbed)
+    monkeypatch.setattr(GR4, "pair_sums", perturbed)
 
 
 def _square_error(ring, g, got, want):
@@ -746,11 +744,10 @@ def _zero_partition(n):
 def test_a_d_squared_off_the_class_combination_is_refused(monkeypatch):
     ring, D, part, sums, classes = _zero_partition(5)
     s5 = part.classes[5].support()
-    element = np.argsort(ring.coord_of)
     p, q, r = _pairs_in(classes, 4, 3)
     s1_pair = _pairs_in(classes, 1, 1)[0]
-    collided = int(element[sums[q]])
-    unmarked = int(element[sums[s1_pair]])
+    collided = int(sums[q])
+    unmarked = int(sums[s1_pair])
     _move_pair_sums(monkeypatch, ring, [
         (p, int(s5[3])),  # moves an element from S_5 to S_4: no error
         (r, collided),  # two pairs with one sum: D^2 = 4 there
@@ -768,22 +765,21 @@ def test_a_d_squared_off_the_class_combination_is_refused(monkeypatch):
 )
 def test_each_pair_sum_fault_is_named(monkeypatch, n, case):
     ring, D, part, sums, classes = _zero_partition(n)
-    element = np.argsort(ring.coord_of)
     p, q = _pairs_in(classes, 4, 2)
     if case == "collision":
-        g = int(element[sums[q]])
+        g = int(sums[q])
         moves, got, want = [(p, g)], 4, 2
     elif case == "into Z":
         g = (1 << n) - 1  # a nonzero 2-torsion element, in S_3
         moves, got, want = [(p, g)], 3, 1
     elif case == "double twice":
         # rows 1 and 2 have one double: D^2 is 2 at it, 0 at row 1's
-        once, twice = (int(element[sums[i, i]]) for i in (1, 2))
+        once, twice = (int(sums[i, i]) for i in (1, 2))
         moves = [((1, 1), twice)]
         g, got, want = min((once, 0, 1), (twice, 2, 1))
     elif case == "unmarked S_1":
         pair = _pairs_in(classes, 1, 1)[0]
-        g = int(element[sums[pair]])
+        g = int(sums[pair])
         moves, got, want = [(pair, int(part.classes[5].support()[0]))], 0, 2
     else:
         g = int(part.classes[2].support()[0])
@@ -791,7 +787,7 @@ def test_each_pair_sum_fault_is_named(monkeypatch, n, case):
             # every S_2 element is a pair sum at even n: move one away
             pair = next(
                 pair for pair in _pairs_in(classes, 2, ring.size)
-                if element[sums[pair]] == g
+                if sums[pair] == g
             )
             moves, got, want = [(pair, int(part.classes[5].support()[0]))], 0, 2
         else:
@@ -854,8 +850,8 @@ def test_pair_sum_check_agrees_with_the_counted_square(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_perturbed_pair_sums_give_the_counted_verdict(monkeypatch, n):
-    # both paths read the same moved pair sums: the oracle through
-    # square_of_set, build_partition through its own lookup
+    # both paths read the same moved pair sums from GR4.pair_sums: the
+    # oracle counts them through square_of_set, build_partition marks them
     ring, D, part, sums, classes = _zero_partition(n)
     rng = random.Random(n)
     k = len(D.support())
@@ -869,7 +865,6 @@ def test_perturbed_pair_sums_give_the_counted_verdict(monkeypatch, n):
             moves.append(((i, j), rng.randrange(ring.size)))
         with monkeypatch.context() as mp:
             _move_pair_sums(mp, ring, moves)
-            mp.setattr(groupring, "_coord_sums", scheme._coord_sums)
             got = _partition_outcome(build_partition, D)
             assert got == _partition_outcome(partition_by_counted_square, D)
         refused += isinstance(got, tuple)
@@ -881,8 +876,6 @@ def test_build_partition_memory_n9():
     ring = GR4(GF2n(9))
     D = build_df(ring, SparsePoly.zero(ring.field))
     assert verify_rds(D)[0]  # the transform is made and kept before tracing
-    for table in ("coord_of", "neg_perm"):
-        getattr(ring, table)
     D.support()
     tracemalloc.start()
     try:
