@@ -27,8 +27,8 @@ from .field import GF2n
 
 MAX_RING_DEGREE = 10
 
-# how many int64 or intp entries a blocked step holds at a time: such a
-# block stays far below a 4^n copy
+# how many entries a blocked step holds at a time: such a block stays far
+# below a 4^n copy, and in cache
 _BLOCK = 1 << 15
 
 Pair = tuple[int, int]

@@ -6,14 +6,15 @@ by element idx.  Signed vectors are allowed so identities like
 additive character transform and its inverse are all exact.  A GroupVec is
 int64; a SpectrumVec keeps the integer dtype it is given, and the transform
 returns its values in the narrowest of int16, int32 and int64 that the l1
-norm of its input allows, so chi(D) of a set is int16.  The fast transform is
-an n-dimensional radix-4 butterfly over the additive Z4^n coordinates, which
-only the transform sees: everything else works in element indices.  It runs
-in one direction; the inverse is the forward transform read at -g.  It
-scatters only the support of a GroupVec, and runs its last digits on a
-transposed copy so that every stage works on long contiguous runs.  The
-tests anchor it, convolve and square_of_set against the naive character sums
-and the O(16^n) convolution of tests/oracles.py for small n.
+norm of its input allows, so chi(D) of a set is int16.  The fast transform
+works in the Teichmuller coordinates of the element index, idx(x + 2s) =
+x 2^n + s: with y = c + 2d, chi_y(x + 2s) = i^Tr T(cx) (-1)^(tr(cs) + tr(dx)),
+so it is two 2^n-point integer Walsh-Hadamard transforms, over s and over x,
+with a phase between them (see the transform plumbing below).  No step
+exceeds the l1 norm of the input.  It runs in one direction; the inverse is
+its conjugate form.  It scatters only the support of a GroupVec.  The tests
+anchor it, convolve and square_of_set against the naive character sums and
+the O(16^n) convolution of tests/oracles.py for small n.
 A GroupVec cannot change once built, so each 4^n fact about it is computed
 at most once and kept on it, read-only: its support, its transform (see
 _spectrum), and the verdict of verify_rds.  char_transform stays uncached
@@ -34,7 +35,7 @@ import functools
 import numpy as np
 
 from .exact import GaussInt
-from .galois_ring import GR4
+from .galois_ring import _BLOCK, GR4
 from .functions import SparsePoly
 
 
@@ -213,12 +214,12 @@ class SpectrumVec:
         """Recover the multiset: A_g = (1/4^n) sum_a chi_a(A) i^-Tr(ag).
 
         Raises if the input is not the transform of an integer vector.
-        The sum at g is the forward transform of the labels at -g.
+        The sum is conj(forward(conj X)): the forward transform of
+        (im, re), read back as (im, re).
         """
         ring = self.ring
-        re, im = _transform(ring, self.re, self.im)
-        neg = ring.neg_idx(np.arange(ring.size))
-        re, im = re[neg].astype(np.int64, copy=False), im[neg]
+        im, re = _transform(ring, self.im, self.re)
+        re = re.astype(np.int64, copy=False)
         # ring.size is 4^n: re is a multiple of it when its low 2n bits are 0
         rem = re & (ring.size - 1)
         if im.any() or rem.any():
@@ -232,31 +233,50 @@ class SpectrumVec:
 
 # -- fast transform plumbing --------------------------------------------------
 #
-# The additive group of GR(4,n) is Z4^n in the coordinates with basis
-# e_j = T(x^j); for the character chi_a the pairing satisfies
-# Tr(a x) = u(a) . v(x) mod 4 where v(x) is the coordinate of element x and
-# u(a) the label of chi_a (see _coordinates and _labels).  Both are outer
-# XORs of 2^n-entry parts, v(a, b) = rows[a] ^ cols[b], and nothing outside
-# this transform sees them.  The transform over Z4^n factorizes into n
-# radix-4 stages with kernel i^{u_j v_j}, on a pair of integer vectors
-# (re, im) with i * (r, s) = (-s, r).  It runs in one direction only: the
-# labels are ring elements too and Tr(a g) = Tr(g a), so the inverse sum
-# with i^-Tr(a g) at g is the forward sum at -g.
+# Write a label y = c + 2d and an element z = x + 2s with c, d, x, s in the
+# Teichmuller system, so idx(y) = c 2^n + d and idx(z) = x 2^n + s.  Then
+# yz = T(cx) + 2T(cs) + 2T(dx), and Tr 2T(w) = 2 tr(w) with tr the trace of
+# F_{2^n}, so
 #
-# Every value a stage computes is a sum of input entries times +-1 or +-i,
-# so its |re| + |im| never exceeds the l1 norm sum(|re| + |im|) of the
-# input.  The pair runs in int16 when that norm is below 2^15, in int32 when
-# it is below 2^31, and in int64 otherwise, and the result comes back in
-# that dtype: chi(D) (norm 2^n) is int16, and the inverse of |chi(D)|^2 that
-# names RDS violations (norm 4^n |D| = 8^n for D_f, by Parseval) runs in
-# int32 while 8^n < 2^31, i.e. n <= 10.  Only GroupVec is int64 at the
-# interface; whatever multiplies or shifts a result widens it first.
+#     chi_(c,d)(A) = sum_x i^Tr T(cx) (-1)^tr(dx) sum_s A(x, s) (-1)^tr(cs),
 #
-# Stage j works on digit j of the base-4 coordinate, whose contiguous runs
-# are 4^j long.  The high digits run in place; the last _tail_digits(n) run
-# on a transposed copy, where they are the high digits.  That leaves the
-# result with its base-4 digits rotated, and the gather that reorders the
-# result by label reads through the rotated labels instead.
+# and tr(cs) = tau(c) . s, a dot product of bit vectors (tau of _tables).
+# The inner sum is row tau(c) of the Walsh-Hadamard transform (WHT) over s,
+# and the outer one row tau(d) of the WHT over x.  On (2^n, 2^n) integer
+# arrays (re, im), with i * (r, s) = (-s, r), _transform
+#   1. puts A in [s, x] order: the support of a set by a scatter, all of A
+#      by a transpose;
+#   2. runs the WHT over s along axis 0;
+#   3. reads its rows at tau, which gives [c, x] order, multiplies them by
+#      the phase i^Tr T(cx) = cos + i sin, two int8 tables, and transposes
+#      them to [x, c] order;
+#   4. runs the WHT over x along axis 0;
+#   5. reads its rows at tau and transposes them, which gives [c, d] order:
+#      the label index.
+# The WHTs run along axis 0, so every butterfly adds runs of whole rows of
+# 2^n entries.  Steps 3 and 5 go one block of rows at a time, so that a
+# block stays in cache between its gather and its transposed write.
+#
+# Every value a step computes is a sum of input entries, each at most once,
+# times +-1 or +-i: a WHT stage adds or subtracts two values, the gathers
+# and transposes only move them, and the phase multiplies each by one power
+# of i, as exactly one of cos and sin is nonzero at each place.  So its
+# |re| + |im| never exceeds the l1 norm sum(|re| + |im|) of the input, and
+# neither do the temporaries of step 3, each one product with cos or sin.
+# The arrays are int16 when that norm is below 2^15, int32 when it is below
+# 2^31, and int64 otherwise, and the result comes back in that dtype:
+# chi(D) (norm 2^n) is int16, and the inverse of |chi(D)|^2 that names RDS
+# violations (norm 4^n |D| = 8^n for D_f, by Parseval) runs in int32 while
+# 8^n < 2^31, i.e. n <= 10.  Only GroupVec is int64 at the interface;
+# whatever multiplies or shifts a result widens it first.
+#
+# The transform runs in one direction.  The inverse sum, with i^-Tr(a g), is
+# conj(forward(conj X)); swapping re and im maps X to i conj(X), so it is the
+# forward transform of (im, re) with its output swapped back, and needs no
+# negation that could wrap (see inverse_transform).
+
+_COS = np.array([1, 0, -1, 0], dtype=np.int8)  # the real part of i^k
+_SIN = np.array([0, 1, 0, -1], dtype=np.int8)  # the imaginary part of i^k
 
 
 def _transform(ring: GR4, re, im, at=None) -> tuple[np.ndarray, np.ndarray]:
@@ -266,20 +286,41 @@ def _transform(ring: GR4, re, im, at=None) -> tuple[np.ndarray, np.ndarray]:
     im None means 0.  With at given, re and im are the entries of A at the
     element indices at, and A is 0 elsewhere; without it, they are all of A.
     """
-    rows, cols = _coordinates(ring)
-    if at is None:
-        scatter = _outer_xor(rows, cols)
-    else:
-        scatter = rows[at >> ring.n] ^ cols[at & (len(cols) - 1)]
+    n, m = ring.n, 1 << ring.n
+    tau, cos, sin = _tables(ring)
     parts = (re,) if im is None else (re, im)
-    fre = np.zeros(ring.size, dtype=_work_dtype(parts))
-    fre[scatter] = re
-    fim = np.zeros_like(fre)
-    if im is not None:
-        fim[scatter] = im
-    fre, fim = _radix4(fre, fim)
-    gather = _gather(ring)
-    return fre[gather], fim[gather]
+    dtype = _work_dtype(parts)
+    walsh, free = [], []  # per part, the WHT over s, and a free array
+    for part in parts:
+        v = np.zeros((m, m), dtype=dtype)
+        if at is None:
+            _transpose(part.reshape(m, m), v)
+        else:
+            v.reshape(-1)[((at & (m - 1)) << n) | (at >> n)] = part
+        v, t = _wht(v, np.empty_like(v))
+        walsh.append(v)
+        free.append(t)
+    fre = free.pop()
+    fim = free.pop() if free else np.empty_like(fre)
+    step = max(1, _BLOCK // m)
+    for i in range(0, m, step):
+        c = slice(i, i + step)
+        wr = walsh[0][tau[c]]
+        if im is None:
+            fre[:, c] = (wr * cos[c]).T
+            fim[:, c] = (wr * sin[c]).T
+        else:
+            wi = walsh[1][tau[c]]
+            fre[:, c] = (wr * cos[c] - wi * sin[c]).T
+            fim[:, c] = (wr * sin[c] + wi * cos[c]).T
+    spare = walsh[0]
+    out = []
+    for v in (fre, fim):
+        v, t = _wht(v, spare)
+        _transpose(v, t, tau)
+        out.append(t.reshape(-1))
+        spare = v
+    return out[0], out[1]
 
 
 def _work_dtype(parts) -> type:
@@ -293,130 +334,62 @@ def _work_dtype(parts) -> type:
     return np.int64
 
 
-def _tail_digits(n: int) -> int:
-    """How many low digits _radix4 runs on a transposed copy (none for n <= 3)."""
-    return max(0, min(3, n - 3))
+def _wht(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The WHT of square v along axis 0, with t as scratch.
+
+    Returns (result, free): v and t in the order that the stages left them.
+    """
+    size = len(v)
+    half = 1
+    while half < size:
+        a = v.reshape(size // (2 * half), 2, -1)
+        b = t.reshape(a.shape)
+        np.add(a[:, 0], a[:, 1], out=b[:, 0])
+        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+        v, t = t, v
+        half *= 2
+    return v, t
 
 
-def _rotate(c: np.ndarray, n: int) -> np.ndarray:
-    """Position in _radix4's output of coordinate c: its low _tail_digits(n)
-    base-4 digits moved above the others."""
-    k = _tail_digits(n)
-    return ((c & ((1 << 2 * k) - 1)) << (2 * (n - k))) | (c >> (2 * k))
-
-
-def _outer_xor(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The 4^n vector whose entry at idx(a, b) is rows[a] ^ cols[b]."""
-    return (rows[:, None] ^ cols).ravel()
+def _transpose(v: np.ndarray, t: np.ndarray, order=None) -> None:
+    """t[:, k] = v[order[k]] for every k of square v and t, or v[k] with no
+    order, one block of _BLOCK entries at a time, which stays in cache."""
+    step = max(1, _BLOCK // len(v))
+    for i in range(0, len(v), step):
+        k = slice(i, i + step)
+        t[:, k] = (v[k] if order is None else v[order[k]]).T
 
 
 @functools.lru_cache(maxsize=1)
-def _coordinates(ring: GR4) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols): the Z4^n coordinate of element (a, b), as a base-4
-    integer, is rows[a] ^ cols[b].  Kept for the last ring used.
+def _tables(ring: GR4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau, cos, sin) for _transform, kept for the last ring used.
 
-    The basis is e_j = T(x^j) = (x^j, 0).  The sum of e_j over the bits of
-    a is (a, h(a)), and (a, b) = (a, h(a)) + 2*T(b ^ h(a)), so digit j of
-    (a, b) is a_j + 2*(b ^ h(a))_j.
+    tau[c] has bit j = tr(c x^j), so tr(c s) = tau[c] . s for every s; it is
+    a bijection, as the trace form is nondegenerate.  cos + i sin is
+    i^Tr T(c x) as two (2^n, 2^n) int8 tables indexed [c, x], built one
+    block of rows at a time.
     """
     f = ring.field
     a = f.elements()
     sqrt = f.pow_vec(a, f.order >> 1)
-    h = np.zeros(1, dtype=np.int64)
-    spread = np.zeros_like(a)  # bit j of a moved to bit 2j
-    for j in range(ring.n):
-        # (a', h(a')) + (x^j, 0) = (a' ^ x^j, h(a') ^ sqrt(a' x^j))
-        h = np.concatenate([h, h ^ sqrt[f.mul_vec(a[: 1 << j], 1 << j)]])
-        spread |= ((a >> j) & 1) << (2 * j)
-    return spread | (spread[h] << 1), spread << 1
-
-
-def _labels(ring: GR4) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols): the Z4^n label u(a, b) of chi_(a, b) with respect to
-    _coordinates, Tr(a x) = u(a) . v(x) mod 4 for all x, is
-    rows[a] ^ cols[b].
-
-    Digit k of u(y) is Tr(y e_k), and u(a, b) = u(T(a)) + 2 u(T(b)) with
-    Tr(T(a) e_k) = Tr(T(a x^k)).
-    """
-    f = ring.field
-    a = f.elements()
-    sqrt = f.pow_vec(a, f.order >> 1)
-    # Tr(T(c)) for every c: the ring sum of the pairs (c^(2^i), 0)
+    # Tr(T(w)) in Z4 for every w: the ring sum of the pairs (w^(2^i), 0)
     ta, tb, v = np.zeros_like(a), np.zeros_like(a), a
     for _ in range(ring.n):
         tb ^= sqrt[f.mul_vec(ta, v)]
         ta ^= v
         v = f.mul_vec(v, v)
     trace = ta | (tb << 1)
-    u = np.zeros_like(a)
-    for k in range(ring.n):
-        u |= trace[f.mul_vec(a, 1 << k)] << (2 * k)
-    low_bits = (ring.size - 1) // 3  # bit 0 of every base-4 digit
-    return u, (u & low_bits) << 1
-
-
-@functools.lru_cache(maxsize=1)
-def _gather(ring: GR4) -> np.ndarray:
-    """The labels in _rotate order: the gather that reorders the output of
-    _radix4 by label.  _rotate permutes bits, so it distributes over the
-    XOR of the label parts.  Kept for the last ring used, as intp, the
-    index type a gather needs without a cast."""
-    rows, cols = _labels(ring)
-    return _outer_xor(_rotate(rows, ring.n), _rotate(cols, ring.n))
-
-
-def _radix4(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the kernel i^{u v} along every Z4 digit of flat (re, im).
-
-    Consumes two owned, contiguous 4^n vectors of one integer dtype and
-    returns the pair that holds the result, in _rotate order.  It allocates
-    one scratch pair: the high digits run in place on (re, im) with it as
-    scratch, the transposed copy goes into it, and the tail digits run there
-    with (re, im) as scratch.
-    """
-    n = re.size.bit_length() // 2
-    k = _tail_digits(n)
-    sre = np.empty_like(re)
-    sim = np.empty_like(im)
-    _stages(re, im, sre, sim, n - k)
-    if not k:
-        return re, im
-    for v, t in ((re, sre), (im, sim)):
-        t.reshape(4**k, 4 ** (n - k))[...] = v.reshape(4 ** (n - k), 4**k).T
-    _stages(sre, sim, re, im, k)
-    return sre, sim
-
-
-def _stages(re, im, sre, sim, count: int) -> None:
-    """The first count stages (highest digits first) of the butterfly on
-    (re, im), in place, with (sre, sim) as scratch.
-
-    Each stage copies the four sums and differences of one digit into
-    scratch and writes the four outputs back through strided views.
-    """
-    size = re.size
-    outer = 1
-    for _ in range(count):
-        inner = size // (4 * outer)
-        vr = re.reshape(outer, 4, inner)
-        vm = im.reshape(outer, 4, inner)
-        tr = sre.reshape(4, outer, inner)
-        tm = sim.reshape(4, outer, inner)
-        for v, t in ((vr, tr), (vm, tm)):
-            np.add(v[:, 0], v[:, 2], out=t[0])
-            np.subtract(v[:, 0], v[:, 2], out=t[1])
-            np.add(v[:, 1], v[:, 3], out=t[2])
-            np.subtract(v[:, 1], v[:, 3], out=t[3])
-            # rows of the kernel: u=0 -> sum; u=2 -> alternating sum
-            np.add(t[0], t[2], out=v[:, 0])
-            np.subtract(t[0], t[2], out=v[:, 2])
-        # u=1,3 -> d02 + i*d13 and d02 - i*d13, with i * (r, s) = (-s, r)
-        np.subtract(tr[1], tm[3], out=vr[:, 1])
-        np.add(tr[1], tm[3], out=vr[:, 3])
-        np.add(tm[1], tr[3], out=vm[:, 1])
-        np.subtract(tm[1], tr[3], out=vm[:, 3])
-        outer *= 4
+    tau = np.zeros_like(a)
+    for j in range(ring.n):
+        tau |= ta[f.mul_vec(a, 1 << j)] << j
+    cos = np.empty((f.order, f.order), dtype=np.int8)
+    sin = np.empty_like(cos)
+    rows = max(1, _BLOCK // f.order)
+    for i in range(0, f.order, rows):
+        t = trace[f.mul_vec(a[i : i + rows, None], a)]
+        np.take(_COS, t, out=cos[i : i + rows])
+        np.take(_SIN, t, out=sin[i : i + rows])
+    return tau, cos, sin
 
 
 def _spectrum(D: GroupVec) -> SpectrumVec:

@@ -94,7 +94,7 @@ class Partition6:
                 f"partition labels are {labels.dtype} of shape {labels.shape}, "
                 f"expected int8 of shape ({self.ring.size},)"
             )
-        off = (labels < 0) | (labels > 5)
+        off = labels.view(np.uint8) > 5  # a negative label reads as >= 128
         if off.any():
             g = int(np.argmax(off))
             raise SchemeError(f"element {g} has class label {labels[g]}, not 0..5")

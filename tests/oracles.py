@@ -6,8 +6,8 @@ no code with the paths they check, and the package itself never calls them.
 - Z4Model, trace and character: GR(4, n) as Z4[y]/(h(y)), and the naive
   additive characters, for the Teichmuller-pair arithmetic (the scalar
   add, neg and mul, and their index forms GR4.pair_sums and GR4.neg_idx),
-  the coordinate and label parts of the transform, and the one-direction
-  radix-4 character transform and its inverse read at -g.
+  the trace-dual map and phase tables of the transform, and the
+  Teichmuller-coordinate character transform and its conjugate inverse.
 - convolve_naive: the O(16^n) convolution, for GroupVec.convolve and
   GroupVec.square_of_set.
 - partition_by_counted_square: build_partition with D^2 counted by
@@ -65,9 +65,8 @@ from pseudoplanar.search import SearchSpace, quad_exponents
 class Z4Model:
     """Brute-force model of GR(4, n): Z4-coefficient vectors modulo h(y).
 
-    Test oracle for the Teichmuller-pair formulas of GR4 and for the Z4^n
-    coordinates of the transform: y^j is the basis element e_j = T(x^j) of
-    groupring._coordinates.
+    Test oracle for the Teichmuller-pair formulas of GR4.  No package code
+    uses these Z4 coordinates: the transform works on Teichmuller pairs.
 
     h is the unique monic lift of the field modulus to Z4 that divides
     y^(2^n - 1) - 1, found by scanning all 2^n coefficient lifts.  When the
@@ -142,6 +141,23 @@ class Z4Model:
             v = self.mul(v, v)
         return v
 
+    def trace(self, v: tuple) -> int:
+        """Tr(v) in Z4: the sum of the n Galois conjugates of v.  The
+        Frobenius fixes Z4 and maps y, a Teichmuller element, to y^2."""
+        n = self.n
+        y = tuple(int(j == 1) for j in range(n))
+        images = [self.pow(self.mul(y, y), j) if n > 1 else self.one() for j in range(n)]
+        t = self.zero()
+        for _ in range(n):
+            t = self.add(t, v)
+            w = self.zero()
+            for c, image in zip(v, images):
+                w = self.add(w, tuple(c * e % 4 for e in image))
+            v = w
+        if any(t[1:]):
+            raise AssertionError(f"oracle trace {t} is not in Z4")
+        return t[0]
+
     def from_pair(self, x: Pair) -> tuple[int, ...]:
         a, b = x
         return self.add(self.teich(a), self.mul((2,) + (0,) * (self.n - 1), self.teich(b)))
@@ -173,7 +189,7 @@ def trace(ring: GR4, x: Pair) -> int:
 
 def character(ring: GR4, a: Pair, x: Pair) -> GaussInt:
     """Additive character value chi_a(x) = i^Tr(ax): the naive character
-    sum that the radix-4 transform is checked against."""
+    sum that the transform is checked against."""
     return I_POWERS[trace(ring, ring.mul(a, x))]
 
 

@@ -10,16 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n
+from pseudoplanar.functions import SparsePoly
 from pseudoplanar.galois_ring import GR4, MAX_RING_DEGREE
-from pseudoplanar.groupring import (
-    GroupVec,
-    _coordinates,
-    _gather,
-    _labels,
-    _outer_xor,
-)
+from pseudoplanar.groupring import GroupVec, _tables, build_df
 
-from oracles import Z4Model, character, trace
+from oracles import I_POWERS, Z4Model, character, trace
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -181,51 +176,37 @@ def test_the_two_torsion_is_the_index_prefix(n):
 
 
 def test_dual_pairing():
-    for n in (2, 3):
+    # tau is the trace-dual basis map: Tr(2T(c) T(s)) = 2 tr(cs) =
+    # 2 (tau[c] . s); and i^Tr(T(c) T(x)) = cos[c, x] + i sin[c, x]
+    for n in range(1, 7):
         ring = GR4(GF2n(n))
-        coord = _outer_xor(*_coordinates(ring))
-        dual = _outer_xor(*_labels(ring))
-        for a_idx in range(ring.size):
-            u = int(dual[a_idx])
-            a = ring.pair(a_idx)
-            for x_idx in range(0, ring.size, 3):
-                x = ring.pair(x_idx)
-                v = int(coord[x_idx])
-                dot = sum(
-                    ((u >> (2 * j)) & 3) * ((v >> (2 * j)) & 3) for j in range(n)
-                ) % 4
-                assert dot == trace(ring, ring.mul(a, x))
-
-
-def _oracle_tables(ring):
-    """The Z4^n coordinates and labels rebuilt from Z4Model digits and the
-    trace pairing, as 4^n tables.
-
-    Coordinate digit j of x is the coefficient of y^j in the model; digit k
-    of the label of chi_a is Tr(a e_k), with e_k the element whose model
-    vector is y^k.
-    """
-    model = Z4Model(ring.field)
-    n = ring.n
-    pow4 = [4**j for j in range(n)]
-    coord = [
-        sum(d * p for d, p in zip(model.from_pair(ring.pair(i)), pow4))
-        for i in range(ring.size)
-    ]
-    basis = [model.to_pair(tuple(int(j == k) for j in range(n))) for k in range(n)]
-    dual = [
-        sum(trace(ring, ring.mul(ring.pair(i), e)) * p for e, p in zip(basis, pow4))
-        for i in range(ring.size)
-    ]
-    return np.array(coord, dtype=np.int64), np.array(dual, dtype=np.int64)
+        tau, cos, sin = _tables(ring)
+        m = 1 << n
+        assert sorted(tau) == list(range(m))
+        assert cos.shape == sin.shape == (m, m)
+        assert cos.dtype == sin.dtype == np.int8
+        for c in range(m):
+            for x in range(m):
+                dot = bin(int(tau[c]) & x).count("1") % 2
+                assert trace(ring, ring.mul((0, c), (x, 0))) == 2 * dot
+                phase = I_POWERS[trace(ring, ring.mul((c, 0), (x, 0)))]
+                assert GaussInt(int(cos[c, x]), int(sin[c, x])) == phase
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_tables_match_z4model_oracle(n):
+    # the same tables from Tr(T(c) T(x)), taken wholly in Z4[y]/(h(y)):
+    # its parity is tau[c] . x, and i to its power is cos + i sin
     ring = GR4(GF2n(n))
-    coord, dual = _oracle_tables(ring)
-    assert np.array_equal(_outer_xor(*_coordinates(ring)), coord)
-    assert np.array_equal(_outer_xor(*_labels(ring)), dual)
+    model = Z4Model(ring.field)
+    tau, cos, sin = _tables(ring)
+    m = 1 << n
+    teich = [model.teich(c) for c in range(m)]
+    for c in range(m):
+        for x in range(m):
+            t = model.trace(model.mul(teich[c], teich[x]))
+            assert bin(int(tau[c]) & x).count("1") % 2 == t % 2
+            assert GaussInt(int(cos[c, x]), int(sin[c, x])) == I_POWERS[t]
 
 
 def test_tables_build_without_z4model(monkeypatch):
@@ -233,37 +214,38 @@ def test_tables_build_without_z4model(monkeypatch):
         raise AssertionError("GR4 built its tables through Z4Model")
 
     monkeypatch.setattr(Z4Model, "__init__", refuse)
-    _coordinates.cache_clear()
-    _gather.cache_clear()
+    _tables.cache_clear()
     ring = GR4(GF2n(5))
-    tables = [_outer_xor(*_coordinates(ring)), _outer_xor(*_labels(ring))]
-    tables += [_gather(ring), ring.neg_idx(np.arange(ring.size))]
-    for table in tables:
-        assert sorted(table) == list(range(ring.size))
+    tau, cos, sin = _tables(ring)
+    assert sorted(tau) == list(range(1 << ring.n))
+    assert np.all(np.abs(cos) + np.abs(sin) == 1)
+    assert sorted(ring.neg_idx(np.arange(ring.size))) == list(range(ring.size))
     sp = GroupVec.delta(ring, ring.zero).char_transform()
     assert np.all(sp.re == 1) and np.all(sp.im == 0)
 
 
 def test_table_build_memory_n10():
-    # GR4 and the 2^n-entry parts of the coordinates and labels stay small;
-    # the one 4^n table is the transform's intp gather
+    # the transform keeps two 4^n int8 phase tables and the 2^n-entry tau,
+    # builds them one block of rows at a time, and keeps nothing else
     field = GF2n(10)
-    _coordinates.cache_clear()
-    _gather.cache_clear()
+    _tables.cache_clear()
     tracemalloc.start()
     try:
         ring = GR4(field)
-        _coordinates(ring)
-        _labels(ring)
-        _, parts_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        gather = _gather(ring)
-        _, gather_peak = tracemalloc.get_traced_memory()
+        tau, cos, sin = _tables(ring)
+        _, build_peak = tracemalloc.get_traced_memory()
+        D = build_df(ring, SparsePoly.zero(field))
+        before, _ = tracemalloc.get_traced_memory()
+        X = D.char_transform()
+        del X
+        after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert parts_peak < 2**20
-    assert gather.dtype == np.intp and gather.nbytes == 8 * 2**20
-    assert gather_peak < 9 * 2**20
+    assert cos.dtype == sin.dtype == np.int8
+    assert cos.nbytes == sin.nbytes == 2**20
+    assert tau.size == 2**10
+    assert build_peak < 3 * 2**20
+    assert after - before < 2**16
 
 
 def test_elem_literals():
