@@ -87,7 +87,10 @@ def cmd_pp_test(args):
 
 def cmd_construct(args):
     fld = GF2n.from_spec(args.field)
-    a = int(args.a, 16) if args.a is not None else 1
+    try:
+        a = int(args.a, 16) if args.a is not None else 1
+    except ValueError as exc:
+        raise ValueError(f"bad --a {args.a!r}; expected a hex field element, e.g. 1f") from exc
     if args.family in MONOMIAL_FAMILIES:
         f = construct_known_monomial(fld, args.family, a, args.k)
     elif args.family == "binomial1":

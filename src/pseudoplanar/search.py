@@ -4,14 +4,17 @@ Two candidate spaces: all nonzero monomials c*x^t, and all quadratic-type
 binomials c1*x^{2^i+2^j} + c2*x^{2^k+2^l} with distinct exponent pairs.
 Candidate enumeration is a fixed deterministic bijection onto [0, total);
 shard (k, K) owns the indices congruent to k mod K, so shard runs compose
-to exactly the unsharded run.  Checkpoints are digest-protected JSON; every
+to exactly the unsharded run.  A shard is decided in units of one kernel
+call each (_units), and a checkpoint, digest-protected JSON, is written
+after a unit once CHECKPOINT_SECONDS have passed since the last one; every
 reported hit is re-verified in a final single-threaded pass.
 
 Binomials are of quadratic type and are decided in bulk along their scaling
 orbit by functions._orbit_witnesses, from n-entry tables of their exponents
-(_orbit_hits), at one eps per class of log eps mod the period that the
-candidates of one call share.  Monomials are decided a whole exponent at a
-time by the coset kernel _good_cosets: with eps = g^u,
+(_orbit_hits), _RANK_BUDGET // n candidates a unit, at one eps per class of
+log eps mod the period that the candidates of a unit share.  Monomials are
+decided a whole exponent a unit by the coset kernel _good_cosets: with
+eps = g^u,
 D_eps(c x^t)(eps x) = eps^2 (a Delta_t(x) + x) for a = c g^(u (t - 2)) and
 Delta_t(x) = (x + 1)^t + x^t, so c x^t is pseudo-planar exactly when
 a Delta_t + id permutes the field for every a in the coset c <g^d>,
@@ -24,9 +27,10 @@ import hashlib
 import json
 import math
 import os
+import time
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -44,6 +48,8 @@ from .functions import (
 CHECKPOINT_VERSION = 1
 MONOMIAL_MAX_DEGREE = 14
 BINOMIAL_LONG_RUN_DEGREE = 8
+# Least seconds between two checkpoints of a run (run_search)
+CHECKPOINT_SECONDS = 10.0
 
 
 class CheckpointError(ValueError):
@@ -166,7 +172,7 @@ def checkpoint_save(path, space: SearchSpace, next_index: int, hit_indices: list
         "next": next_index,
         "hits": sorted(hit_indices),
     }
-    payload["digest"] = _digest({k: v for k, v in payload.items()})
+    payload["digest"] = _digest(payload)
     tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "w") as fh:
         json.dump(payload, fh)
@@ -188,8 +194,11 @@ def _checkpoint_directory(path) -> None:
 def checkpoint_resume(path, space: SearchSpace) -> tuple[int, list[int]]:
     """Validated (next candidate index, hits so far) from a checkpoint file.
     The digest is unkeyed, so next and hits are range-checked as well."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # torn, empty or not UTF-8
+        raise CheckpointError(f"checkpoint {path} is not readable JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
     stored = payload.pop("digest", None)
@@ -223,18 +232,18 @@ def checkpoint_resume(path, space: SearchSpace) -> tuple[int, list[int]]:
 def run_search(
     space: SearchSpace,
     checkpoint_path=None,
-    checkpoint_every: int = 50000,
     long_run: bool = False,
 ) -> SearchResult:
     """Exhaust the shard, re-verify every hit, and return the result.
 
-    Candidates are tested in intervals of checkpoint_every owned indices,
-    with a checkpoint after each interval, so a crash loses at most one.  A
-    checkpoint path outside a writable directory is refused (CheckpointError)
-    before the first candidate.
-    Binomials are decided in bulk by _orbit_hits, monomials a whole
-    exponent at a time by _monomial_hits (see the module docstring).  Every
-    hit is re-checked by is_pseudoplanar at the end.
+    The owned candidates are decided in units of one kernel call each
+    (_units).  With a checkpoint path, a checkpoint is written after the
+    first unit that ends CHECKPOINT_SECONDS or more after the last save
+    (except after the shard's last unit), so a crash loses at most
+    CHECKPOINT_SECONDS plus one unit.  A checkpoint
+    path outside a writable directory is refused (CheckpointError) before
+    the first candidate.  Every hit is re-checked by is_pseudoplanar at the
+    end, and only then is the shard marked exhausted.
     """
     n = space.field.n
     if space.kind == "monomial" and n > MONOMIAL_MAX_DEGREE:
@@ -254,14 +263,14 @@ def run_search(
         except FileNotFoundError:
             pass
     test = _orbit_hits if space.kind == "quad_binomial" else _monomial_hits
-    owned = space.my_indices()
-    pos = len(owned) - len(space.my_indices(start))
-    while pos < len(owned):
-        end = min((pos // checkpoint_every + 1) * checkpoint_every, len(owned))
-        hit_indices += test(space, owned[pos:end])
-        pos = end
-        if checkpoint_path is not None and pos < len(owned):
-            checkpoint_save(checkpoint_path, space, owned[pos - 1] + 1, hit_indices)
+    saved = time.monotonic()
+    for unit in _units(space, start):
+        hit_indices += test(space, unit)
+        # next = total is the exhausted mark, left to the re-verified result
+        if (checkpoint_path is not None and unit[-1] + 1 < space.total
+                and time.monotonic() - saved >= CHECKPOINT_SECONDS):
+            checkpoint_save(checkpoint_path, space, unit[-1] + 1, hit_indices)
+            saved = time.monotonic()
     result = SearchResult(space, sorted(hit_indices))
     _reverify(result)
     # only a re-verified result may mark the shard as exhausted
@@ -270,19 +279,31 @@ def run_search(
     return result
 
 
-def _monomial_hits(space: SearchSpace, indices: range) -> list[int]:
-    """Hits among monomial candidates: _good_cosets decides every coefficient
-    of each exponent that indices meet, and the owned indices are kept."""
-    fld, nc, K = space.field, space.coeff_count, indices.step
-    hits = []
-    for t in range(indices[0] // nc, indices[-1] // nc + 1):
-        # the owned indices in [t * nc, (t + 1) * nc), of coefficients c = i - t * nc + 1
-        lo = max(indices.start, t * nc)
-        run = np.arange(lo + (indices.start - lo) % K, min(indices.stop, (t + 1) * nc), K)
-        if run.size:
-            good = _good_cosets(fld, t + 1)
-            hits += run[good[fld.log_vec(run - t * nc + 1) % good.size]].tolist()
-    return hits
+def _units(space: SearchSpace, start: int):
+    """The owned indices from global index start, as the ranges that one
+    kernel call decides: in windows of the coefficients of one exponent for
+    monomials, and of _RANK_BUDGET // n owned candidates for binomials."""
+    owned, K = space.my_indices(start), space.shard_total
+    if space.kind == "monomial":
+        width = space.coeff_count
+    else:
+        width = max(1, _RANK_BUDGET // space.field.n) * K
+    for lo in range(start - start % width, space.total, width):
+        # the owned indices in [lo, lo + width); len(range(owned.start, i, K))
+        # is the position in owned of the first owned index >= i
+        unit = owned[len(range(owned.start, lo, K)):len(range(owned.start, lo + width, K))]
+        if unit:
+            yield unit
+
+
+def _monomial_hits(space: SearchSpace, run: range) -> list[int]:
+    """Hits among run, owned candidates of one exponent: _good_cosets
+    decides every coefficient of the exponent at once."""
+    fld, nc = space.field, space.coeff_count
+    t = run[0] // nc  # candidate i is c x^(t + 1) with c = i - t nc + 1
+    idx = np.arange(run.start, run.stop, run.step)
+    good = _good_cosets(fld, t + 1)
+    return idx[good[fld.log_vec(idx - t * nc + 1) % good.size]].tolist()
 
 
 # Elements of one block of _good_cosets: it bounds the kernel's working set
@@ -290,7 +311,6 @@ def _monomial_hits(space: SearchSpace, indices: range) -> list[int]:
 _COSET_BUDGET = 1 << 18
 
 
-@lru_cache(maxsize=1)
 def _good_cosets(field: GF2n, t: int) -> np.ndarray:
     """Whether c x^t is pseudo-planar, for each r = log c mod d: whether
     a Delta_t + id permutes the field for every member a = g^(r + j d),
@@ -299,8 +319,7 @@ def _good_cosets(field: GF2n, t: int) -> np.ndarray:
     rows = _COSET_BUDGET / 2^n cosets at a time have their members tested in
     blocks of j that start at one and grow 4-fold, cut so that the undecided
     cosets times the block stay within rows; a coset leaves at its first
-    failing block.  Cached for the last t, which the next interval of a
-    search meets again when it cuts the run of t.
+    failing block.
     """
     N, group = field.order, field.order - 1
     d = math.gcd(t - 2, group)
@@ -328,26 +347,18 @@ def _good_cosets(field: GF2n, t: int) -> np.ndarray:
 
 def _orbit_hits(space: SearchSpace, indices: range) -> list[int]:
     """Hits among binomial candidates: those with no failing eps under
-    _orbit_witnesses, in chunks of candidates inside _RANK_BUDGET.  A chunk
-    is tested at one eps per class of log eps mod the period that its
-    candidates share, most often all 2^n - 1 eps."""
-    shifts, logs = space._orbit_tables
-    chunk = max(1, _RANK_BUDGET // space.field.n)
-    hits = []
-    for lo in range(0, len(indices), chunk):
-        part = indices[lo:lo + chunk]
-        idx = np.arange(part.start, part.stop, part.step, dtype=np.int64)
-        eps = _orbit_witnesses(space.field, shifts, logs, *space._orbit_terms(idx))
-        hits += idx[eps == 0].tolist()
-    return hits
+    _orbit_witnesses.  The candidates are tested at one eps per class of
+    log eps mod the period that they share, most often all 2^n - 1 eps;
+    run_search passes at most _RANK_BUDGET // n of them (_units)."""
+    idx = np.arange(indices.start, indices.stop, indices.step, dtype=np.int64)
+    eps = _orbit_witnesses(space.field, *space._orbit_tables, *space._orbit_terms(idx))
+    return idx[eps == 0].tolist()
 
 
 def _reverify(result: SearchResult) -> None:
     for f in result.hits():
         if not is_pseudoplanar(f):
-            raise AssertionError(
-                f"re-verification failed for reported hit {f.literal}"
-            )
+            raise AssertionError(f"re-verification failed for reported hit {f.literal}")
 
 
 def search_monomials(
@@ -373,12 +384,8 @@ def search_monomials(
 def unexpected_monomials(field: GF2n, result: SearchResult) -> list[tuple[int, int]]:
     """Hits not explained by the known families (up to the scaling orbit)."""
     predicted = known_hits_closure(field)
-    out = []
-    for f in result.hits():
-        (t, c), = f.terms
-        if (c, t) not in predicted:
-            out.append((c, t))
-    return sorted(out)
+    hits = ((c, t) for f in result.hits() for t, c in f.terms)  # one term each
+    return sorted(hit for hit in hits if hit not in predicted)
 
 
 def search_quad_binomials(

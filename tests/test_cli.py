@@ -92,6 +92,13 @@ def test_construct_a_outside_the_field_exits_2(capsys, family, extra, a):
     assert "nonzero field element, 0 < a < 0x40" in err
 
 
+@pytest.mark.parametrize("a", ["zz", "", "1.5"])
+def test_construct_a_that_is_not_hex_exits_2(capsys, a):
+    code, out, err = run(capsys, "construct", "--field", "6:43", "--family", "linear", "--a", a)
+    assert code == 2 and out == ""
+    assert err == f"error: bad --a {a!r}; expected a hex field element, e.g. 1f\n"
+
+
 def test_repeated_exponent_literal_exits_2(capsys):
     # 5:1,5:1 would XOR-merge into the zero function, which is pseudo-planar
     code, out, err = run(capsys, "pp-test", "--field", "4:13", "--f", "5:1,5:1")
@@ -252,6 +259,14 @@ def test_search_cli_refuses_a_forged_checkpoint(capsys, tmp_path, key, value):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"ck.json: {key}" in err
+
+
+def test_search_cli_names_a_torn_checkpoint(capsys, tmp_path):
+    path = tmp_path / "ck.json"
+    path.write_text('{"version": 1, "fie')
+    code, out, err = run(capsys, "search-monomials", "--field", "4:13", "--checkpoint", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: checkpoint {path} is not readable JSON: ")
 
 
 @pytest.mark.parametrize("command", ["search-binomials", "search-monomials"])

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pseudoplanar.search import (
     _good_cosets,
     _monomial_hits,
     _orbit_hits,
+    _units,
     unexpected_monomials,
 )
 
@@ -159,6 +161,18 @@ def test_checkpoint_out_of_range_values_are_refused(tmp_path, key, value):
         run_search(space, checkpoint_path=path)
 
 
+@pytest.mark.parametrize("blob", [b"", b'{"version": 1, "field": "4:13", "ki', b"\xff\xfe"],
+                         ids=["empty", "truncated", "not-utf8"])
+def test_torn_checkpoint_is_refused_by_name(tmp_path, blob):
+    space = SearchSpace(GF2n(4), "monomial")
+    path = tmp_path / "ck.json"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=f"checkpoint {path} is not readable JSON"):
+        checkpoint_resume(path, space)
+    with pytest.raises(CheckpointError, match="ck.json is not readable JSON"):
+        run_search(space, checkpoint_path=path)
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "7", "null"])
 def test_checkpoint_that_is_not_a_json_object_is_refused(tmp_path, text):
     path = tmp_path / "ck.json"
@@ -237,10 +251,11 @@ def test_failed_reverification_never_marks_the_space_exhausted(tmp_path, monkeyp
     space = SearchSpace(GF2n(3), "monomial")
     path = tmp_path / "ck.json"
     monkeypatch.setattr(search, "_reverify", refuse)
+    monkeypatch.setattr(search, "CHECKPOINT_SECONDS", 0)  # a save after every unit
     with pytest.raises(AssertionError, match="re-verification"):
-        run_search(space, checkpoint_path=path, checkpoint_every=10)
-    nxt, _ = checkpoint_resume(path, space)  # the last interval checkpoint
-    assert nxt < space.total
+        run_search(space, checkpoint_path=path)
+    nxt, _ = checkpoint_resume(path, space)  # the checkpoint after the last but one unit
+    assert nxt == space.total - space.coeff_count
 
 
 def test_exponent_pairs_computed_once_per_space():
@@ -282,12 +297,33 @@ def test_batched_monomial_search_equals_per_candidate_sweep(n, shard):
     assert search_monomials(GF2n(n), shard=shard).hit_indices == want
 
 
-@pytest.mark.parametrize("every", [1, 5, 7, 16])
-def test_monomial_intervals_cut_exponent_runs(every):
-    # intervals of `every` owned indices start and end inside exponent runs
+@pytest.mark.parametrize("cut", [1, 5, 7, 16])
+def test_monomial_intervals_cut_exponent_runs(tmp_path, monkeypatch, cut):
+    # a checkpoint taken after `cut` owned indices, as a search that saved
+    # every `cut` owned indices wrote it, has next inside an exponent run of
+    # 15 coefficients: the resumed run starts with the rest of that run
+    import pseudoplanar.search as search
+
     space = SearchSpace(GF2n(4), "monomial", 1, 3)
     want = [i for i in _per_candidate_sweep(4, "monomial") if i % 3 == 1]
-    assert run_search(space, checkpoint_every=every).hit_indices == want
+    owned = space.my_indices()
+    nxt = owned[cut - 1] + 1
+    assert nxt % space.coeff_count
+    path = tmp_path / "ck.json"
+    checkpoint_save(path, space, nxt, [i for i in want if i < nxt])
+    units = []
+
+    def spy(space, run):
+        units.append(run)
+        return _monomial_hits(space, run)
+
+    monkeypatch.setattr(search, "_monomial_hits", spy)
+    assert run_search(space, checkpoint_path=path).hit_indices == want
+    # one unit per exponent, of its owned indices from next on
+    runs = {}
+    for i in owned[cut:]:
+        runs.setdefault(i // 15, []).append(i)
+    assert [list(unit) for unit in units] == list(runs.values())
 
 
 def test_monomial_search_tests_no_candidate_outside_reverify(monkeypatch):
@@ -344,13 +380,19 @@ def _rank_sweep(n: int) -> list[int]:
     return value_table_rank_hits(space, range(space.total))
 
 
+def _kernel_hits(space: SearchSpace) -> list[int]:
+    """The binomial kernel's hits on the shard, unit by unit as run_search
+    takes them, without the re-verification."""
+    return [i for unit in _units(space, 0) for i in _orbit_hits(space, unit)]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("shard", [(0, 1), (0, 3), (1, 3), (2, 3)], ids="{0[0]}of{0[1]}".format)
 def test_orbit_kernel_equals_value_table_rank_test(n, shard):
     k, K = shard
     space = SearchSpace(GF2n(n), "quad_binomial", k, K)
     want = [i for i in _rank_sweep(n) if i % K == k]
-    assert _orbit_hits(space, space.my_indices()) == want
+    assert _kernel_hits(space) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -374,20 +416,28 @@ def _split_sweep(n: int) -> list[int]:
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("shard", [(0, 1), (0, 3), (1, 3), (2, 3)], ids="{0[0]}of{0[1]}".format)
 @pytest.mark.parametrize("every", [50000, 100])
-def test_coset_kernel_equals_the_split_search(n, shard, every):
-    # intervals of 100 owned indices start and end inside exponent runs of
-    # 127 and 255 coefficients
+def test_coset_kernel_equals_the_split_search(tmp_path, n, shard, every):
+    # resumed from the first checkpoint that a search saving after every
+    # `every` owned indices wrote (searches checkpointed on a count before
+    # they did on a clock): its next lies inside an exponent run of 127 or
+    # 255 coefficients.  Only the whole n = 8 space has 50000 owned indices;
+    # the other shards run whole at 50000.
     k, K = shard
     space = SearchSpace(GF2n(n), "monomial", k, K)
     want = [i for i in _split_sweep(n) if i % K == k]
-    assert run_search(space, checkpoint_every=every).hit_indices == want
+    owned, path = space.my_indices(), None
+    if every < len(owned):
+        path, nxt = tmp_path / "ck.json", owned[every - 1] + 1
+        assert nxt % space.coeff_count
+        checkpoint_save(path, space, nxt, [i for i in want if i < nxt])
+    assert run_search(space, checkpoint_path=path).hit_indices == want
 
 
 def test_coset_kernel_finds_the_known_closure_at_n10():
     fld = GF2n(10)
     space = SearchSpace(fld, "monomial")
     nc = space.coeff_count
-    hits = _monomial_hits(space, space.my_indices())
+    hits = run_search(space).hit_indices
     assert {(i % nc + 1, i // nc + 1) for i in hits} == known_hits_closure(fld)
     assert len(hits) == 10725
 
@@ -399,7 +449,7 @@ def test_coset_kernel_memory_stays_bounded(t):
     # once would make two arrays of (2^n - 1) 2^n int64 values, 16 MiB at
     # n = 10
     fld = GF2n(10)
-    _good_cosets(fld, 3)  # warm-up, and evict t from the cache
+    _good_cosets(fld, 3)  # warm-up
     tracemalloc.start()
     try:
         good = _good_cosets(fld, t)
@@ -430,19 +480,14 @@ def test_coset_kernel_tests_the_last_member_of_every_coset(monkeypatch):
     assert (ok[:, :-1].all(axis=1) & ~ok[:, -1]).any()
     power_table = GF2n.power_table
     monkeypatch.setattr(GF2n, "power_table", lambda self, k: power_table(self, 33 if k == t else k))
-    _good_cosets.cache_clear()
-    try:
-        assert _good_cosets(fld, t).tolist() == ok.all(axis=1).tolist()
-    finally:
-        _good_cosets.cache_clear()
+    assert _good_cosets(fld, t).tolist() == ok.all(axis=1).tolist()
 
 
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("k", [0, 1, 2047, 4095])
 def test_orbit_kernel_equals_value_table_rank_test_on_sampled_shards(n, k):
     space = SearchSpace(GF2n(n), "quad_binomial", k, 4096)
-    owned = space.my_indices()
-    assert _orbit_hits(space, owned) == value_table_rank_hits(space, owned)
+    assert _kernel_hits(space) == value_table_rank_hits(space, space.my_indices())
 
 
 def test_orbit_kernel_finds_the_stored_n6_binomial_hits():
@@ -450,14 +495,13 @@ def test_orbit_kernel_finds_the_stored_n6_binomial_hits():
     ref = json.loads(path.read_text())["6:43"]
     space = SearchSpace(GF2n(6, 0x43), "quad_binomial")
     assert space.total == ref["total"]
-    assert _orbit_hits(space, space.my_indices()) == ref["hits"]
+    assert _kernel_hits(space) == ref["hits"]
 
 
 def test_crash_loses_at_most_one_checkpoint_interval(tmp_path, monkeypatch):
     import pseudoplanar.search as search
 
     fld = GF2n(4)
-    every = 7
     path = tmp_path / "ck.json"
     saved = []
     save = search.checkpoint_save
@@ -468,19 +512,67 @@ def test_crash_loses_at_most_one_checkpoint_interval(tmp_path, monkeypatch):
         if len(saved) == 3:
             raise KeyboardInterrupt("crash after a checkpoint")
 
-    want = search_quad_binomials(fld, shard=(1, 3)).hit_indices
-    space = SearchSpace(fld, "quad_binomial", 1, 3)
+    want = search_monomials(fld, shard=(1, 3)).hit_indices
+    space = SearchSpace(fld, "monomial", 1, 3)
     owned = space.my_indices()
     monkeypatch.setattr(search, "checkpoint_save", save_then_crash)
+    monkeypatch.setattr(search, "CHECKPOINT_SECONDS", 0)  # a save after every unit
     with pytest.raises(KeyboardInterrupt):
-        run_search(space, checkpoint_path=path, checkpoint_every=every)
+        run_search(space, checkpoint_path=path)
     assert checkpoint_resume(path, space)[0] == saved[-1]
-    resumed = run_search(space, checkpoint_path=path, checkpoint_every=every)
+    resumed = run_search(space, checkpoint_path=path)
     assert resumed.hit_indices == want
-    # one save after every full interval inside the shard, each taken once
-    # across the crash, then the exhausted mark
-    boundaries = range(every, len(owned), every)
-    assert saved == [owned[b - 1] + 1 for b in boundaries] + [space.total]
+    # one save after the owned run of every exponent t = 1..15 (15
+    # coefficients each), each taken once across the crash, then the
+    # exhausted mark
+    ends = [max(i for i in owned if i // 15 == t) + 1 for t in range(15)]
+    assert saved == ends + [space.total]
+
+
+def test_checkpoints_wait_for_the_interval(tmp_path, monkeypatch):
+    # a fake clock advances 4 s per unit: a save follows the first unit that
+    # ends CHECKPOINT_SECONDS = 10 s or more after the last save
+    import pseudoplanar.search as search
+
+    space = SearchSpace(GF2n(4), "monomial")
+    clock, saved = [0.0], []
+
+    def unit_of_4s(space, run):
+        clock[0] += 4
+        return _monomial_hits(space, run)
+
+    def record(p, space, next_index, hits):
+        saved.append((clock[0], next_index))
+
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(search, "_monomial_hits", unit_of_4s)
+    monkeypatch.setattr(search, "checkpoint_save", record)
+    assert search.CHECKPOINT_SECONDS == 10
+    run_search(space, checkpoint_path=tmp_path / "ck.json")
+    # 15 units of 15 coefficients; none after the last, which is left to the
+    # exhausted mark
+    assert saved == [(12, 45), (24, 90), (36, 135), (48, 180), (60, space.total)]
+
+
+def test_small_binomial_shard_saves_once(tmp_path, monkeypatch):
+    # a 1/128 shard of the n = 6 binomial sweep, the op of perfbench's
+    # search_n6, is two units of a few ms: its one save is the exhausted mark
+    import pseudoplanar.search as search
+
+    saved = []
+    save = search.checkpoint_save
+
+    def record(p, space, next_index, hits):
+        saved.append(next_index)
+        save(p, space, next_index, hits)
+
+    fld = GF2n(6, 0x43)
+    monkeypatch.setattr(search, "checkpoint_save", record)
+    result = search_quad_binomials(fld, shard=(77, 128), checkpoint_path=tmp_path / "ck.json")
+    space = result.space
+    assert len(list(_units(space, 0))) == 2
+    assert saved == [space.total]
+    assert checkpoint_resume(tmp_path / "ck.json", space) == (space.total, result.hit_indices)
 
 
 def test_search_shard_memory_stays_bounded():
