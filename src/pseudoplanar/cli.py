@@ -199,8 +199,9 @@ def cmd_spectrum(args):
     return 0 if ok else 1
 
 
-def _emit_search(args, command: str, fld: GF2n, result, flagged):
+def _emit_search(args, command: str, fld: GF2n, result):
     hits = [f.literal for f in result.hits()]
+    flagged = result.unexpected
     inputs = {
         "field": fld.spec_string,
         "shard": [result.space.shard_index, result.space.shard_total],
@@ -221,8 +222,7 @@ def cmd_search_monomials(args):
     fld = GF2n.from_spec(args.field)
     shard = _parse_shard(args.shard)
     result = srch.search_monomials(fld, shard=shard, checkpoint_path=args.checkpoint)
-    flagged = srch.unexpected_monomials(fld, result)
-    _emit_search(args, "search-monomials", fld, result, flagged)
+    _emit_search(args, "search-monomials", fld, result)
     return 0
 
 
@@ -232,7 +232,7 @@ def cmd_search_binomials(args):
     result = srch.search_quad_binomials(
         fld, shard=shard, checkpoint_path=args.checkpoint, long_run=args.long_run
     )
-    _emit_search(args, "search-binomials", fld, result, None)
+    _emit_search(args, "search-binomials", fld, result)
     return 0
 
 

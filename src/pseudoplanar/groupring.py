@@ -1,27 +1,32 @@
 """Exact multiset algebra over the additive group of GR(4, n).
 
 A multiset of ring elements is a dense integer vector of length 4^n indexed
-by element idx.  Signed vectors are allowed so identities like
-2^n*delta_0 + (R - Z) are first-class values.  Convolution, involution, the
-additive character transform and its inverse are all exact.  A GroupVec is
-int64; a SpectrumVec keeps the integer dtype it is given, and the transform
-returns its values in the narrowest of int16, int32 and int64 that the l1
-norm of its input allows, so chi(D) of a set is int16.  The fast transform
+by element idx, except D_f, which build_df holds as its 2^n points: the
+dense vector is built only if something reads it.  Signed vectors are
+allowed so identities like 2^n*delta_0 + (R - Z) are first-class values.
+Convolution, involution, the additive character transform and its inverse
+are all exact.  A GroupVec is int64; a SpectrumVec keeps the integer dtype
+it is given, and the transform returns its values in the narrowest of
+int16, int32 and int64 that the l1 norm of its input allows, so chi(D) of a
+set is int16.  The fast transform
 works in the Teichmuller coordinates of the element index, idx(x + 2s) =
 x 2^n + s: with y = c + 2d, chi_y(x + 2s) = i^Tr T(cx) (-1)^(tr(cs) + tr(dx)),
 so it is two 2^n-point integer Walsh-Hadamard transforms, over s and over x,
 with a phase between them (see the transform plumbing below).  No step
 exceeds the l1 norm of the input.  It runs in one direction; the inverse is
-its conjugate form.  It scatters only the support of a GroupVec.  The tests
-anchor it, convolve and square_of_set against the naive character sums and
-the O(16^n) convolution of tests/oracles.py for small n.
+its conjugate form.  It scatters only the support of a GroupVec, and for a
+transversal of Z = 2R, as D_f is, not even that: there the WHT over s is a
+Hadamard row per x, built in closed form.  The tests anchor it, convolve
+and square_of_set against the naive character sums and the O(16^n)
+convolution of tests/oracles.py for small n.
 A GroupVec cannot change once built, so each 4^n fact about it is computed
-at most once and kept on it, read-only: its support, its transform (see
-_spectrum), and the verdict of verify_rds.  char_transform stays uncached
-and is the oracle for the stored transform.  build_df keeps the last D_f it
-built, so one (ring, f) gives one D_f and one transform.
-The relative-difference-set identity is tested on chi(D); only when it
-fails is |chi(D)|^2 inverted to name the elements where it fails.
+at most once and kept on it, read-only: its dense counts, its support, its
+transform (see _spectrum), and the verdict of verify_rds.  char_transform
+stays uncached and is the oracle for the stored transform.  build_df keeps
+the last D_f it built, so one (ring, f) gives one D_f and one transform.
+The relative-difference-set identity is tested on chi(D), one block of
+|chi(D)|^2 at a time; only when it fails is |chi(D)|^2 inverted to name the
+elements where it fails.
 square_of_set counts the pair sums of a 0/1 vector (GR4.pair_sums, one
 uint32 table of element indices) into its square with no transform; it is
 the test oracle of scheme.build_partition, which decides the square of D_f
@@ -42,12 +47,16 @@ from .functions import SparsePoly
 class GroupVec:
     """Integer-valued function on GR(4, n), i.e. a (signed) multiset.
 
-    counts is read-only, and copied when it is a view of another array, so
-    nothing can change it, and its stored support, transform (see _spectrum)
-    and RDS verdict (see verify_rds) stay valid.
+    A GroupVec keeps the form it was built in: the dense int64 counts given
+    to the constructor, or, for a set made by _from_support (build_df), its
+    sorted support alone, with every multiplicity 1.  counts is then built
+    on its first read.  Either way counts is read-only, and copied when it
+    is a view of another array, so nothing can change it, and its stored
+    support, transform (see _spectrum) and RDS verdict (see verify_rds) stay
+    valid.
     """
 
-    __slots__ = ("ring", "counts", "_support", "_chi", "_rds")
+    __slots__ = ("ring", "_counts", "_support", "_chi", "_rds")
 
     def __init__(self, ring: GR4, counts: np.ndarray):
         counts = np.asarray(counts, dtype=np.int64)
@@ -58,11 +67,37 @@ class GroupVec:
                 f"counts vector has shape {counts.shape}, expected ({ring.size},)"
             )
         self.ring = ring
-        self.counts = counts
-        self.counts.setflags(write=False)
+        self._counts = counts
+        self._counts.setflags(write=False)
         self._support = None
         self._chi = None
         self._rds = None
+
+    @classmethod
+    def _from_support(cls, ring: GR4, support: np.ndarray) -> "GroupVec":
+        """The set of the sorted, distinct element indices support."""
+        D = cls.__new__(cls)
+        D.ring, D._counts, D._chi, D._rds = ring, None, None, None
+        D._support = support
+        D._support.setflags(write=False)
+        return D
+
+    @property
+    def counts(self) -> np.ndarray:
+        if self._counts is None:
+            counts = np.zeros(self.ring.size, dtype=np.int64)
+            counts[self._support] = 1
+            counts.setflags(write=False)
+            self._counts = counts
+        return self._counts
+
+    def multiplicity(self, g_idx: int) -> int:
+        """The count at element idx g_idx, read without building counts."""
+        if self._counts is not None:
+            return int(self._counts[g_idx])
+        sup = self._support
+        k = int(np.searchsorted(sup, g_idx))
+        return int(k < len(sup) and sup[k] == g_idx)
 
     # -- constructors --------------------------------------------------------
 
@@ -114,6 +149,8 @@ class GroupVec:
         return hash((self.ring, self.counts.tobytes()))
 
     def total(self) -> int:
+        if self._counts is None:
+            return len(self._support)
         return int(self.counts.sum())
 
     def support(self) -> np.ndarray:
@@ -158,9 +195,11 @@ class GroupVec:
         exactly (int16 for a set, see _work_dtype).  A fresh, writable vector
         on every call; _spectrum keeps one."""
         sup = self.support()
-        return SpectrumVec(
-            self.ring, *_transform(self.ring, self.counts[sup], None, at=sup)
-        )
+        if self._counts is None:
+            values = np.ones(len(sup), dtype=np.int64)
+        else:
+            values = self._counts[sup]
+        return SpectrumVec(self.ring, *_transform(self.ring, values, None, at=sup))
 
 
 class SpectrumVec:
@@ -257,6 +296,16 @@ class SpectrumVec:
 # 2^n entries.  Steps 3 and 5 go one block of rows at a time, so that a
 # block stays in cache between its gather and its transposed write.
 #
+# A transversal of Z, A(x, s) = [s = r(x)] with unit weights (D_f, with
+# r = sqrt f), takes steps 1-3 in closed form (_transversal_phase).  Since
+# tr(cs) = tau(c) . s = tau(s) . c, the inner sum is (-1)^(tau(r(x)) . c),
+# so row x of the WHT over s is a Hadamard row G[x, c], built in int8 by one
+# doubling per bit of c.  The phase i^Tr T(cx) is symmetric in c and x, so
+# cos and sin read [x, c] as well, and step 3 is fre = G cos and fim = G sin:
+# no scatter, no WHT over s, no gather and no transposed write.  The data
+# picks this path: a support whose high halves x are 0, 1, ..., 2^n - 1 in
+# order, each with count 1.  Every other multiset takes steps 1-3 above.
+#
 # Every value a step computes is a sum of input entries, each at most once,
 # times +-1 or +-i: a WHT stage adds or subtracts two values, the gathers
 # and transposes only move them, and the phase multiplies each by one power
@@ -290,30 +339,35 @@ def _transform(ring: GR4, re, im, at=None) -> tuple[np.ndarray, np.ndarray]:
     tau, cos, sin = _tables(ring)
     parts = (re,) if im is None else (re, im)
     dtype = _work_dtype(parts)
-    walsh, free = [], []  # per part, the WHT over s, and a free array
-    for part in parts:
-        v = np.zeros((m, m), dtype=dtype)
-        if at is None:
-            _transpose(part.reshape(m, m), v)
-        else:
-            v.reshape(-1)[((at & (m - 1)) << n) | (at >> n)] = part
-        v, t = _wht(v, np.empty_like(v))
-        walsh.append(v)
-        free.append(t)
-    fre = free.pop()
-    fim = free.pop() if free else np.empty_like(fre)
-    step = max(1, _BLOCK // m)
-    for i in range(0, m, step):
-        c = slice(i, i + step)
-        wr = walsh[0][tau[c]]
-        if im is None:
-            fre[:, c] = (wr * cos[c]).T
-            fim[:, c] = (wr * sin[c]).T
-        else:
-            wi = walsh[1][tau[c]]
-            fre[:, c] = (wr * cos[c] - wi * sin[c]).T
-            fim[:, c] = (wr * sin[c] + wi * cos[c]).T
-    spare = walsh[0]
+    if (at is not None and im is None and len(at) == m and (re == 1).all()
+            and np.array_equal(at >> n, np.arange(m))):
+        fre, fim = _transversal_phase(ring, at, dtype)
+        spare = np.empty_like(fre)
+    else:
+        walsh, free = [], []  # per part, the WHT over s, and a free array
+        for part in parts:
+            v = np.zeros((m, m), dtype=dtype)
+            if at is None:
+                _transpose(part.reshape(m, m), v)
+            else:
+                v.reshape(-1)[((at & (m - 1)) << n) | (at >> n)] = part
+            v, t = _wht(v, np.empty_like(v))
+            walsh.append(v)
+            free.append(t)
+        fre = free.pop()
+        fim = free.pop() if free else np.empty_like(fre)
+        step = max(1, _BLOCK // m)
+        for i in range(0, m, step):
+            c = slice(i, i + step)
+            wr = walsh[0][tau[c]]
+            if im is None:
+                fre[:, c] = (wr * cos[c]).T
+                fim[:, c] = (wr * sin[c]).T
+            else:
+                wi = walsh[1][tau[c]]
+                fre[:, c] = (wr * cos[c] - wi * sin[c]).T
+                fim[:, c] = (wr * sin[c] + wi * cos[c]).T
+        spare = walsh[0]
     out = []
     for v in (fre, fim):
         v, t = _wht(v, spare)
@@ -321,6 +375,22 @@ def _transform(ring: GR4, re, im, at=None) -> tuple[np.ndarray, np.ndarray]:
         out.append(t.reshape(-1))
         spare = v
     return out[0], out[1]
+
+
+def _transversal_phase(ring: GR4, at, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-3 of _transform for the set at = {x 2^n + r(x)}: (fre, fim) =
+    G (cos, sin) in [x, c] order, with the Hadamard rows
+    G[x, c] = (-1)^(tau[r(x)] . c) built by one doubling per bit of c."""
+    n, m = ring.n, 1 << ring.n
+    tau, cos, sin = _tables(ring)
+    v = tau[at & (m - 1)]
+    G = np.empty((m, m), dtype=np.int8)
+    G[:, 0] = 1
+    for k in range(n):
+        h = 1 << k
+        sign = (1 - 2 * ((v >> k) & 1)).astype(np.int8)
+        np.multiply(G[:, :h], sign[:, None], out=G[:, h : 2 * h])
+    return np.multiply(G, cos, dtype=dtype), np.multiply(G, sin, dtype=dtype)
 
 
 def _work_dtype(parts) -> type:
@@ -415,10 +485,9 @@ def build_df(ring: GR4, f: SparsePoly) -> GroupVec:
     if f.field != ring.field:
         raise ValueError("polynomial field does not match the ring")
     field = ring.field
-    counts = np.zeros(ring.size, dtype=np.int64)
     roots = field.pow_vec(f.value_table(), field.order >> 1)
-    counts[(field.elements() << ring.n) | roots] = 1
-    return GroupVec(ring, counts)
+    # sorted, as x is the high half of the element index
+    return GroupVec._from_support(ring, (field.elements() << ring.n) | roots)
 
 
 def rds_expected(ring: GR4) -> GroupVec:
@@ -442,13 +511,27 @@ def _rds_check(X: SpectrumVec) -> tuple[bool, list[tuple[int, int, int]]]:
     # an int16 X has |re| + |im| <= 2^15 - 1 (see _work_dtype), so
     # re^2 + im^2 < 2^30 fits int32
     wide = np.int32 if X.re.dtype == np.int16 else np.int64
-    norm = np.multiply(X.re, X.re, dtype=wide)
-    norm += np.multiply(X.im, X.im, dtype=wide)
-    # a is in Z exactly when a < 2^n
+
+    def norm(lo, hi):
+        out = np.multiply(X.re[lo:hi], X.re[lo:hi], dtype=wide)
+        out += np.multiply(X.im[lo:hi], X.im[lo:hi], dtype=wide)
+        return out
+
+    # a is in Z exactly when a < 2^n; one _BLOCK of labels at a time
     t = 1 << ring.n
-    if norm[0] == ring.size and not norm[1:t].any() and (norm[t:] == t).all():
+    for lo in range(0, ring.size, _BLOCK):
+        block = norm(lo, lo + _BLOCK)
+        z = min(max(t - lo, 0), len(block))  # the labels of Z in the block
+        if lo == 0:
+            if block[0] != ring.size:
+                break
+            block[0] = 0
+        if block[:z].any() or (block[z:] != t).any():
+            break
+    else:
         return True, []
-    diff = SpectrumVec(ring, norm, np.zeros_like(norm)).inverse_transform()
+    full = norm(0, ring.size)
+    diff = SpectrumVec(ring, full, np.zeros_like(full)).inverse_transform()
     expected = rds_expected(ring)
     bad = np.flatnonzero(diff.counts != expected.counts)
     violations = [

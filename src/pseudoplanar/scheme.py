@@ -192,7 +192,7 @@ def build_partition(D: GroupVec) -> Partition6:
             f"(idx, got, want): {violations}"
         )
     zero = ring.idx(ring.zero)
-    if D.counts[zero] != 1:
+    if D.multiplicity(zero) != 1:
         raise ValueError(NEEDS_ZERO)
     # D is now a 0/1 vector: the RDS identity at 0 gives sum D_g^2 = 2^n =
     # |sum D_g|, so every D_g is 0 or 1, or every one 0 or -1.  It is 0 on

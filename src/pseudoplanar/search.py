@@ -136,11 +136,23 @@ class SearchSpace:
 
 @dataclass
 class SearchResult:
+    """The hits of a search, as candidate indices of space.
+
+    unexpected is set by search_monomials: the hits outside the known
+    families (unexpected_monomials), or None where nothing checked them.
+    hits() decodes the indices once, and again only after they change.
+    """
+
     space: SearchSpace
     hit_indices: list[int] = dc_field(default_factory=list)
+    unexpected: list[tuple[int, int]] | None = dc_field(default=None, compare=False)
+    _decoded: tuple = dc_field(default=((), ()), init=False, repr=False, compare=False)
 
     def hits(self) -> list[SparsePoly]:
-        return [self.space.candidate(i) for i in sorted(self.hit_indices)]
+        key = tuple(sorted(self.hit_indices))
+        if key != self._decoded[0]:
+            self._decoded = key, tuple(self.space.candidate(i) for i in key)
+        return list(self._decoded[1])
 
 
 def merge_results(results: list[SearchResult]) -> SearchResult:
@@ -158,24 +170,32 @@ def merge_results(results: list[SearchResult]) -> SearchResult:
 # -- checkpoints --------------------------------------------------------------
 
 
+def _canonical(payload: dict) -> str:
+    """The JSON text that the digest of payload covers."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _digest(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
 def checkpoint_save(path, space: SearchSpace, next_index: int, hit_indices: list[int]):
     """Write the checkpoint atomically: a crash mid-write leaves the previous
-    file in place (and at worst a stale PATH.tmp beside it)."""
-    payload = {
+    file in place (and at worst a stale PATH.tmp beside it).
+
+    The payload is encoded once, as the canonical text of _digest, and the
+    digest is spliced in as its last key; checkpoint_resume reads any JSON
+    layout of the same object."""
+    blob = _canonical({
         "version": CHECKPOINT_VERSION,
         **space.spec_dict(),
         "next": next_index,
         "hits": sorted(hit_indices),
-    }
-    payload["digest"] = _digest(payload)
+    })
+    digest = hashlib.sha256(blob.encode()).hexdigest()
     tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(f'{blob[:-1]},"digest":"{digest}"}}')
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -372,7 +392,8 @@ def search_monomials(
     """
     space = SearchSpace(field, "monomial", *shard)
     result = run_search(space, checkpoint_path=checkpoint_path)
-    for c, t in unexpected_monomials(field, result):
+    result.unexpected = unexpected_monomials(field, result)
+    for c, t in result.unexpected:
         warnings.warn(
             f"CONJECTURE COUNTEREXAMPLE: {c:#x}*x^{t} on {field.spec_string} "
             "is pseudo-planar but outside the known monomial families",

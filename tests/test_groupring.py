@@ -1,6 +1,7 @@
 """Group-ring vectors over GR(4,n): exact transform, convolution, RDS."""
 
 import functools
+import itertools
 import random
 from unittest import mock
 
@@ -15,13 +16,14 @@ from pseudoplanar.functions import (
     construct_shifted_binomial,
     is_pseudoplanar,
 )
-from pseudoplanar import groupring
-from pseudoplanar.galois_ring import GR4
+from pseudoplanar import groupring, scheme
+from pseudoplanar.galois_ring import _BLOCK, GR4
 from pseudoplanar.groupring import (
     GroupVec,
     SpectrumVec,
     _rds_check,
     _spectrum,
+    _tables,
     _transform,
     _work_dtype,
     build_df,
@@ -568,3 +570,170 @@ def test_stored_support_is_the_nonzero_indices_and_read_only(n):
         assert np.array_equal(sup, np.flatnonzero(D.counts))
         with pytest.raises(ValueError):
             sup[...] = 0
+
+
+# -- chi of a transversal of Z, from its 2^n points ---------------------------
+
+
+def _transversals(n):
+    """Sorted supports of transversals {x + 2 r(x)} of Z: every one at
+    n <= 2; else random ones, and translates of D_f for f(0) = 0 and
+    f(0) != 0."""
+    ring = _ring(n)
+    field = ring.field
+    m, x = 1 << n, np.arange(1 << n)
+    if n <= 2:
+        for r in itertools.product(range(m), repeat=m):
+            yield (x << n) | np.array(r)
+        return
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        yield (x << n) | rng.integers(0, m, m)
+    for literal in ("0:0", "0:1", "3:1", "0:1,3:1"):
+        sup = build_df(ring, SparsePoly.parse(field, literal)).support()
+        yield sup
+        for g in rng.integers(0, ring.size, 2):
+            g = ring.pair(int(g))
+            moved = [ring.idx(ring.add(ring.pair(int(i)), g)) for i in sup]
+            yield np.sort(np.array(moved))
+
+
+def _naive_transform(ring, at, weights):
+    out = [GaussInt()] * ring.size
+    for a_idx in range(ring.size):
+        a = ring.pair(a_idx)
+        for i, w in zip(at, weights):
+            out[a_idx] = out[a_idx] + character(ring, a, ring.pair(int(i))) * int(w)
+    return (
+        np.array([v.re for v in out], dtype=np.int64),
+        np.array([v.im for v in out], dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_the_transversal_path_equals_the_scatter_path_and_the_naive_sums(n):
+    ring = _ring(n)
+    ones = np.ones(1 << n, dtype=np.int64)
+    with mock.patch.object(
+        groupring, "_transversal_phase", wraps=groupring._transversal_phase
+    ) as closed_form:
+        for at in _transversals(n):
+            assert np.array_equal(at >> n, np.arange(1 << n))
+            fast = _transform(ring, ones, None, at=at)
+            assert closed_form.call_count == 1
+            # the same set, its points in another order: the scatter path
+            slow = _transform(ring, ones[::-1], None, at=at[::-1])
+            assert closed_form.call_count == 1
+            closed_form.reset_mock()
+            for got, want in zip(fast, slow):
+                assert got.dtype == want.dtype == np.int16
+                assert np.array_equal(got, want)
+            if n <= 3 and (n <= 1 or at[1] % 3 == 0):  # a sample at n = 2
+                naive = _naive_transform(ring, at, ones)
+                assert all(np.array_equal(g, w) for g, w in zip(fast, naive))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_other_multisets_keep_the_scatter_path(n):
+    ring = _ring(n)
+    m = 1 << n
+    D = build_df(ring, SparsePoly.parse(ring.field, "0:1,3:1" if n > 1 else "0:1,1:1"))
+    sup = np.array(D.support())
+    two_in_a_coset = sup.copy()
+    two_in_a_coset[-1] = sup[0] ^ 1  # beside the point of coset 0
+    flip = np.where(np.arange(m) == m // 2, -1, 1)
+    cases = [
+        (np.sort(two_in_a_coset), np.ones(m, dtype=np.int64)),
+        (sup, flip),  # a +-1 multiset
+        (sup, -np.ones(m, dtype=np.int64)),
+        (sup[:-1], np.ones(m - 1, dtype=np.int64)),  # a coset left out
+    ]
+    got = []
+    for at, weights in cases:
+        with mock.patch.object(
+            groupring, "_transversal_phase", wraps=groupring._transversal_phase
+        ) as closed_form:
+            got.append(_transform(ring, weights, None, at=at))
+            assert closed_form.call_count == 0
+        if n <= 3:
+            naive = _naive_transform(ring, at, weights)
+            assert all(np.array_equal(g, w) for g, w in zip(got[-1], naive))
+    # the +-1 multiset is D less twice the negated point
+    X = D.char_transform()
+    delta = GroupVec.delta(ring, ring.pair(int(sup[m // 2]))).char_transform()
+    assert np.array_equal(got[1][0], X.re - 2 * delta.re)
+    assert np.array_equal(got[1][1], X.im - 2 * delta.im)
+    assert np.array_equal(got[2][0], -X.re) and np.array_equal(got[2][1], -X.im)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_phase_tables_are_symmetric(n):
+    # i^Tr T(cx) is symmetric in c and x, which the transversal path uses
+    _, cos, sin = _tables(_ring(n))
+    assert np.array_equal(cos, cos.T) and np.array_equal(sin, sin.T)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_build_df_keeps_its_points_and_builds_the_dense_vector_on_demand(n):
+    ring = _ring(n)
+    field = ring.field
+    rng = random.Random(n)
+    polys = [SparsePoly.zero(field), SparsePoly.parse(field, "0:1")]
+    polys += [
+        SparsePoly.make(
+            field,
+            [(rng.randrange(field.order), rng.randrange(1, field.order))
+             for _ in range(3)],
+        )
+        for _ in range(3)
+    ]
+    for f in polys:
+        build_df.cache_clear()
+        D = build_df(ring, f)
+        assert D._counts is None
+        sup = D.support()
+        assert np.array_equal(sup >> n, np.arange(1 << n))
+        with pytest.raises(ValueError):
+            sup[...] = 0
+        want = _scalar_df(ring, f)
+        assert [D.multiplicity(g) for g in range(ring.size)] == want.tolist()
+        assert D.total() == 1 << n and repr(D) == repr(GroupVec(ring, want))
+        assert D._counts is None
+        counts = D.counts
+        assert counts.dtype == np.int64 and np.array_equal(counts, want)
+        assert D.counts is counts and D.support() is sup
+        with pytest.raises(ValueError):
+            counts[0] = 1
+        dense = GroupVec(ring, want)
+        assert D == dense and hash(D) == hash(dense)
+        assert [dense.multiplicity(g) for g in range(ring.size)] == want.tolist()
+
+
+@pytest.mark.parametrize("n, literal", [(3, "3:1,6:1"), (4, "5:1"), (6, "0:0"), (7, "2:1")])
+def test_a_scheme_op_never_builds_the_dense_d_f(n, literal):
+    ring = _ring(n)
+    f = SparsePoly.parse(ring.field, literal)
+    build_df.cache_clear()
+    D = build_df(ring, f)
+    assert verify_rds(D)[0]
+    report = scheme.build_report(D)
+    report.to_json()
+    scheme.fourier_spectrum(ring, f)
+    assert report.matches_closed_forms()
+    assert build_df(ring, f) is D and D._counts is None
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_rds_check_refuses_a_wrong_norm_at_the_edges_of_its_blocks(n):
+    ring = _ring(n)
+    X = build_df(ring, SparsePoly.zero(ring.field)).char_transform()
+    assert ring.size > _BLOCK and _rds_check(X) == (True, [])
+    t = 1 << n
+    for a in (0, 1, t - 1, t, _BLOCK - 1, _BLOCK, ring.size - _BLOCK, ring.size - 1):
+        im = X.im.copy()
+        im[a] += 1
+        try:
+            ok = _rds_check(SpectrumVec(ring, X.re, im))[0]
+        except ValueError:  # |X|^2 is no longer a transform, so not an RDS
+            ok = False
+        assert not ok, a

@@ -1,5 +1,6 @@
 """Exhaustive searches: enumeration, sharding, checkpoints, conjecture flags."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -7,13 +8,17 @@ import warnings
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from pseudoplanar import search
+from pseudoplanar.cli import main
 from pseudoplanar.field import GF2n
 from pseudoplanar.functions import exhaustive_witness, known_hits_closure
 from pseudoplanar.search import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     MONOMIAL_MAX_DEGREE,
     SearchResult,
@@ -231,11 +236,19 @@ def test_checkpoint_write_failure_keeps_previous_checkpoint(tmp_path, monkeypatc
     path = tmp_path / "ck.json"
     checkpoint_save(path, space, 7, [3])
 
-    def torn_dump(payload, fh):
-        fh.write(json.dumps(payload)[:20])
-        raise OSError("disk full")
+    def torn_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
 
-    monkeypatch.setattr(search.json, "dump", torn_dump)
+        def torn_write(text):
+            write(text[:20])
+            raise OSError("disk full")
+
+        fh.write = torn_write
+        return fh
+
+    # the write tears after 20 characters, however the payload was encoded
+    monkeypatch.setattr(search, "open", torn_open, raising=False)
     with pytest.raises(OSError, match="disk full"):
         checkpoint_save(path, space, 9, [3, 8])
     monkeypatch.undo()
@@ -586,3 +599,75 @@ def test_search_shard_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
+
+
+def _parent_layout_save(path, space, next_index, hit_indices):
+    """A checkpoint as the format's first writer laid it out: the payload
+    with its digest as the last key, in json.dump's default layout."""
+    payload = {
+        "version": 1,
+        **space.spec_dict(),
+        "next": next_index,
+        "hits": sorted(hit_indices),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["digest"] = hashlib.sha256(blob.encode()).hexdigest()
+    Path(path).write_text(json.dumps(payload))
+
+
+def _parent_resume_check(path) -> dict:
+    """The digest check of the format's first reader, on its own."""
+    payload = json.loads(Path(path).read_text())
+    stored = payload.pop("digest")
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert stored == hashlib.sha256(blob.encode()).hexdigest()
+    return payload
+
+
+@pytest.mark.parametrize("kind, shard", [("monomial", (0, 1)), ("quad_binomial", (1, 3))])
+def test_checkpoints_read_both_ways_across_the_single_encoding(tmp_path, kind, shard):
+    space = SearchSpace(GF2n(4), kind, *shard)
+    nxt = space.total // 2
+    hits = [i for i in range(shard[0], nxt, shard[1])][::7]
+    old = tmp_path / "old.json"
+    _parent_layout_save(old, space, nxt, hits)
+    assert checkpoint_resume(old, space) == (nxt, hits)
+    new = tmp_path / "new.json"
+    with mock.patch.object(search.json, "dumps", wraps=json.dumps) as dumps:
+        checkpoint_save(new, space, nxt, list(reversed(hits)))
+    assert dumps.call_count == 1  # the payload is encoded once
+    payload = _parent_resume_check(new)
+    assert payload == {"version": CHECKPOINT_VERSION, **space.spec_dict(),
+                       "next": nxt, "hits": hits}
+    assert checkpoint_resume(new, space) == (nxt, hits)
+
+
+def test_search_monomials_cli_decodes_and_flags_each_hit_once(capsys, monkeypatch):
+    fld = GF2n(5)
+    decoded, flagged = [], []
+    candidate = SearchSpace.candidate
+    unexpected = search.unexpected_monomials
+
+    def count_candidate(self, i):
+        decoded.append(i)
+        return candidate(self, i)
+
+    def count_unexpected(field, result):
+        flagged.append(1)
+        return unexpected(field, result)
+
+    monkeypatch.setattr(SearchSpace, "candidate", count_candidate)
+    monkeypatch.setattr(search, "unexpected_monomials", count_unexpected)
+    assert main(["search-monomials", "--field", fld.spec_string, "--out", "json"]) == 0
+    hits = json.loads(capsys.readouterr().out)["result"]["hits"]
+    assert len(hits) > 0 and sorted(decoded) == sorted(set(decoded))
+    assert len(decoded) == len(hits) and flagged == [1]
+
+
+def test_a_search_result_decodes_its_hits_again_after_they_change():
+    space = SearchSpace(GF2n(3), "monomial")
+    result = SearchResult(space, [0, 5])
+    first = result.hits()
+    assert result.hits() == first and result.hits() is not first
+    result.hit_indices.append(2)
+    assert result.hits() == [space.candidate(i) for i in (0, 2, 5)]
