@@ -16,7 +16,9 @@ Z4[y]/(h(y)) with h a coefficient lift of the field modulus.
 Indexing convention for dense vectors: idx = enc(a) * 2^n + enc(b).  The
 2-torsion ideal Z = 2R is the pairs (0, b), so its elements are exactly the
 indices below 2^n.  Sums and negatives of element indices are bit
-operations on them (pair_sums, neg_idx); no 4^n table is held.
+operations on them (pair_sums, neg_idx); no 4^n table is held.  pair_sums
+takes the sums of one index array with itself, or of two arrays, such as a
+block of rows of a set against its columns.
 """
 
 from __future__ import annotations
@@ -86,9 +88,10 @@ class GR4:
         -(a, b) = (a, a ^ b)."""
         return idx ^ (idx >> self.n)
 
-    def pair_sums(self, idx: np.ndarray) -> np.ndarray:
-        """idx(u + v) for every pair of element indices u, v in idx, as a
-        (len(idx), len(idx)) uint32 array.
+    def pair_sums(self, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+        """idx(u + v) for every element index u in A and v in B, as a
+        (len(A), len(B)) uint32 array.  B defaults to A, which gives the
+        symmetric table of the pair sums of A.
 
         By add, idx(u + v) = idx(u) ^ idx(v) ^ sqrt(a c) for u = (a, b) and
         v = (c, d): sqrt(a c) = sqrt(a) sqrt(c) lands in the low n bits.  The
@@ -96,15 +99,19 @@ class GR4:
         temporaries stay small beside the table.
         """
         f = self.field
-        logs = f.log_vec(f.pow_vec(idx >> self.n, f.order >> 1))  # of sqrt(a)
-        u = idx.astype(np.uint32)
-        out = np.empty((len(u), len(u)), dtype=np.uint32)
-        rows = max(1, _BLOCK // max(1, len(u)))
+
+        def sqrt_logs(idx):
+            return f.log_vec(f.pow_vec(idx >> self.n, f.order >> 1))
+
+        la, u = sqrt_logs(A), A.astype(np.uint32)
+        lb, v = (la, u) if B is None else (sqrt_logs(B), B.astype(np.uint32))
+        out = np.empty((len(u), len(v)), dtype=np.uint32)
+        rows = max(1, _BLOCK // max(1, len(v)))
         for i in range(0, len(u), rows):
             block = out[i : i + rows]
-            block[...] = f.exp_vec(logs[i : i + rows, None] + logs)
+            block[...] = f.exp_vec(la[i : i + rows, None] + lb)
             block ^= u[i : i + rows, None]
-            block ^= u
+            block ^= v
         return out
 
     def mul(self, x: Pair, y: Pair) -> Pair:

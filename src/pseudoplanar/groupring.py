@@ -30,7 +30,9 @@ elements where it fails.
 square_of_set counts the pair sums of a 0/1 vector (GR4.pair_sums, one
 uint32 table of element indices) into its square with no transform; it is
 the test oracle of scheme.build_partition, which decides the square of D_f
-from the same table without counting it.
+from the same sums without counting them: it takes each unordered pair once,
+one block of rows at a time, and builds the whole table only when the check
+fails.
 """
 
 from __future__ import annotations

@@ -11,13 +11,15 @@ transversal of Z, so D^2 = 1_Z + 2 (sums of its unordered pairs), and it is
 the combination S_0 + 2 S_1 + S_3 + 2 S_4 (+ 2 S_2 for n even) of the
 classes exactly when the doubles are Z, the pair sums are distinct, off Z,
 and cover S_1 (and S_2 for n even, and miss it for n odd).  One bool mark of
-the pair sums, taken as element indices by GR4.pair_sums, decides that, and
-chi(S_4) follows from X^2.  By Zhou's theorem every relative difference set
-here is a D_f with f pseudo-planar, so that check never fails on a D that
-reaches it; when it does fail, the pairs are counted to name the first wrong
-element.  The dual partition of the character group is one table lookup of X
-per character, in the pass over X's window keys that also counts X's values
-on a small table, kept on the stored X for raw_spectrum; the first
+the pair sums, taken as element indices by GR4.pair_sums one block of rows
+at a time, each unordered pair once, decides that, and chi(S_4) follows
+from X^2.  By Zhou's theorem every relative difference set here is a D_f
+with f pseudo-planar, so that check never fails on a D that reaches it;
+when it does fail, the whole table of pair sums is built and counted to
+name the first wrong element.  The dual partition of the character group
+is one table lookup of X per character, in the pass over X's window keys
+that also counts X's values on a small table, kept on the stored X for
+raw_spectrum; the first
 eigenmatrix P is evaluated at the least member of each dual class; the
 spectra are constant on the dual classes by construction.  P is square: for
 n >= 3 there are six classes and dual_partition refuses fewer than six dual
@@ -35,10 +37,12 @@ The tests check the steps against the oracles in tests/oracles.py:
 class_spectra (one transform per class) for eigen_P, verify_schur (every
 pair of classes convolved) and intersection_numbers_gauss (the GaussInt
 loops) for the intersection numbers, check_pq_gauss for the P Q check, and
-partition_by_counted_square (D^2 counted by GroupVec.square_of_set) and
-s1_identities_hold for the D^2 combination.  The module also evaluates the
-Fourier spectrum, which takes the pseudo-planarity of f from the RDS verdict
-on D_f (Zhou), and fuses classes via the constant-block-row-sum criterion.
+partition_by_counted_square (D^2 counted by GroupVec.square_of_set),
+pair_sum_marks_from_table (the marks read off the whole table of pair
+sums) and s1_identities_hold for the D^2 combination.  The module also
+evaluates the Fourier spectrum, which takes the pseudo-planarity of f from
+the RDS verdict on D_f (Zhou), and fuses classes via the
+constant-block-row-sum criterion.
 """
 
 from __future__ import annotations
@@ -131,31 +135,38 @@ def _square_coefficients(n: int) -> tuple[int, ...]:
     return (1, 2, 2 * (n % 2 == 0), 1, 2, 0)
 
 
-def _pair_sum_marks(ring: GR4, in_d: np.ndarray, sums: np.ndarray):
+def _pair_sum_marks(ring: GR4, in_d: np.ndarray):
     """(labels, ok) from the sums of D = in_d, with 0 = in_d[0].
 
-    sums is the symmetric GR4.pair_sums table of D, rows in the order of
-    in_d: the doubles 2u on its diagonal and every unordered pair sum twice
-    off it.  labels is an int8 vector over the elements: 0 at a pair sum,
-    1 elsewhere.  ok tells whether D^2 = 1_Z + 2 (sum of the pair sums) is
+    labels is an int8 vector over the elements: 0 at a pair sum, 1
+    elsewhere.  ok tells whether D^2 = 1_Z + 2 (sum of the pair sums) is
     sum_k a_k S_k of _square_coefficients, which holds exactly when
     - the doubles are Z, once each;
     - the pair sums are distinct and lie off Z;
     - they cover S_1 = D - {0}, and cover S_2 = -S_1 for n even and miss it
       for n odd,
     provided the classes are disjoint.  The sums outside Z, D and -D are
-    then S_4.  sums comes back as it came.
+    then S_4.
+
+    The pairs are summed block by block, with no table of them all: a
+    block of rows of D is summed by GR4.pair_sums against the columns from
+    its first row on, so each unordered pair falls in one block.  The
+    doubles are the diagonal of the block's own square.  Every other sum of
+    the block is a pair sum, and the square's lower triangle repeats its
+    upper one, so the whole block is marked once its diagonal is overwritten
+    by one of its pair sums.  A scatter casts its indices to intp, so the
+    cast is taken per block.
     """
     n, t = ring.n, 1 << ring.n
-    doubles = sums.diagonal().copy()
-    # with a pair sum on the diagonal, the marks are the pair sums alone
-    np.fill_diagonal(sums, sums[0, -1])
+    doubles = np.empty(len(in_d), dtype=np.uint32)
     unmarked = np.ones(ring.size, dtype=bool)
-    # a scatter casts its indices to intp: a block of them at a time
     rows = max(1, _BLOCK // len(in_d))
     for i in range(0, len(in_d), rows):
-        unmarked[sums[i : i + rows].astype(np.intp)] = False
-    np.fill_diagonal(sums, doubles)
+        sums = ring.pair_sums(in_d[i : i + rows], in_d[i:])
+        doubles[i : i + len(sums)] = sums.diagonal()
+        if sums.shape[1] > 1:  # else the block is the last double alone
+            np.fill_diagonal(sums, sums[0, 1])
+            unmarked[sums.astype(np.intp)] = False
     pairs = len(in_d) * (len(in_d) - 1) // 2
     labels = unmarked.view(np.int8)
     s1 = in_d[1:]
@@ -179,10 +190,10 @@ def build_partition(D: GroupVec) -> Partition6:
     contain 0, or S_1 = D - {0} is not a set; for D = D_f that is f(0) = 0,
     and a D without 0 raises a plain ValueError.  D^2 must be the class
     combination sum_k a_k S_k of _square_coefficients, which is decided
-    from the pair sums of D (see _pair_sum_marks) without counting them;
-    only when it fails are they counted, and a SchemeError names the first
-    element where D^2 is not that combination.  The RDS check is
-    verify_rds, whose verdict is kept on D.
+    from the pair sums of D (see _pair_sum_marks) without counting them or
+    holding their table; only when it fails is the table built and counted,
+    and a SchemeError names the first element where D^2 is not that
+    combination.  The RDS check is verify_rds, whose verdict is kept on D.
     """
     ring = D.ring
     ok, violations = verify_rds(D)
@@ -202,8 +213,7 @@ def build_partition(D: GroupVec) -> Partition6:
     # then the 2-torsion Z, -D, D and 0, which leaves S_1 = D - {0} and
     # S_2 = -S_1.
     in_d = D.support()
-    sums = ring.pair_sums(in_d)
-    labels, square_ok = _pair_sum_marks(ring, in_d, sums)
+    labels, square_ok = _pair_sum_marks(ring, in_d)
     labels += 4
     labels[: 1 << ring.n] = 3  # Z is the index prefix [0, 2^n)
     labels[ring.neg_idx(in_d)] = 2
@@ -215,7 +225,7 @@ def build_partition(D: GroupVec) -> Partition6:
         raise SchemeError("partition classes are not disjoint")
     if not square_ok:
         a = _square_coefficients(ring.n)
-        dsq = np.bincount(sums.ravel(), minlength=ring.size)
+        dsq = np.bincount(ring.pair_sums(in_d).ravel(), minlength=ring.size)
         want = np.take(np.array(a, dtype=np.int8), labels)
         g = int(np.argmax(dsq != want))
         raise SchemeError(
@@ -244,13 +254,14 @@ def _window_keys(X: SpectrumVec) -> np.ndarray:
     [-B-1, B+1]^2.  re and im are clipped into that square, so every value
     outside [-B, B]^2 lands on its border.
 
-    The clip runs in X's own dtype, where it cannot wrap, and the key stays
-    in it, or in int16 if X is narrower: every key is below W^2, and W^2 is
-    below 2^15 for n <= 13.
+    The clip runs in X's own dtype, where it cannot wrap.  Every key is
+    below W^2, so the key stays in X's dtype, or in int16 if X is narrower
+    and W^2 fits in it (n <= 13), else in int32.
     """
     B, W = _window(X.ring.n)
     key = np.clip(X.re, -(B + 1), B + 1)
-    key = key.astype(np.promote_types(key.dtype, np.int16), copy=False)
+    least = np.int16 if W * W <= np.iinfo(np.int16).max else np.int32
+    key = key.astype(np.promote_types(key.dtype, least), copy=False)
     key += B + 1
     key *= W
     key += np.clip(X.im, -(B + 1), B + 1)
@@ -548,21 +559,32 @@ def raw_spectrum(ring: GR4, f: SparsePoly) -> list[tuple[GaussInt, int]]:
         (GaussInt(int(r) - B, int(m) - B), int(inner[r, m]))
         for r, m in zip(*np.nonzero(inner))
     ]
-    if inner.sum() < ring.size:
-        re, im = sp.re, sp.im
-        far = np.flatnonzero((re < -B) | (re > B) | (im < -B) | (im > B))
-        # |chi_a(D_f)| <= |D_f| = 2^n, so one int key per value orders the
-        # values by (re, im)
-        off = 1 << ring.n
-        width = 2 * off + 1
-        re, im = (v[far].astype(np.int64) + off for v in (sp.re, sp.im))
-        keys, counts = np.unique(re * width + im, return_counts=True)
-        re, im = np.divmod(keys, width)
-        rows += [
-            (GaussInt(int(r) - off, int(m) - off), int(c))
-            for r, m, c in zip(re, im, counts)
-        ]
+    border = ring.size - int(inner.sum())
+    chi0 = sp.value(0)
+    if border == 1 and max(abs(chi0.re), abs(chi0.im)) > B:
+        # the one value off the window is chi_0: so for every pseudo-planar f
+        rows.append((chi0, 1))
+    elif border:
+        rows += _far_values(sp, B)
     return sorted(rows, key=lambda vc: vc[0].sort_key())
+
+
+def _far_values(sp: SpectrumVec, B: int) -> list[tuple[GaussInt, int]]:
+    """The values of sp = chi(D_f) with |re| or |im| above B, with their
+    frequencies, found by a scan of all of sp."""
+    re, im = sp.re, sp.im
+    far = np.flatnonzero((re < -B) | (re > B) | (im < -B) | (im > B))
+    # |chi_a(D_f)| <= |D_f| = 2^n, so one int key per value orders the
+    # values by (re, im)
+    off = 1 << sp.ring.n
+    width = 2 * off + 1
+    re, im = (v[far].astype(np.int64) + off for v in (re, im))
+    keys, counts = np.unique(re * width + im, return_counts=True)
+    re, im = np.divmod(keys, width)
+    return [
+        (GaussInt(int(r) - off, int(m) - off), int(c))
+        for r, m, c in zip(re, im, counts)
+    ]
 
 
 # -- fusion -------------------------------------------------------------------

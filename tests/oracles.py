@@ -13,8 +13,11 @@ no code with the paths they check, and the package itself never calls them.
 - partition_by_counted_square: build_partition with D^2 counted by
   GroupVec.square_of_set from GR4.pair_sums and compared with the class
   combination element by element, for the pair-sum check of
-  build_partition, which decides the same identity from the same table
+  build_partition, which decides the same identity from the same sums
   without counting.
+- pair_sum_marks_from_table: the pair-sum marks and verdict read off the
+  whole symmetric GR4.pair_sums table of D, for scheme._pair_sum_marks,
+  which walks each unordered pair once, one block of rows at a time.
 - moore_det, linearized_is_bijection and binomial1_criterion_det: the
   Moore-determinant criterion, for binomial1_criterion.
 - binomial1_criterion_full and shifted_binomial_criterion_full: both trace
@@ -538,6 +541,32 @@ def verify_schur(part: Partition6):
                     return None, (i, j, k, g, g2)
                 p[i, j, k] = p[j, i, k] = vmin
     return p, None
+
+
+def pair_sum_marks_from_table(ring: GR4, in_d: np.ndarray, sums: np.ndarray):
+    """scheme._pair_sum_marks(ring, in_d) read off sums, the symmetric
+    GR4.pair_sums table of D = in_d, rows in the order of in_d: the doubles
+    2u on its diagonal and every unordered pair sum twice off it.  The same
+    (labels, ok): labels is 0 at a pair sum and 1 elsewhere, and ok tells
+    whether the doubles are Z once each, the pair sums are distinct and off
+    Z, and they cover S_1 = D - {0}, and S_2 = -S_1 exactly when n is even.
+    """
+    n, t = ring.n, 1 << ring.n
+    doubles = sums.diagonal()
+    unmarked = np.ones(ring.size, dtype=bool)
+    unmarked[sums[~np.eye(len(in_d), dtype=bool)]] = False
+    pairs = len(in_d) * (len(in_d) - 1) // 2
+    labels = unmarked.view(np.int8)
+    s1 = in_d[1:]
+    s2 = labels[ring.neg_idx(s1)]
+    ok = (
+        np.array_equal(np.sort(doubles), np.arange(t))
+        and ring.size - np.count_nonzero(unmarked) == pairs
+        and bool(labels[:t].all())
+        and not labels[s1].any()
+        and bool(not s2.any() if n % 2 == 0 else s2.all())
+    )
+    return labels, ok
 
 
 def partition_by_counted_square(D: GroupVec) -> Partition6:

@@ -156,12 +156,17 @@ def test_negation_and_two_torsion():
 def test_pair_sums_are_ring_addition(n, data):
     ring = GR4(GF2n(n))
     idx = data.draw(st.lists(st.integers(0, ring.size - 1), min_size=1, max_size=6))
-    sums = ring.pair_sums(np.array(idx))
-    assert sums.dtype == np.uint32
-    for i, g in enumerate(idx):
-        for j, h in enumerate(idx):
-            total = ring.idx(ring.add(ring.pair(g), ring.pair(h)))
-            assert int(sums[i, j]) == total
+    other = data.draw(st.lists(st.integers(0, ring.size - 1), min_size=1, max_size=6))
+    # one set with itself, and the rows of one with the columns of another
+    for rows, cols, sums in (
+        (idx, idx, ring.pair_sums(np.array(idx))),
+        (idx, other, ring.pair_sums(np.array(idx), np.array(other))),
+    ):
+        assert sums.dtype == np.uint32 and sums.shape == (len(rows), len(cols))
+        for i, g in enumerate(rows):
+            for j, h in enumerate(cols):
+                total = ring.idx(ring.add(ring.pair(g), ring.pair(h)))
+                assert int(sums[i, j]) == total
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -57,6 +57,7 @@ from oracles import (
     check_pq_gauss,
     class_spectra,
     intersection_numbers_gauss,
+    pair_sum_marks_from_table,
     partition_by_counted_square,
     s1_identities_hold,
     verify_schur,
@@ -710,16 +711,23 @@ def _pairs_in(classes, k, count):
     return list(zip(i.tolist(), j.tolist()))[:count]
 
 
-def _move_pair_sums(monkeypatch, ring, moves):
-    """build_partition reads each unordered pair (i, j) of moves, rows in
-    the order of D.support(), as summing to element g, on both sides of the
-    diagonal; a pair (i, i) moves the double of row i."""
+def _move_pair_sums(monkeypatch, D, moves):
+    """GR4.pair_sums reads each unordered pair (i, j) of moves, rows and
+    columns in the order of D.support(), as summing to element g, on both
+    sides of the diagonal; a pair (i, i) moves the double of row i.  The
+    rows and columns of a two-argument call, such as one block of
+    build_partition's walk, are mapped back to their positions in
+    D.support()."""
     true_sums = GR4.pair_sums
+    sup = D.support()
 
-    def perturbed(self, idx):
-        sums = true_sums(self, idx)
+    def perturbed(self, A, B=None):
+        sums = true_sums(self, A, B)
+        rows = np.searchsorted(sup, A)
+        cols = rows if B is None else np.searchsorted(sup, B)
         for (i, j), g in moves:
-            sums[i, j] = sums[j, i] = g
+            for p, q in ((i, j), (j, i)):
+                sums[np.ix_(rows == p, cols == q)] = g
         return sums
 
     monkeypatch.setattr(GR4, "pair_sums", perturbed)
@@ -748,7 +756,7 @@ def test_a_d_squared_off_the_class_combination_is_refused(monkeypatch):
     s1_pair = _pairs_in(classes, 1, 1)[0]
     collided = int(sums[q])
     unmarked = int(sums[s1_pair])
-    _move_pair_sums(monkeypatch, ring, [
+    _move_pair_sums(monkeypatch, D, [
         (p, int(s5[3])),  # moves an element from S_5 to S_4: no error
         (r, collided),  # two pairs with one sum: D^2 = 4 there
         (s1_pair, int(s5[7])),  # an S_1 element with D^2 = 0
@@ -792,7 +800,7 @@ def test_each_pair_sum_fault_is_named(monkeypatch, n, case):
             moves, got, want = [(pair, int(part.classes[5].support()[0]))], 0, 2
         else:
             moves, got, want = [(p, g)], 2, 0
-    _move_pair_sums(monkeypatch, ring, moves)
+    _move_pair_sums(monkeypatch, D, moves)
     with pytest.raises(SchemeError) as exc:
         build_partition(D)
     assert str(exc.value) == _square_error(ring, g, got, want)
@@ -864,7 +872,7 @@ def test_perturbed_pair_sums_give_the_counted_verdict(monkeypatch, n):
                 j = i  # a double
             moves.append(((i, j), rng.randrange(ring.size)))
         with monkeypatch.context() as mp:
-            _move_pair_sums(mp, ring, moves)
+            _move_pair_sums(mp, D, moves)
             got = _partition_outcome(build_partition, D)
             assert got == _partition_outcome(partition_by_counted_square, D)
         refused += isinstance(got, tuple)
@@ -884,6 +892,113 @@ def test_build_partition_memory_n9():
     finally:
         tracemalloc.stop()
     assert peak < 7 * ring.size
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_blocked_pair_sum_marks_equal_the_table_oracle(monkeypatch, n):
+    # the blocked walk against the whole table, on D_f of pseudo-planar f
+    # (f(0) = 0 and f(0) != 0) and on planted faults, with the default
+    # blocks and with blocks of one row and of three rows
+    ring = GR4(GF2n(n))
+    rng = random.Random(40 + n)
+    t = 1 << n
+    sample = _pp_sample(ring.field, rng, 4)
+    sample.append(SparsePoly.make(ring.field, [*sample[-1].terms, (0, 1)]))
+    assert any(f.eval(0) for f in sample) and not sample[0].eval(0)
+    faults = [[]]  # moves of pairs (i <= j) to random elements
+    for _ in range(6):
+        pairs = [sorted(rng.choices(range(t), k=2)) for _ in range(rng.randrange(1, 4))]
+        faults.append([(tuple(p), rng.randrange(ring.size)) for p in pairs])
+    for block in (scheme._BLOCK, t, 3 * t):
+        monkeypatch.setattr(scheme, "_BLOCK", block)
+        for f in sample:
+            D = build_df(ring, f)
+            in_d = D.support()
+            for moves in faults if f is sample[0] else [[]]:
+                with monkeypatch.context() as mp:
+                    _move_pair_sums(mp, D, moves)
+                    labels, ok = scheme._pair_sum_marks(ring, in_d)
+                    want, want_ok = pair_sum_marks_from_table(
+                        ring, in_d, ring.pair_sums(in_d)
+                    )
+                assert np.array_equal(labels, want) and ok == want_ok
+                if not moves:
+                    assert ok == (not f.eval(0))
+
+
+def test_build_partition_memory_n10():
+    # the pairs are walked block by block: no table of them, only the
+    # int8 labels and one bool temporary of 4^n entries
+    ring = GR4(GF2n(10))
+    D = build_df(ring, SparsePoly.zero(ring.field))
+    assert verify_rds(D)[0]  # the transform and verdict are kept on D
+    D.support()
+    tracemalloc.start()
+    try:
+        build_partition(D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * ring.size
+
+
+@pytest.mark.parametrize("literal", ["0:0", "3:1,5:1"])
+def test_window_keys_widen_past_int16(monkeypatch, literal):
+    ring = GR4(GF2n(6))
+    X = build_df(ring, SparsePoly.parse(ring.field, literal)).char_transform()
+    assert X.re.dtype == np.int16 and scheme._window_keys(X).dtype == np.int16
+
+    def wide_keys(B):
+        W = 2 * B + 3
+        re, im = (
+            np.clip(v.astype(np.int64), -(B + 1), B + 1) + B + 1 for v in (X.re, X.im)
+        )
+        return re * W + im
+
+    # W = 203 and W^2 > 2^15, as for n >= 14 with W = 259
+    monkeypatch.setattr(scheme, "_window", lambda n: (100, 203))
+    key = scheme._window_keys(X)
+    assert key.dtype == np.int32 and key.max() > np.iinfo(np.int16).max
+    assert np.array_equal(key, wide_keys(100))
+
+
+def _spectrum_by_unique(ring, f):
+    """The distinct values of chi(D_f), with frequencies, sorted as
+    raw_spectrum sorts them: one np.unique over all of them."""
+    sp = build_df(ring, f).char_transform()
+    pairs, freq = np.unique(np.stack([sp.re, sp.im], axis=1), axis=0, return_counts=True)
+    rows = [(GaussInt(int(r), int(m)), int(c)) for (r, m), c in zip(pairs, freq)]
+    return sorted(rows, key=lambda vf: vf[0].sort_key())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_raw_spectrum_scans_only_for_more_than_one_far_value(monkeypatch, n):
+    ring = GR4(GF2n(n))
+    fld = ring.field
+    rng = random.Random(60 + n)
+    B = 1 << (n // 2)
+    scans = []
+    true_far = scheme._far_values
+    monkeypatch.setattr(scheme, "_far_values", lambda sp, b: scans.append(b) or true_far(sp, b))
+    pp = _pp_sample(fld, rng, 6)
+    pp.append(SparsePoly.make(fld, [*pp[0].terms, (0, 1)]))
+    others = [
+        SparsePoly.make(fld, [(rng.randrange(fld.order), rng.randrange(1, fld.order))
+                              for _ in range(3)])
+        for _ in range(8)
+    ]
+    others = [f for f in others if not is_pseudoplanar(f)]
+    assert (len(others) > 0) == (n >= 2)
+    many_far = 0
+    for f in pp + others:
+        scans.clear()
+        want = _spectrum_by_unique(ring, f)
+        assert raw_spectrum(ring, f) == want
+        far = sum(c for v, c in want if max(abs(v.re), abs(v.im)) > B)
+        assert (far, scans) == (1, []) if f in pp else bool(scans) == (far > 1)
+        many_far += far > 1
+    # at n = 2 the non-pseudo-planar f have chi_0 as their one far value
+    assert any(f.eval(0) for f in pp) and (many_far > 0) == (n >= 3)
 
 
 def test_one_window_pass_serves_the_dual_classes_and_the_spectrum(monkeypatch):
