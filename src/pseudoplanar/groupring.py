@@ -3,36 +3,32 @@
 A multiset of ring elements is a dense integer vector of length 4^n indexed
 by element idx, except D_f, which build_df holds as its 2^n points: the
 dense vector is built only if something reads it.  Signed vectors are
-allowed so identities like 2^n*delta_0 + (R - Z) are first-class values.
-Convolution, involution, the additive character transform and its inverse
-are all exact.  A GroupVec is int64; a SpectrumVec keeps the integer dtype
-it is given, and the transform returns its values in the narrowest of
-int16, int32 and int64 that the l1 norm of its input allows, so chi(D) of a
-set is int16.  The fast transform
-works in the Teichmuller coordinates of the element index, idx(x + 2s) =
-x 2^n + s: with y = c + 2d, chi_y(x + 2s) = i^Tr T(cx) (-1)^(tr(cs) + tr(dx)),
-so it is two 2^n-point integer Walsh-Hadamard transforms, over s and over x,
-with a phase between them (see the transform plumbing below).  No step
-exceeds the l1 norm of the input.  It runs in one direction; the inverse is
-its conjugate form.  It scatters only the support of a GroupVec, and for a
+allowed.  The additive character transform is exact and runs in one
+direction.  A GroupVec is int64; a SpectrumVec keeps the integer dtype it
+is given, and the transform returns its values in the narrowest of int16,
+int32 and int64 that the l1 norm of its input allows, so chi(D) of a set is
+int16.  The fast transform works in the Teichmuller coordinates of the
+element index, idx(x + 2s) = x 2^n + s: with y = c + 2d,
+chi_y(x + 2s) = i^Tr T(cx) (-1)^(tr(cs) + tr(dx)), so it is two 2^n-point
+integer Walsh-Hadamard transforms, over s and over x, with a phase between
+them (see the transform plumbing below).  No step exceeds the l1 norm of
+the input.  It scatters only the support of a GroupVec, and for a
 transversal of Z = 2R, as D_f is, not even that: there the WHT over s is a
-Hadamard row per x, built in closed form.  The tests anchor it, convolve
-and square_of_set against the naive character sums and the O(16^n)
-convolution of tests/oracles.py for small n.
+Hadamard row per x, built in closed form.  The tests anchor it against the
+naive character sums of tests/oracles.py for small n; the group-ring
+product, the involution, the inverse transform and the rest of the dense
+algebra that only the tests need are oracles there too.
 A GroupVec cannot change once built, so each 4^n fact about it is computed
 at most once and kept on it, read-only: its dense counts, its support, its
 transform (see _spectrum), and the verdict of verify_rds.  char_transform
 stays uncached and is the oracle for the stored transform.  build_df keeps
 the last D_f it built, so one (ring, f) gives one D_f and one transform.
-The relative-difference-set identity is tested on chi(D), one block of
-|chi(D)|^2 at a time; only when it fails is |chi(D)|^2 inverted to name the
-elements where it fails.
-square_of_set counts the pair sums of a 0/1 vector (GR4.pair_sums, one
-uint32 table of element indices) into its square with no transform; it is
-the test oracle of scheme.build_partition, which decides the square of D_f
-from the same sums without counting them: it takes each unordered pair once,
-one block of rows at a time, and builds the whole table only when the check
-fails.
+The relative-difference-set identity D D^(-1) = 2^n delta_0 + (R - Z) is
+tested on chi(D), one block of |chi(D)|^2 at a time.  Only when it fails
+are the pair differences u - v of D counted, one block of rows of their
+table at a time by _pair_counts, to name the elements where it fails.
+scheme.build_partition counts D^2, the pair sums u + v, with the same
+counter when its own check of D^2 fails.
 """
 
 from __future__ import annotations
@@ -55,7 +51,8 @@ class GroupVec:
     on its first read.  Either way counts is read-only, and copied when it
     is a view of another array, so nothing can change it, and its stored
     support, transform (see _spectrum) and RDS verdict (see verify_rds) stay
-    valid.
+    valid.  It has no arithmetic: the sums, products and involution of
+    multisets that the tests check against are oracles in tests/oracles.py.
     """
 
     __slots__ = ("ring", "_counts", "_support", "_chi", "_rds")
@@ -101,45 +98,6 @@ class GroupVec:
         k = int(np.searchsorted(sup, g_idx))
         return int(k < len(sup) and sup[k] == g_idx)
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring: GR4) -> "GroupVec":
-        return cls(ring, np.zeros(ring.size, dtype=np.int64))
-
-    @classmethod
-    def delta(cls, ring: GR4, x) -> "GroupVec":
-        counts = np.zeros(ring.size, dtype=np.int64)
-        counts[ring.idx(x)] = 1
-        return cls(ring, counts)
-
-    @classmethod
-    def indicator(cls, ring: GR4, indices) -> "GroupVec":
-        counts = np.zeros(ring.size, dtype=np.int64)
-        counts[np.asarray(list(indices), dtype=np.int64)] = 1
-        return cls(ring, counts)
-
-    @classmethod
-    def full_group(cls, ring: GR4) -> "GroupVec":
-        return cls(ring, np.ones(ring.size, dtype=np.int64))
-
-    # -- basic algebra -------------------------------------------------------
-
-    def _check_ctx(self, other: "GroupVec") -> None:
-        if self.ring != other.ring:
-            raise ValueError("group ring context mismatch")
-
-    def __add__(self, other: "GroupVec") -> "GroupVec":
-        self._check_ctx(other)
-        return GroupVec(self.ring, self.counts + other.counts)
-
-    def __sub__(self, other: "GroupVec") -> "GroupVec":
-        self._check_ctx(other)
-        return GroupVec(self.ring, self.counts - other.counts)
-
-    def scale(self, k: int) -> "GroupVec":
-        return GroupVec(self.ring, k * self.counts)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupVec)
@@ -162,31 +120,9 @@ class GroupVec:
             self._support.setflags(write=False)
         return self._support
 
-    def involute(self) -> "GroupVec":
-        """Re-index by negation: the multiset {-g : g in A}."""
-        neg = self.ring.neg_idx(np.arange(self.ring.size))
-        return GroupVec(self.ring, self.counts[neg])
-
     def __repr__(self) -> str:
         nz = self.support()
         return f"GroupVec(n={self.ring.n}, support={len(nz)}, total={self.total()})"
-
-    # -- convolution ---------------------------------------------------------
-
-    def convolve(self, other: "GroupVec") -> "GroupVec":
-        self._check_ctx(other)
-        spectrum = self.char_transform().pointwise_mul(other.char_transform())
-        return spectrum.inverse_transform()
-
-    def square_of_set(self) -> "GroupVec":
-        """self * self for a 0/1 vector, counted over its |self|^2 pairs.
-
-        O(|self|^2) instead of the O(n 4^n) of convolve: for a difference
-        set D_f that is 4^n pair sums, taken by GR4.pair_sums and counted
-        per element.
-        """
-        sums = self.ring.pair_sums(self.support())
-        return GroupVec(self.ring, np.bincount(sums.ravel(), minlength=self.ring.size))
 
     # -- character transform -------------------------------------------------
 
@@ -196,12 +132,15 @@ class GroupVec:
         The values come in the narrowest integer dtype that holds them
         exactly (int16 for a set, see _work_dtype).  A fresh, writable vector
         on every call; _spectrum keeps one."""
+        sup, values = self._sparse()
+        return SpectrumVec(self.ring, *_transform(self.ring, values, sup))
+
+    def _sparse(self) -> tuple[np.ndarray, np.ndarray]:
+        """(support, the int64 counts on it), read without building counts."""
         sup = self.support()
         if self._counts is None:
-            values = np.ones(len(sup), dtype=np.int64)
-        else:
-            values = self._counts[sup]
-        return SpectrumVec(self.ring, *_transform(self.ring, values, None, at=sup))
+            return sup, np.ones(len(sup), dtype=np.int64)
+        return sup, self._counts[sup]
 
 
 class SpectrumVec:
@@ -209,9 +148,10 @@ class SpectrumVec:
 
     re and im keep any signed integer dtype they are given (others become
     int64), and char_transform gives the narrowest exact one, often int16.
-    Arithmetic on re and im must widen them first, as pointwise_mul does:
-    the product of two int16 spectra wraps around.  _window holds the
-    small value-count table that scheme keeps on the stored chi(D).
+    Arithmetic on re and im must widen them first, as the norms of
+    _rds_norms_hold do: the product of two int16 spectra wraps around.
+    There is no inverse transform; _window holds the small value-count
+    table that scheme keeps on the stored chi(D).
     """
 
     __slots__ = ("ring", "re", "im", "_window")
@@ -242,35 +182,6 @@ class SpectrumVec:
         re, im = (v.astype(np.int64, copy=False) for v in (self.re, self.im))
         return hash((self.ring, re.tobytes(), im.tobytes()))
 
-    def pointwise_mul(self, other: "SpectrumVec") -> "SpectrumVec":
-        if self.ring != other.ring:
-            raise ValueError("group ring context mismatch")
-        a, b, c, d = (
-            v.astype(np.int64, copy=False)
-            for v in (self.re, self.im, other.re, other.im)
-        )
-        return SpectrumVec(self.ring, a * c - b * d, a * d + b * c)
-
-    def inverse_transform(self) -> GroupVec:
-        """Recover the multiset: A_g = (1/4^n) sum_a chi_a(A) i^-Tr(ag).
-
-        Raises if the input is not the transform of an integer vector.
-        The sum is conj(forward(conj X)): the forward transform of
-        (im, re), read back as (im, re).
-        """
-        ring = self.ring
-        im, re = _transform(ring, self.im, self.re)
-        re = re.astype(np.int64, copy=False)
-        # ring.size is 4^n: re is a multiple of it when its low 2n bits are 0
-        rem = re & (ring.size - 1)
-        if im.any() or rem.any():
-            bad = int(np.flatnonzero((im != 0) | (rem != 0))[0])
-            raise ValueError(
-                f"spectrum is not the transform of an integer multiset "
-                f"(first failure at element idx {bad})"
-            )
-        return GroupVec(ring, re >> (2 * ring.n))
-
 
 # -- fast transform plumbing --------------------------------------------------
 #
@@ -284,9 +195,8 @@ class SpectrumVec:
 # and tr(cs) = tau(c) . s, a dot product of bit vectors (tau of _tables).
 # The inner sum is row tau(c) of the Walsh-Hadamard transform (WHT) over s,
 # and the outer one row tau(d) of the WHT over x.  On (2^n, 2^n) integer
-# arrays (re, im), with i * (r, s) = (-s, r), _transform
-#   1. puts A in [s, x] order: the support of a set by a scatter, all of A
-#      by a transpose;
+# arrays, real until step 3 and (re, im) after it, _transform
+#   1. puts A in [s, x] order by a scatter of its support;
 #   2. runs the WHT over s along axis 0;
 #   3. reads its rows at tau, which gives [c, x] order, multiplies them by
 #      the phase i^Tr T(cx) = cos + i sin, two int8 tables, and transposes
@@ -312,64 +222,40 @@ class SpectrumVec:
 # times +-1 or +-i: a WHT stage adds or subtracts two values, the gathers
 # and transposes only move them, and the phase multiplies each by one power
 # of i, as exactly one of cos and sin is nonzero at each place.  So its
-# |re| + |im| never exceeds the l1 norm sum(|re| + |im|) of the input, and
-# neither do the temporaries of step 3, each one product with cos or sin.
-# The arrays are int16 when that norm is below 2^15, int32 when it is below
+# |re| + |im| never exceeds the l1 norm sum |A| of the input, and neither
+# do the temporaries of step 3, each one product with cos or sin.  The
+# arrays are int16 when that norm is below 2^15, int32 when it is below
 # 2^31, and int64 otherwise, and the result comes back in that dtype:
-# chi(D) (norm 2^n) is int16, and the inverse of |chi(D)|^2 that names RDS
-# violations (norm 4^n |D| = 8^n for D_f, by Parseval) runs in int32 while
-# 8^n < 2^31, i.e. n <= 10.  Only GroupVec is int64 at the interface;
-# whatever multiplies or shifts a result widens it first.
-#
-# The transform runs in one direction.  The inverse sum, with i^-Tr(a g), is
-# conj(forward(conj X)); swapping re and im maps X to i conj(X), so it is the
-# forward transform of (im, re) with its output swapped back, and needs no
-# negation that could wrap (see inverse_transform).
+# chi(D) (norm 2^n) is int16.  Only GroupVec is int64 at the interface;
+# whatever multiplies a result widens it first.
 
 _COS = np.array([1, 0, -1, 0], dtype=np.int8)  # the real part of i^k
 _SIN = np.array([0, 1, 0, -1], dtype=np.int8)  # the imaginary part of i^k
 
 
-def _transform(ring: GR4, re, im, at=None) -> tuple[np.ndarray, np.ndarray]:
+def _transform(ring: GR4, values, at) -> tuple[np.ndarray, np.ndarray]:
     """sum_x A_x i^Tr(a x) for every a, exactly, as (re, im) in the work
-    dtype of A (see _work_dtype).
-
-    im None means 0.  With at given, re and im are the entries of A at the
-    element indices at, and A is 0 elsewhere; without it, they are all of A.
-    """
+    dtype of A (see _work_dtype), where A is values at the element indices
+    at and 0 elsewhere."""
     n, m = ring.n, 1 << ring.n
     tau, cos, sin = _tables(ring)
-    parts = (re,) if im is None else (re, im)
-    dtype = _work_dtype(parts)
-    if (at is not None and im is None and len(at) == m and (re == 1).all()
+    dtype = _work_dtype(values)
+    if (len(at) == m and (values == 1).all()
             and np.array_equal(at >> n, np.arange(m))):
         fre, fim = _transversal_phase(ring, at, dtype)
         spare = np.empty_like(fre)
     else:
-        walsh, free = [], []  # per part, the WHT over s, and a free array
-        for part in parts:
-            v = np.zeros((m, m), dtype=dtype)
-            if at is None:
-                _transpose(part.reshape(m, m), v)
-            else:
-                v.reshape(-1)[((at & (m - 1)) << n) | (at >> n)] = part
-            v, t = _wht(v, np.empty_like(v))
-            walsh.append(v)
-            free.append(t)
-        fre = free.pop()
-        fim = free.pop() if free else np.empty_like(fre)
+        v = np.zeros((m, m), dtype=dtype)
+        v.reshape(-1)[((at & (m - 1)) << n) | (at >> n)] = values
+        walsh, fre = _wht(v, np.empty_like(v))
+        fim = np.empty_like(fre)
         step = max(1, _BLOCK // m)
         for i in range(0, m, step):
             c = slice(i, i + step)
-            wr = walsh[0][tau[c]]
-            if im is None:
-                fre[:, c] = (wr * cos[c]).T
-                fim[:, c] = (wr * sin[c]).T
-            else:
-                wi = walsh[1][tau[c]]
-                fre[:, c] = (wr * cos[c] - wi * sin[c]).T
-                fim[:, c] = (wr * sin[c] + wi * cos[c]).T
-        spare = walsh[0]
+            rows = walsh[tau[c]]
+            fre[:, c] = (rows * cos[c]).T
+            fim[:, c] = (rows * sin[c]).T
+        spare = walsh
     out = []
     for v in (fre, fim):
         v, t = _wht(v, spare)
@@ -395,11 +281,11 @@ def _transversal_phase(ring: GR4, at, dtype) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply(G, cos, dtype=dtype), np.multiply(G, sin, dtype=dtype)
 
 
-def _work_dtype(parts) -> type:
-    """The narrowest of int16, int32, int64 above the l1 norm of parts; the
-    zero entries of a vector may be left out of its part."""
+def _work_dtype(values) -> type:
+    """The narrowest of int16, int32, int64 above the l1 norm of values; the
+    zero entries of a vector may be left out of them."""
     # a float64 sum cannot wrap around, and is exact while below 2^53
-    l1 = sum(float(np.abs(p, dtype=np.float64).sum()) for p in parts)
+    l1 = float(np.abs(values, dtype=np.float64).sum())
     for dtype in (np.int16, np.int32):
         if l1 <= np.iinfo(dtype).max:
             return dtype
@@ -423,13 +309,13 @@ def _wht(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, t
 
 
-def _transpose(v: np.ndarray, t: np.ndarray, order=None) -> None:
-    """t[:, k] = v[order[k]] for every k of square v and t, or v[k] with no
-    order, one block of _BLOCK entries at a time, which stays in cache."""
+def _transpose(v: np.ndarray, t: np.ndarray, order: np.ndarray) -> None:
+    """t[:, k] = v[order[k]] for every k of square v and t, one block of
+    _BLOCK entries at a time, which stays in cache."""
     step = max(1, _BLOCK // len(v))
     for i in range(0, len(v), step):
         k = slice(i, i + step)
-        t[:, k] = (v[k] if order is None else v[order[k]]).T
+        t[:, k] = v[order[k]].T
 
 
 @functools.lru_cache(maxsize=1)
@@ -492,58 +378,98 @@ def build_df(ring: GR4, f: SparsePoly) -> GroupVec:
     return GroupVec._from_support(ring, (field.elements() << ring.n) | roots)
 
 
-def rds_expected(ring: GR4) -> GroupVec:
-    """2^n * delta_0 + (R - Z): the difference multiset of a (2^n,2^n,2^n,1)-RDS."""
-    counts = np.ones(ring.size, dtype=np.int64)
-    counts[: 1 << ring.n] = 0  # Z is the index prefix [0, 2^n)
-    counts[0] = 1 << ring.n
-    return GroupVec(ring, counts)
+def _pair_counts(D: GroupVec, negate: bool) -> np.ndarray:
+    """D * D, or D * D^(-1) with negate, as int64 counts: at each element
+    index g, the sum of D_u D_v over the pairs (u, v) of the support of D
+    with u + v = g, or u - v = g.
+
+    The pair table comes from GR4.pair_sums one block of rows at a time,
+    against the columns v or -v, and is added into the counts by one
+    np.add.at per block, on raveled intp indices: about three times faster
+    than on the 2-D uint32 block.
+    """
+    ring = D.ring
+    sup, w = D._sparse()
+    cols = ring.neg_idx(sup) if negate else sup
+    out = np.zeros(ring.size, dtype=np.int64)
+    rows = max(1, _BLOCK // max(1, len(sup)))
+    for i in range(0, len(sup), rows):
+        sums = ring.pair_sums(sup[i : i + rows], cols)
+        np.add.at(
+            out, sums.ravel().astype(np.intp), np.outer(w[i : i + rows], w).ravel()
+        )
+    return out
 
 
-def _rds_check(X: SpectrumVec) -> tuple[bool, list[tuple[int, int, int]]]:
-    """verify_rds on X = chi(D), as char_transform gives it.
+def _rds_norms_hold(X: SpectrumVec) -> bool:
+    """Whether X = chi(D) satisfies the RDS identity D D^(-1) = 2^n delta_0 +
+    (R - Z).
 
-    chi(involute(D)) = conj chi(D), chi_a(R) = 4^n [a = 0] and
+    chi(D^(-1)) = conj chi(D), chi_a(R) = 4^n [a = 0] and
     chi_a(Z) = 2^n [a in Z], so the identity reads
     |chi_a(D)|^2 == 2^n + 4^n [a = 0] - 2^n [a in Z] for every a; the
-    transform is injective, so this is exact.  Only on failure is |X|^2
-    inverted back to D * involute(D), to name the violations.
+    transform is injective, so this is exact.
     """
     ring = X.ring
     # an int16 X has |re| + |im| <= 2^15 - 1 (see _work_dtype), so
     # re^2 + im^2 < 2^30 fits int32
     wide = np.int32 if X.re.dtype == np.int16 else np.int64
-
-    def norm(lo, hi):
-        out = np.multiply(X.re[lo:hi], X.re[lo:hi], dtype=wide)
-        out += np.multiply(X.im[lo:hi], X.im[lo:hi], dtype=wide)
-        return out
-
     # a is in Z exactly when a < 2^n; one _BLOCK of labels at a time
     t = 1 << ring.n
     for lo in range(0, ring.size, _BLOCK):
-        block = norm(lo, lo + _BLOCK)
+        hi = lo + _BLOCK
+        block = np.multiply(X.re[lo:hi], X.re[lo:hi], dtype=wide)
+        block += np.multiply(X.im[lo:hi], X.im[lo:hi], dtype=wide)
         z = min(max(t - lo, 0), len(block))  # the labels of Z in the block
         if lo == 0:
             if block[0] != ring.size:
-                break
+                return False
             block[0] = 0
         if block[:z].any() or (block[z:] != t).any():
-            break
-    else:
+            return False
+    return True
+
+
+def _rds_check(D: GroupVec) -> tuple[bool, list[tuple[int, int, int]]]:
+    """verify_rds on D, with no stored verdict.
+
+    The identity is decided on X = chi(D) (see _rds_norms_hold).  Only on
+    failure is D D^(-1) counted, to name the first ten elements, in index
+    order, where it is not 2^n at 0, 0 on the rest of Z (the index prefix
+    [0, 2^n)) and 1 elsewhere.  A D of at most 2^(n+1) points, as every D_f
+    (2^n) is, has its pair differences counted: at most 4 * 4^n of them.  A
+    denser D has up to 16^n, so D D^(-1) is read from one forward transform
+    of |X|^2 instead: it is real and even, g -> -g, so the inverse transform
+    that gives it from |X|^2 equals the forward one.
+    """
+    X = _spectrum(D)
+    if _rds_norms_hold(X):
         return True, []
-    full = norm(0, ring.size)
-    diff = SpectrumVec(ring, full, np.zeros_like(full)).inverse_transform()
-    expected = rds_expected(ring)
-    bad = np.flatnonzero(diff.counts != expected.counts)
-    violations = [
-        (int(g), int(diff.counts[g]), int(expected.counts[g])) for g in bad[:10]
-    ]
+    ring = D.ring
+    t = 1 << ring.n
+    if len(D.support()) <= 2 * t:
+        diff = _pair_counts(D, negate=True)
+    else:
+        re, im = (v.astype(np.int64) for v in (X.re, X.im))
+        norm = re * re + im * im
+        diff = _transform(ring, norm, np.arange(ring.size))[0].astype(np.int64)
+        diff >>= 2 * ring.n  # an exact division by 4^n
+    diff[t:] -= 1  # less the expected counts
+    diff[0] -= t
+    bad = []
+    for lo in range(0, ring.size, _BLOCK):
+        bad += (lo + np.flatnonzero(diff[lo : lo + _BLOCK])).tolist()
+        if len(bad) >= 10:
+            break
+    violations = []
+    for g in bad[:10]:
+        want = t if g == 0 else int(g >= t)
+        violations.append((g, int(diff[g]) + want, want))
     return False, violations
 
 
 def verify_rds(D: GroupVec) -> tuple[bool, list[tuple[int, int, int]]]:
-    """Check D * involute(D) == 2^n*delta_0 + (R - Z).
+    """Check D * D^(-1) == 2^n*delta_0 + (R - Z).
 
     Returns (ok, violations) with at most 10 violations, each a triple
     (element idx, actual multiplicity, expected multiplicity), in a fresh
@@ -551,7 +477,7 @@ def verify_rds(D: GroupVec) -> tuple[bool, list[tuple[int, int, int]]]:
     kept on D.
     """
     if D._rds is None:
-        ok, violations = _rds_check(_spectrum(D))
+        ok, violations = _rds_check(D)
         D._rds = ok, tuple(violations)
     ok, violations = D._rds
     return ok, list(violations)

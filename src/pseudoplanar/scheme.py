@@ -15,11 +15,11 @@ the pair sums, taken as element indices by GR4.pair_sums one block of rows
 at a time, each unordered pair once, decides that, and chi(S_4) follows
 from X^2.  By Zhou's theorem every relative difference set here is a D_f
 with f pseudo-planar, so that check never fails on a D that reaches it;
-when it does fail, the whole table of pair sums is built and counted to
-name the first wrong element.  The dual partition of the character group
-is one table lookup of X per character, in the pass over X's window keys
-that also counts X's values on a small table, kept on the stored X for
-raw_spectrum; the first
+when it does fail, D^2 is counted by groupring._pair_counts, the blocked
+pair counter that also names RDS violations, to name the first wrong
+element.  The dual partition of the character group is one table lookup of
+X per character, in the pass over X's window keys that also counts X's
+values on a small table, kept on the stored X for raw_spectrum; the first
 eigenmatrix P is evaluated at the least member of each dual class; the
 spectra are constant on the dual classes by construction.  P is square: for
 n >= 3 there are six classes and dual_partition refuses fewer than six dual
@@ -37,9 +37,9 @@ The tests check the steps against the oracles in tests/oracles.py:
 class_spectra (one transform per class) for eigen_P, verify_schur (every
 pair of classes convolved) and intersection_numbers_gauss (the GaussInt
 loops) for the intersection numbers, check_pq_gauss for the P Q check, and
-partition_by_counted_square (D^2 counted by GroupVec.square_of_set),
-pair_sum_marks_from_table (the marks read off the whole table of pair
-sums) and s1_identities_hold for the D^2 combination.  The module also
+partition_by_counted_square (D^2 by square_of_set, a bincount of the whole
+table of pair sums), pair_sum_marks_from_table (the marks read off that
+table) and s1_identities_hold for the D^2 combination.  The module also
 evaluates the Fourier spectrum, which takes the pseudo-planarity of f from
 the RDS verdict on D_f (Zhou), and fuses classes via the
 constant-block-row-sum criterion.
@@ -60,7 +60,14 @@ import numpy as np
 from .exact import GaussInt, GaussRat
 from .functions import SparsePoly, pseudoplanar_witness
 from .galois_ring import _BLOCK, GR4
-from .groupring import GroupVec, SpectrumVec, _spectrum, build_df, verify_rds
+from .groupring import (
+    GroupVec,
+    SpectrumVec,
+    _pair_counts,
+    _spectrum,
+    build_df,
+    verify_rds,
+)
 
 SCHEMA_VERSION = 1
 
@@ -191,9 +198,10 @@ def build_partition(D: GroupVec) -> Partition6:
     and a D without 0 raises a plain ValueError.  D^2 must be the class
     combination sum_k a_k S_k of _square_coefficients, which is decided
     from the pair sums of D (see _pair_sum_marks) without counting them or
-    holding their table; only when it fails is the table built and counted,
-    and a SchemeError names the first element where D^2 is not that
-    combination.  The RDS check is verify_rds, whose verdict is kept on D.
+    holding their table; only when it fails are they counted, one block of
+    rows at a time (see _pair_counts), and a SchemeError names the first
+    element where D^2 is not that combination.  The RDS check is
+    verify_rds, whose verdict is kept on D.
     """
     ring = D.ring
     ok, violations = verify_rds(D)
@@ -225,7 +233,7 @@ def build_partition(D: GroupVec) -> Partition6:
         raise SchemeError("partition classes are not disjoint")
     if not square_ok:
         a = _square_coefficients(ring.n)
-        dsq = np.bincount(ring.pair_sums(in_d).ravel(), minlength=ring.size)
+        dsq = _pair_counts(D, negate=False)
         want = np.take(np.array(a, dtype=np.int8), labels)
         g = int(np.argmax(dsq != want))
         raise SchemeError(

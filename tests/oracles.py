@@ -7,14 +7,20 @@ no code with the paths they check, and the package itself never calls them.
   additive characters, for the Teichmuller-pair arithmetic (the scalar
   add, neg and mul, and their index forms GR4.pair_sums and GR4.neg_idx),
   the trace-dual map and phase tables of the transform, and the
-  Teichmuller-coordinate character transform and its conjugate inverse.
-- convolve_naive: the O(16^n) convolution, for GroupVec.convolve and
-  GroupVec.square_of_set.
+  Teichmuller-coordinate character transform.
+- The dense group-ring algebra that the package does not need: zero,
+  delta, indicator and full_group; add, scale and involute;
+  pointwise_mul; inverse_transform, from two forward transforms by
+  linearity; convolve, through the transforms; square_of_set, the
+  bincount of the whole GR4.pair_sums table; rds_expected.
+- convolve_naive: the O(16^n) convolution, for convolve and square_of_set.
+- rds_violations_by_inverse: the RDS violations read off the inverse
+  transform of |chi(D)|^2, for verify_rds, which counts the pair
+  differences of D.
 - partition_by_counted_square: build_partition with D^2 counted by
-  GroupVec.square_of_set from GR4.pair_sums and compared with the class
-  combination element by element, for the pair-sum check of
-  build_partition, which decides the same identity from the same sums
-  without counting.
+  square_of_set and compared with the class combination element by
+  element, for the pair-sum check of build_partition, which decides the
+  same identity from the same sums without counting.
 - pair_sum_marks_from_table: the pair-sum marks and verdict read off the
   whole symmetric GR4.pair_sums table of D, for scheme._pair_sum_marks,
   which walks each unordered pair once, one block of rows at a time.
@@ -58,7 +64,7 @@ from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n, _prime_factors
 from pseudoplanar.functions import _RANK_BUDGET, _cubic_field, exhaustive_witness
 from pseudoplanar.galois_ring import GR4, Pair
-from pseudoplanar.groupring import GroupVec, verify_rds
+from pseudoplanar.groupring import GroupVec, SpectrumVec, verify_rds
 from pseudoplanar.scheme import NEEDS_ZERO, Partition6, SchemeError
 from pseudoplanar.search import SearchSpace, quad_exponents
 
@@ -198,12 +204,126 @@ def character(ring: GR4, a: Pair, x: Pair) -> GaussInt:
 
 # -- group ring ---------------------------------------------------------------
 
+
+def check_ctx(A: GroupVec, B: GroupVec) -> None:
+    if A.ring != B.ring:
+        raise ValueError("group ring context mismatch")
+
+
+def zero(ring: GR4) -> GroupVec:
+    return GroupVec(ring, np.zeros(ring.size, dtype=np.int64))
+
+
+def delta(ring: GR4, x: Pair) -> GroupVec:
+    """The point mass at the ring element x."""
+    counts = np.zeros(ring.size, dtype=np.int64)
+    counts[ring.idx(x)] = 1
+    return GroupVec(ring, counts)
+
+
+def indicator(ring: GR4, indices) -> GroupVec:
+    """The 0/1 set of the element indices given."""
+    counts = np.zeros(ring.size, dtype=np.int64)
+    counts[np.asarray(list(indices), dtype=np.int64)] = 1
+    return GroupVec(ring, counts)
+
+
+def full_group(ring: GR4) -> GroupVec:
+    return GroupVec(ring, np.ones(ring.size, dtype=np.int64))
+
+
+def add(A: GroupVec, B: GroupVec) -> GroupVec:
+    check_ctx(A, B)
+    return GroupVec(A.ring, A.counts + B.counts)
+
+
+def scale(A: GroupVec, k: int) -> GroupVec:
+    return GroupVec(A.ring, k * A.counts)
+
+
+def involute(A: GroupVec) -> GroupVec:
+    """Re-index by negation: the multiset {-g : g in A}."""
+    neg = A.ring.neg_idx(np.arange(A.ring.size))
+    return GroupVec(A.ring, A.counts[neg])
+
+
+def pointwise_mul(X: SpectrumVec, Y: SpectrumVec) -> SpectrumVec:
+    """The entrywise Gaussian product, widened to int64 first: the product
+    of two int16 spectra wraps around."""
+    if X.ring != Y.ring:
+        raise ValueError("group ring context mismatch")
+    a, b, c, d = (v.astype(np.int64, copy=False) for v in (X.re, X.im, Y.re, Y.im))
+    return SpectrumVec(X.ring, a * c - b * d, a * d + b * c)
+
+
+def _forward(ring: GR4, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chi of the real multiset part, as int64 (re, im)."""
+    sp = GroupVec(ring, part).char_transform()
+    return sp.re.astype(np.int64), sp.im.astype(np.int64)
+
+
+def inverse_transform(X: SpectrumVec) -> GroupVec:
+    """Recover the multiset: A_g = (1/4^n) sum_a chi_a(A) i^-Tr(ag).
+
+    The sum is conj(chi(conj X)), and by linearity
+    chi(conj X) = chi(re) - i chi(im), from two forward transforms of real
+    multisets.  Raises if X is not the transform of an integer vector.
+    """
+    ring = X.ring
+    p, q = _forward(ring, X.re)
+    r, s = _forward(ring, X.im)
+    # chi(conj X) = (p + i q) - i (r + i s) = (p + s) + i (q - r)
+    re, im = p + s, r - q
+    # ring.size is 4^n: re is a multiple of it when its low 2n bits are 0
+    rem = re & (ring.size - 1)
+    if im.any() or rem.any():
+        bad = int(np.flatnonzero((im != 0) | (rem != 0))[0])
+        raise ValueError(
+            f"spectrum is not the transform of an integer multiset "
+            f"(first failure at element idx {bad})"
+        )
+    return GroupVec(ring, re >> (2 * ring.n))
+
+
+def convolve(A: GroupVec, B: GroupVec) -> GroupVec:
+    """A * B through the transforms: chi(A * B) = chi(A) chi(B)."""
+    check_ctx(A, B)
+    return inverse_transform(pointwise_mul(A.char_transform(), B.char_transform()))
+
+
+def square_of_set(A: GroupVec) -> GroupVec:
+    """A * A for a 0/1 vector: the bincount of the whole GR4.pair_sums
+    table of its support, |A|^2 sums."""
+    sums = A.ring.pair_sums(A.support())
+    return GroupVec(A.ring, np.bincount(sums.ravel(), minlength=A.ring.size))
+
+
+def rds_expected(ring: GR4) -> GroupVec:
+    """2^n * delta_0 + (R - Z): the difference multiset of a (2^n,2^n,2^n,1)-RDS."""
+    counts = np.ones(ring.size, dtype=np.int64)
+    counts[: 1 << ring.n] = 0  # Z is the index prefix [0, 2^n)
+    counts[0] = 1 << ring.n
+    return GroupVec(ring, counts)
+
+
+def rds_violations_by_inverse(D: GroupVec) -> list[tuple[int, int, int]]:
+    """The first ten (idx, got, want) where D * D^(-1), the inverse
+    transform of |chi(D)|^2, differs from rds_expected, in index order."""
+    X = D.char_transform()
+    re, im = (v.astype(np.int64) for v in (X.re, X.im))
+    norm = re * re + im * im
+    diff = inverse_transform(SpectrumVec(D.ring, norm, np.zeros_like(norm))).counts
+    want = rds_expected(D.ring).counts
+    bad = np.flatnonzero(diff != want)[:10]
+    return [(int(g), int(diff[g]), int(want[g])) for g in bad]
+
+
 NAIVE_MAX_DEGREE = 3
 
 
 def convolve_naive(A: GroupVec, B: GroupVec) -> GroupVec:
     """O(16^n) reference convolution A * B, by ring addition pair by pair."""
-    A._check_ctx(B)
+    check_ctx(A, B)
     ring = A.ring
     if ring.n > NAIVE_MAX_DEGREE:
         raise ValueError(
@@ -528,7 +648,7 @@ def verify_schur(part: Partition6):
     p = np.zeros((6, 6, 6), dtype=np.int64)
     for i in range(6):
         for j in range(i, 6):
-            conv = part.classes[i].convolve(part.classes[j])
+            conv = convolve(part.classes[i], part.classes[j])
             for k in range(6):
                 sup = part.classes[k].support()
                 if len(sup) == 0:
@@ -570,8 +690,8 @@ def pair_sum_marks_from_table(ring: GR4, in_d: np.ndarray, sums: np.ndarray):
 
 
 def partition_by_counted_square(D: GroupVec) -> Partition6:
-    """build_partition(D), with D^2 counted pair by pair by
-    GroupVec.square_of_set and compared with sum_k a_k S_k at every element;
+    """build_partition(D), with D^2 counted pair by pair by square_of_set
+    and compared with sum_k a_k S_k at every element;
     the same checks in the same order, and the same errors."""
     ring = D.ring
     ok, violations = verify_rds(D)
@@ -583,7 +703,7 @@ def partition_by_counted_square(D: GroupVec) -> Partition6:
     zero = ring.idx(ring.zero)
     if D.counts[zero] != 1:
         raise ValueError(NEEDS_ZERO)
-    dsq = D.square_of_set().counts
+    dsq = square_of_set(D).counts
     labels = np.where(dsq == 0, 5, 4).astype(np.int8)
     labels[: 1 << ring.n] = 3
     in_d = D.support()
@@ -612,13 +732,13 @@ def s1_identities_hold(part: Partition6) -> bool:
     """
     ring = part.ring
     s0, s1, s2, s3, s4, s5 = part.classes
-    lhs = s1.convolve(s1.involute())
-    if lhs != s0.scale((1 << ring.n) - 1) + s4 + s5:
+    lhs = convolve(s1, involute(s1))
+    if lhs != add(add(scale(s0, (1 << ring.n) - 1), s4), s5):
         return False
-    sq = s1.convolve(s1)
+    sq = convolve(s1, s1)
     if ring.n % 2 == 1:
-        return sq == s3 + s4.scale(2)
-    return sq == s3 + s2.scale(2) + s4.scale(2)
+        return sq == add(s3, scale(s4, 2))
+    return sq == add(add(s3, scale(s2, 2)), scale(s4, 2))
 
 
 def intersection_numbers_gauss(P, class_sizes, dual_sizes, col_slots) -> np.ndarray:

@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 from pseudoplanar.cli import main
+from pseudoplanar.field import GF2n
+from pseudoplanar.functions import SparsePoly
+from pseudoplanar.galois_ring import MAX_RING_DEGREE, GR4
+from pseudoplanar.groupring import build_df
 from pseudoplanar.scheme import spectrum_closed_form
+
+from oracles import rds_violations_by_inverse
 
 
 def run(capsys, *argv):
@@ -184,6 +190,28 @@ def test_rds_verify(capsys):
     code, out, _ = run(capsys, "rds-verify", "--field", "4:13", "--f", "3:1")
     assert code == 1
     assert "multiplicity" in out
+
+
+def test_rds_verify_at_the_ring_cap_lists_the_oracle_violations(capsys):
+    # the failure path end to end at n = 10 (MAX_RING_DEGREE): ten
+    # violations, those of the inverse of |chi(D)|^2
+    code, out, _ = run(
+        capsys, "rds-verify", "--field", "10:409", "--f", "7:1", "--out", "json"
+    )
+    assert code == 1
+    ring = GR4(GF2n.from_spec("10:409"))
+    assert ring.n == MAX_RING_DEGREE
+    want = rds_violations_by_inverse(
+        build_df(ring, SparsePoly.parse(ring.field, "7:1"))
+    )
+    assert len(want) == 10
+    assert json.loads(out)["result"] == {
+        "rds": False,
+        "violations": [
+            {"elem": ring.elem_string(ring.pair(g)), "got": got, "want": w}
+            for g, got, w in want
+        ],
+    }
 
 
 def test_scheme_build_and_eigen(capsys):

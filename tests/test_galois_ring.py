@@ -12,9 +12,9 @@ from pseudoplanar.exact import GaussInt
 from pseudoplanar.field import GF2n
 from pseudoplanar.functions import SparsePoly
 from pseudoplanar.galois_ring import GR4, MAX_RING_DEGREE
-from pseudoplanar.groupring import GroupVec, _tables, build_df
+from pseudoplanar.groupring import _tables, build_df
 
-from oracles import I_POWERS, Z4Model, character, trace
+from oracles import I_POWERS, Z4Model, character, delta, trace
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -172,7 +172,8 @@ def test_pair_sums_are_ring_addition(n, data):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_the_two_torsion_is_the_index_prefix(n):
     # Z = 2R is the pairs (0, b), which are exactly the indices below 2^n;
-    # build_partition, eigen_P, rds_expected and _rds_check rely on it
+    # build_partition, eigen_P and _rds_check rely on it, and the oracle
+    # rds_expected
     ring = GR4(GF2n(n))
     for i in range(ring.size):
         assert (ring.pair(i)[0] == 0) == (i < 1 << n)
@@ -225,7 +226,7 @@ def test_tables_build_without_z4model(monkeypatch):
     assert sorted(tau) == list(range(1 << ring.n))
     assert np.all(np.abs(cos) + np.abs(sin) == 1)
     assert sorted(ring.neg_idx(np.arange(ring.size))) == list(range(ring.size))
-    sp = GroupVec.delta(ring, ring.zero).char_transform()
+    sp = delta(ring, ring.zero).char_transform()
     assert np.all(sp.re == 1) and np.all(sp.im == 0)
 
 

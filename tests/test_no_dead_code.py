@@ -43,15 +43,7 @@ SEARCHED = ("src", "perfbench")
 # Public algebra of exported classes that neither the package nor the
 # benchmark calls; the tests reach it.
 ALLOWED_TEST_ONLY = {
-    "GroupVec.square_of_set": "D^2 counted pair by pair, the oracle of build_partition's pair-sum check",
-    "GroupVec.zero": "constructor of the empty multiset, beside delta and indicator",
     "GR4.add": "Teichmuller-pair addition, the scalar form of pair_sums; Z4Model checks both",
-    "GroupVec.convolve": "group-ring product; the traced benchmark patches it by name",
-    "GroupVec.involute": "negation, the other half of the group-ring algebra",
-    "GroupVec.scale": "integer multiple, beside + and -; the S_1 identity oracle uses it",
-    "GroupVec.delta": "constructor of a point mass",
-    "GroupVec.indicator": "constructor of a 0/1 set",
-    "GroupVec.full_group": "constructor of the whole ring",
     "Partition6.classes": "class vectors, built on demand from the labels",
     "GF2n.inv": "multiplicative inverse, beside mul; the Moore-determinant oracle uses it",
     "GF2n.rel_trace": "relative trace of the cubic tower F_{2^3m} / F_{2^m}",

@@ -27,6 +27,7 @@ from pseudoplanar.groupring import (
     GroupVec,
     SpectrumVec,
     _rds_check,
+    _transform,
     build_df,
     verify_rds,
 )
@@ -54,8 +55,10 @@ from pseudoplanar.scheme import (
 from pseudoplanar.search import SearchSpace
 
 from oracles import (
+    add,
     check_pq_gauss,
     class_spectra,
+    convolve,
     intersection_numbers_gauss,
     pair_sum_marks_from_table,
     partition_by_counted_square,
@@ -228,7 +231,7 @@ def test_verify_schur_witness_on_broken_partition():
     i, j, k, g, g2 = witness
     assert g != g2
     # the witness really exhibits unequal multiplicities
-    conv = broken.classes[i].convolve(broken.classes[j])
+    conv = convolve(broken.classes[i], broken.classes[j])
     assert int(conv.counts[g]) != int(conv.counts[g2])
 
 
@@ -246,7 +249,7 @@ def test_build_report_keeps_the_dual_error_of_a_fused_scheme(monkeypatch):
     assert witness is None
     # the dual labels of the fused S_1, through the X = chi(S_0 + S_1) that
     # makes chi(S_1) = X - 1
-    X_fused = (fused.classes[0] + fused.classes[1]).char_transform()
+    X_fused = add(fused.classes[0], fused.classes[1]).char_transform()
     with pytest.raises(SchemeError) as dual_error:
         dual_partition(X_fused)
     true_dual = dual_partition
@@ -258,9 +261,10 @@ def test_build_report_keeps_the_dual_error_of_a_fused_scheme(monkeypatch):
 
 
 def _count_transforms(monkeypatch) -> dict:
-    """Count convolutions, forward and inverse transforms and RDS checks of
-    a chi(D) from now on."""
-    calls = {"convolve": 0, "transform": 0, "rds_check": 0}
+    """Count transforms and RDS checks from now on.  Every transform, of a
+    chi(D) or inside a convolution (three) or an inverse (two), is one
+    groupring._transform call."""
+    calls = {"transform": 0, "rds_check": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -269,15 +273,7 @@ def _count_transforms(monkeypatch) -> dict:
 
         return wrapper
 
-    monkeypatch.setattr(GroupVec, "convolve", counted(GroupVec.convolve, "convolve"))
-    monkeypatch.setattr(
-        GroupVec, "char_transform", counted(GroupVec.char_transform, "transform")
-    )
-    monkeypatch.setattr(
-        SpectrumVec,
-        "inverse_transform",
-        counted(SpectrumVec.inverse_transform, "transform"),
-    )
+    monkeypatch.setattr(groupring, "_transform", counted(_transform, "transform"))
     monkeypatch.setattr(groupring, "_rds_check", counted(_rds_check, "rds_check"))
     return calls
 
@@ -287,8 +283,8 @@ def test_build_report_transforms_a_few_times_and_never_convolves(monkeypatch):
     build_df.cache_clear()  # a fresh D, with no transform stored on it
     rep = _report(5)
     assert rep.matches_closed_forms()
-    assert calls["convolve"] == 0
-    # chi(D) alone: D^2 is counted pair by pair, chi(S_4) derived from chi(D)
+    # chi(D) alone, so no convolution: D^2 is decided pair by pair, and
+    # chi(S_4) derived from chi(D)
     assert calls["transform"] == 1
     # one int8 label per element, and no class vectors built
     assert rep.partition.labels.dtype == np.int8
@@ -305,7 +301,7 @@ def test_rds_report_and_spectrum_of_one_f_share_one_transform(monkeypatch, n):
     rep = build_report(D)
     # an equal (ring, f) built afresh finds the same D_f and its chi(D_f)
     spectrum = fourier_spectrum(GR4(GF2n(n)), _pp_poly(GF2n(n)))
-    assert calls == {"convolve": 0, "transform": 1, "rds_check": 1}
+    assert calls == {"transform": 1, "rds_check": 1}
     assert rep.matches_closed_forms()
     assert spectrum == spectrum_closed_form(n)
 
@@ -324,7 +320,7 @@ def test_a_failed_report_leaves_the_rds_violations_as_they_were(n, literal):
         verify_rds(D)[1].clear()
         with pytest.raises(SchemeError, match="not a relative difference set"):
             build_report(D)
-        assert verify_rds(D) == before == _rds_check(D.char_transform())
+        assert verify_rds(D) == before == _rds_check(D)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
