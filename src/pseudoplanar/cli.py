@@ -229,9 +229,7 @@ def cmd_search_monomials(args):
 def cmd_search_binomials(args):
     fld = GF2n.from_spec(args.field)
     shard = _parse_shard(args.shard)
-    result = srch.search_quad_binomials(
-        fld, shard=shard, checkpoint_path=args.checkpoint, long_run=args.long_run
-    )
+    result = srch.search_quad_binomials(fld, shard=shard, checkpoint_path=args.checkpoint)
     _emit_search(args, "search-binomials", fld, result)
     return 0
 
@@ -326,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--shard", default="0/1", metavar="k/K")
     sp.add_argument("--checkpoint", metavar="PATH")
-    sp.add_argument("--long-run", action="store_true")
     sp.set_defaults(fn=cmd_search_binomials)
 
     sp = sub.add_parser("bm-fuse", help="fuse scheme classes")

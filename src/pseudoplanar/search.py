@@ -7,7 +7,9 @@ shard (k, K) owns the indices congruent to k mod K, so shard runs compose
 to exactly the unsharded run.  A shard is decided in units of one kernel
 call each (_units), and a checkpoint, digest-protected JSON, is written
 after a unit once CHECKPOINT_SECONDS have passed since the last one; every
-reported hit is re-verified in a final single-threaded pass.
+reported hit is re-verified in a final single-threaded pass.  The field cap
+(GF2n, n <= 16) is the only bound on a search; a long run is split into
+shards and resumed from its checkpoint.
 
 Binomials are of quadratic type and are decided in bulk along their scaling
 orbit by functions._orbit_witnesses, from n-entry tables of their exponents
@@ -29,6 +31,7 @@ import math
 import os
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import combinations
@@ -46,8 +49,6 @@ from .functions import (
 )
 
 CHECKPOINT_VERSION = 1
-MONOMIAL_MAX_DEGREE = 14
-BINOMIAL_LONG_RUN_DEGREE = 8
 # Least seconds between two checkpoints of a run (run_search)
 CHECKPOINT_SECONDS = 10.0
 
@@ -156,13 +157,24 @@ class SearchResult:
 
 
 def merge_results(results: list[SearchResult]) -> SearchResult:
-    """Combine shard results into the equivalent unsharded result."""
+    """Combine shard results into the equivalent unsharded result: the
+    results must be shards 0..K-1 of one total K, each once."""
     if not results:
         raise ValueError("nothing to merge")
     base = results[0].space
     for r in results[1:]:
         if r.space.field != base.field or r.space.kind != base.kind:
             raise ValueError("cannot merge results from different spaces")
+    totals = sorted({r.space.shard_total for r in results})
+    if len(totals) > 1:
+        raise ValueError(f"cannot merge shards of different totals {totals}")
+    K, seen = totals[0], Counter(r.space.shard_index for r in results)
+    repeated = sorted(k for k, count in seen.items() if count > 1)
+    if repeated:
+        raise ValueError(f"shards {repeated} of {K} are repeated")
+    missing = sorted(set(range(K)) - seen.keys())
+    if missing:
+        raise ValueError(f"shards {missing} of {K} are missing")
     merged = SearchSpace(base.field, base.kind)
     return SearchResult(merged, sorted(i for r in results for i in r.hit_indices))
 
@@ -249,12 +261,9 @@ def checkpoint_resume(path, space: SearchSpace) -> tuple[int, list[int]]:
 # -- drivers ------------------------------------------------------------------
 
 
-def run_search(
-    space: SearchSpace,
-    checkpoint_path=None,
-    long_run: bool = False,
-) -> SearchResult:
+def run_search(space: SearchSpace, checkpoint_path=None) -> SearchResult:
     """Exhaust the shard, re-verify every hit, and return the result.
+    Any field that GF2n admits is searched, whatever the run's length.
 
     The owned candidates are decided in units of one kernel call each
     (_units).  With a checkpoint path, a checkpoint is written after the
@@ -265,16 +274,6 @@ def run_search(
     the first candidate.  Every hit is re-checked by is_pseudoplanar at the
     end, and only then is the shard marked exhausted.
     """
-    n = space.field.n
-    if space.kind == "monomial" and n > MONOMIAL_MAX_DEGREE:
-        raise ValueError(
-            f"full monomial searches are capped at n <= {MONOMIAL_MAX_DEGREE}"
-        )
-    if space.kind == "quad_binomial" and n >= BINOMIAL_LONG_RUN_DEGREE and not long_run:
-        raise ValueError(
-            f"quadratic binomial search at n = {n} covers {space.total} "
-            f"candidates; pass long_run (--long-run) to proceed"
-        )
     start, hit_indices = 0, []
     if checkpoint_path is not None:
         _checkpoint_directory(checkpoint_path)
@@ -410,10 +409,7 @@ def unexpected_monomials(field: GF2n, result: SearchResult) -> list[tuple[int, i
 
 
 def search_quad_binomials(
-    field: GF2n,
-    shard: tuple[int, int] = (0, 1),
-    checkpoint_path=None,
-    long_run: bool = False,
+    field: GF2n, shard: tuple[int, int] = (0, 1), checkpoint_path=None
 ) -> SearchResult:
     space = SearchSpace(field, "quad_binomial", *shard)
-    return run_search(space, checkpoint_path=checkpoint_path, long_run=long_run)
+    return run_search(space, checkpoint_path=checkpoint_path)

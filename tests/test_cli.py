@@ -133,6 +133,26 @@ def test_field_degree_above_the_cap_exits_2(spec):
     assert "extension degree must be in [1, 16]" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("rds-verify",),
+    ("scheme-build",),
+    ("eigen",),
+    ("spectrum",),
+    ("bm-fuse", "--cols", "0;1,2;3;4,5"),
+])
+def test_ring_degree_above_the_cap_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv[:1], "--field", "11:805", "--f", "0:0", *argv[1:])
+    assert code == 2 and out == ""
+    assert "capped at n <= 10; got n = 11" in err
+
+
+@pytest.mark.parametrize("command", ["search-monomials", "search-binomials"])
+def test_search_degree_above_the_field_cap_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "--field", "17:20009")
+    assert code == 2 and out == ""
+    assert "extension degree must be in [1, 16], got 17" in err
+
+
 def test_constant_term_passes_pp_and_rds_tests(capsys):
     # f(0) = 1 translates D_f by a 2-torsion element: still a difference set
     code, out, _ = run(capsys, "pp-test", "--field", "3:b", "--f", "0:1")
@@ -267,9 +287,12 @@ def test_search_binomials_cli_sharded(capsys, tmp_path):
         assert code == 0
         hits += json.loads(out)["result"]["hits"]
     assert "3:1,6:1" in hits
-    # long-run gate propagates as a usage error
-    code, _, err = run(capsys, "search-binomials", "--field", "8:11b")
-    assert code == 2 and "long" in err
+    # the field cap bounds the search: no confirmation flag, no degree gate
+    proc = _run_child("search-binomials", "--field", "3:b", "--long-run")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unrecognized arguments: --long-run" in proc.stderr
+    code, out, _ = run(capsys, "search-binomials", "--field", "8:11b", "--shard", "0/1000000000000")
+    assert code == 0 and out.startswith("candidates: ")
 
 
 @pytest.mark.parametrize("key, value", [("next", 10**9), ("hits", [1]), ("hits", ["x"])])

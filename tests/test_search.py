@@ -20,7 +20,6 @@ from pseudoplanar.functions import exhaustive_witness, known_hits_closure
 from pseudoplanar.search import (
     CHECKPOINT_VERSION,
     CheckpointError,
-    MONOMIAL_MAX_DEGREE,
     SearchResult,
     SearchSpace,
     checkpoint_resume,
@@ -94,6 +93,16 @@ def test_shard_merge_equals_unsharded():
     other = search_monomials(GF2n(3))
     with pytest.raises(ValueError):
         merge_results([full, other])
+    # only shards 0..K-1 of one total K, each once, make the unsharded space
+    fld = GF2n(3)
+    half = [search_monomials(fld, shard=(k, 2)) for k in range(2)]
+    assert len(merge_results(half).hit_indices) == len(other.hit_indices)
+    with pytest.raises(ValueError, match=r"shards \[1\] of 2 are repeated"):
+        merge_results([half[1], half[1]])
+    with pytest.raises(ValueError, match=r"shards \[1\] of 2 are missing"):
+        merge_results([half[0]])
+    with pytest.raises(ValueError, match=r"different totals \[2, 3\]"):
+        merge_results([half[0], search_monomials(fld, shard=(0, 3))])
 
 
 def test_checkpoint_roundtrip_and_resume(tmp_path):
@@ -202,11 +211,23 @@ def test_binomial_search_small_fields():
     assert search_quad_binomials(GF2n(5)).hits() == []
 
 
-def test_long_run_gate():
-    with pytest.raises(ValueError, match="long_run"):
-        search_quad_binomials(GF2n(8))
-    with pytest.raises(ValueError, match=f"capped at n <= {MONOMIAL_MAX_DEGREE}"):
-        run_search(SearchSpace(GF2n(MONOMIAL_MAX_DEGREE + 1), "monomial"))
+def test_monomial_search_above_n14_decides_its_owned_candidate():
+    # the field cap bounds the search: a one-candidate shard at n = 15 owns x^3
+    fld = GF2n(15)
+    shard = (2 * (2**15 - 1), 2**40)
+    space = SearchSpace(fld, "monomial", *shard)
+    assert [space.candidate(i).literal for i in space.my_indices()] == ["3:1"]
+    result = search_monomials(fld, shard=shard)
+    assert result.hit_indices == [] and result.unexpected == []
+
+
+def test_binomial_search_at_n8_runs_with_no_gate():
+    fld = GF2n(8)
+    result = search_quad_binomials(fld, shard=(0, 10**12))
+    first = SearchSpace(fld, "quad_binomial").candidate(0)
+    assert result.hit_indices == ([0] if exhaustive_witness(first) is None else [])
+    with pytest.raises(TypeError, match="long_run"):
+        search_quad_binomials(GF2n(3), long_run=True)
 
 
 def test_conjecture_flagging_fires_on_planted_hit():
